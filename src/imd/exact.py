@@ -36,7 +36,6 @@ __all__ = [
     "mean_density",
     "pure_pressure_derivative",
     "SmoothedDensity",
-    "convolution_density",
 ]
 
 
@@ -150,44 +149,45 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     return float(out[0]) if np.ndim(fields) == 0 else out
 
 
+def _exp_or_overflow(log_val: float, t: float) -> float:
+    if log_val > math.log(np.finfo(float).max):
+        raise OverflowError(
+            f"MGF exponent {log_val:.3g} overflows double precision at t={t}"
+        )
+    return math.exp(log_val)
+
+
 def mgf(N: int, params: ModelParams, eta: float, u: float, t: float) -> float:
     """Moment generating function of (S_N - u) / N^eta under the Gibbs law.
 
     At J = 0 the ratio identity
         E exp(t (S_N - u)/N^eta) = e^{-t u / N^eta} Z0(h + t/N^eta) / Z0(h)
-    is used; for J > 0 the expectation is summed directly from the law.
+    is used; for J > 0 the expectation is summed directly (mgf_direct).
     Exponents that would overflow raise OverflowError instead of returning inf.
     """
     if eta < 0:
         raise ValueError(f"scaling exponent eta must be >= 0, got {eta}")
+    if params.J != 0.0:
+        return mgf_direct(N, params, eta, u, t)
     scale = N**eta
-    if params.J == 0.0:
-        log_val = (
-            -t * u / scale
-            + log_partition_pure(N, params.h + t / scale)
-            - log_partition_pure(N, params.h)
-        )
-    else:
-        law = monomer_law(N, params)
-        log_val = float(
-            logsumexp(np.log(law.probabilities) + t * (law.s_values - u) / scale)
-        )
-    if log_val > math.log(np.finfo(float).max):
-        raise OverflowError(
-            f"MGF exponent {log_val:.3g} overflows double precision at t={t}"
-        )
-    return math.exp(log_val)
+    log_val = (
+        -t * u / scale
+        + log_partition_pure(N, params.h + t / scale)
+        - log_partition_pure(N, params.h)
+    )
+    return _exp_or_overflow(log_val, t)
 
 
 def mgf_direct(N: int, params: ModelParams, eta: float, u: float, t: float) -> float:
-    """Direct-sum route for the MGF (independent of the ratio identity)."""
+    """Direct-sum route for the MGF (independent of the ratio identity).
+
+    The sum runs over the log weights, not the probabilities, so atoms whose
+    probability underflows never reach a log; at t = 0 it is exactly 1."""
     law = monomer_law(N, params)
-    log_val = float(logsumexp(np.log(law.probabilities) + t * (law.s_values - u) / N**eta))
-    if log_val > math.log(np.finfo(float).max):
-        raise OverflowError(
-            f"MGF exponent {log_val:.3g} overflows double precision at t={t}"
-        )
-    return math.exp(log_val)
+    log_val = float(
+        logsumexp(law.log_weights + t * (law.s_values - u) / N**eta) - law.log_Z
+    )
+    return _exp_or_overflow(log_val, t)
 
 
 def mean_density(N: int, params: ModelParams) -> float:
@@ -253,8 +253,9 @@ class SmoothedDensity:
         xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
         z = xx[:, None] - self.component_means[None, :]
         expo = -(z * z) / (2.0 * self.component_var)
+        log_p = self.law.log_weights - self.law.log_Z
         out = logsumexp(
-            np.log(self.law.probabilities)[None, :] + expo, axis=1
+            log_p[None, :] + expo, axis=1
         ) - 0.5 * math.log(2.0 * math.pi * self.component_var)
         return out[0] if np.ndim(x) == 0 else out
 
@@ -286,34 +287,3 @@ class SmoothedDensity:
 
     def analytic(self, x):
         return np.exp(self.log_analytic(x))
-
-
-def convolution_density(
-    N: int,
-    params: ModelParams,
-    x,
-    eta: float = 0.0,
-    u: float = 0.0,
-    method: str = "both",
-    rtol: float = 1e-6,
-):
-    """Density at x of the Gaussian-smoothed, scaled monomer count.
-
-    ``method`` picks the representation ("mixture" or "analytic"); the default
-    "both" evaluates the two and raises if they disagree beyond rtol.
-    """
-    sd = SmoothedDensity(N, params, eta=eta, u=u)
-    if method == "mixture":
-        return sd.mixture(x)
-    if method == "analytic":
-        return sd.analytic(x)
-    if method != "both":
-        raise ValueError(f"unknown method {method!r}")
-    dm = sd.mixture(x)
-    da = sd.analytic(x)
-    if not np.allclose(dm, da, rtol=rtol, atol=0.0):
-        worst = float(np.max(np.abs(da / dm - 1.0)))
-        raise ValueError(
-            f"smoothed-density representations disagree (max rel {worst:.3g})"
-        )
-    return dm

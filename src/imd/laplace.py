@@ -29,11 +29,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from .exact import log_partition_pure
-from .quadrature import (
-    IntegrationDomainError,
-    grow_until_drop,
-    signed_log_integral,
-)
+from .quadrature import IntegrationDomainError, peaked_components, signed_log_integral
 from .thermo import ModelParams, g, p0, tilde_p
 
 __all__ = [
@@ -102,22 +98,18 @@ def psi_family(u: float, t: float = 0.0, eta: float = 0.0) -> IntegrandFamily:
 
 
 def _integration_pieces(family: IntegrandFamily, n: int):
-    """Integration domain for psi_n^n: grow the window until n log|psi_n|
-    drops TAIL_DROP below its peak, then split at sign changes."""
+    """Integration domain for psi_n^n: the span of the region where
+    n log|psi_n| lies within TAIL_DROP of its peak, split at sign changes."""
 
     def nlog(x):
         return n * np.asarray(family.log_abs(n, x), dtype=np.float64)
 
     a, b = family.window
-    xs = np.linspace(a, b, 513)
-    vals = nlog(xs)
-    i = int(np.argmax(vals))
-    peak = float(vals[i])
-    lo = grow_until_drop(nlog, a, peak, -1.0, TAIL_DROP)
-    hi = grow_until_drop(nlog, b, peak, +1.0, TAIL_DROP)
+    pieces = peaked_components(nlog, a, b, drop=TAIL_DROP)
+    lo, hi = pieces[0][0], pieces[-1][1]
 
     if family.sign is None:
-        return [(lo, hi)], peak
+        return [(lo, hi)]
     probe = np.linspace(lo, hi, 4097)
     s = np.asarray(family.sign(n, probe), dtype=np.float64)
     flips = np.flatnonzero(np.diff(np.sign(s + 0.5)) != 0)  # treat 0 as negative side
@@ -132,12 +124,12 @@ def _integration_pieces(family: IntegrandFamily, n: int):
                 right = mid
         cuts.append(0.5 * (left + right))
     cuts.append(hi)
-    return list(zip(cuts[:-1], cuts[1:])), peak
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def quad_log_integral(family: IntegrandFamily, n: int, rel_tol: float = 1e-12) -> float:
     """log of integral psi_n(x)^n dx by signed, shifted-log quadrature."""
-    pieces, _ = _integration_pieces(family, n)
+    pieces = _integration_pieces(family, n)
     logs, signs = [], []
     for a, b in pieces:
         la, sg = signed_log_integral(

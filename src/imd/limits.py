@@ -37,7 +37,6 @@ __all__ = [
     "Quartic",
     "TwoPointMixture",
     "scaled_law",
-    "limit_cdf",
     "ks_distance",
     "StudyRow",
     "StudyTable",
@@ -208,12 +207,6 @@ class Quartic:
         half = self._half_integral(np.abs(xx)) * self.normalization
         out = np.where(xx >= 0.0, 0.5 + half, 0.5 - half)
         return float(out) if np.ndim(x) == 0 else out
-
-
-def limit_cdf(law, x):
-    """CDF of a limiting law at x (dispatches on the law object)."""
-    val = law.cdf(x)
-    return float(val) if np.ndim(x) == 0 else val
 
 
 def ks_distance(scaled: ScaledLaw, law) -> float:

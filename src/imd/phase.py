@@ -2,7 +2,8 @@
 
 The equilibrium densities are the global maximizers of the variational
 pressure ptilde(m) = -J m^2 + p0((2m-1)J + h); they solve the consistency
-equation m = g((2m-1)J + h).  Depending on (h, J) the maximizer set is
+equation m = g((2m-1)J + h), whose roots all come from the one solver
+thermo.consistency_roots.  Depending on (h, J) the maximizer set is
 
   * a single point m* (uniqueness region),
   * two points m1 < m2 of equal height (the coexistence curve h = gamma(J),
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .thermo import ModelParams, g, g_derivative, tilde_p
+from .thermo import ModelParams, consistency_roots, g, g_derivative, tilde_p
 
 __all__ = [
     "NearDegenerateError",
@@ -54,9 +55,6 @@ EQUAL_HEIGHT_TOL = 1e-11
 EQUAL_HEIGHT_BAND = 1e-9
 CRITICAL_CURVATURE_TOL = 1e-8
 CRITICAL_CURVATURE_BAND = 1e-6
-
-_GRID_POINTS = 401
-_RESIDUAL_TOL = 1e-13
 
 
 class NearDegenerateError(ValueError):
@@ -141,10 +139,6 @@ class CriticalPoint:
                 "lambda_c": self.lambda_c}
 
 
-def _residual(m, params: ModelParams):
-    return np.asarray(m) - np.asarray(g(params.effective_field(m)))
-
-
 def _stationary_point(m: float, params: ModelParams) -> StationaryPoint:
     val = tilde_p(m, params)
     d2 = tilde_p(m, params, 2)
@@ -158,40 +152,9 @@ def _stationary_point(m: float, params: ModelParams) -> StationaryPoint:
 
 
 def solve_consistency(params: ModelParams) -> list[StationaryPoint]:
-    """All solutions of m = g((2m-1)J + h) in [0, 1], bracketed on a fine grid
-    and polished by bisection plus Newton to residual < 1e-13."""
-    if params.J == 0.0:
-        return [_stationary_point(float(g(params.h)), params)]
-    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    res = _residual(grid, params)
-    roots = []
-    for i in range(_GRID_POINTS - 1):
-        r0, r1 = res[i], res[i + 1]
-        if r0 == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if r0 * r1 < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            m = brentq(lambda mm: float(_residual(mm, params)), lo, hi, xtol=1e-15)
-            roots.append(float(m))
-    if res[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    polished = []
-    for m in roots:
-        for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
-            r = float(_residual(m, params))
-            d = 1.0 - 2.0 * params.J * float(g_derivative(params.effective_field(m), 1))
-            if d == 0.0 or abs(r) < _RESIDUAL_TOL:
-                break
-            m = min(max(m - r / d, 0.0), 1.0)
-        polished.append(m)
-    # an odd-multiplicity root always exists; dedupe near-coincident polish results
-    polished.sort()
-    out = []
-    for m in polished:
-        if not out or m - out[-1] > 1e-9:
-            out.append(m)
-    return [_stationary_point(m, params) for m in out]
+    """The roots of m = g((2m-1)J + h) in [0, 1] from
+    thermo.consistency_roots, each with the local data of ptilde."""
+    return [_stationary_point(m, params) for m in consistency_roots(params)]
 
 
 def classify(params: ModelParams) -> PhaseReport:

@@ -23,7 +23,6 @@ __all__ = [
     "log_integral",
     "signed_log_integral",
     "peaked_components",
-    "grow_until_drop",
 ]
 
 
@@ -102,27 +101,6 @@ def log_integral(log_f, a: float, b: float, **kwargs) -> float:
     if sign <= 0:
         raise IntegrationDomainError("integrand is not positive on the domain")
     return log_abs
-
-
-def grow_until_drop(
-    log_f, x0: float, peak_log: float, direction: float, drop: float,
-    step0: float = 0.5, growth: float = 1.6, max_steps: int = 200,
-) -> float:
-    """Walk from x0 in the given direction until log_f falls drop below
-    peak_log; returns the stopping abscissa.  Overshooting is fine (the
-    quadrature only wastes a panel or two on dead tail)."""
-    x = x0
-    step = step0
-    for _ in range(max_steps):
-        x = x + direction * step
-        val = float(log_f(np.asarray([x]))[0])
-        if not math.isfinite(val) or val < peak_log - drop:
-            return x
-        step *= growth
-    raise IntegrationDomainError(
-        f"integrand does not decay {drop:.0f} log-units below its peak "
-        f"within {max_steps} probe steps from x0={x0}"
-    )
 
 
 def peaked_components(

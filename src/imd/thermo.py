@@ -14,7 +14,9 @@ variational problem
     p(h, J) = sup_{m in [0,1]}  ptilde(m),
     ptilde(m) = -J m^2 + p0((2m - 1) J + h),
 
-whose maximizers solve the consistency equation m = g((2m-1)J + h).  The
+whose maximizers solve the consistency equation m = g((2m-1)J + h).
+consistency_roots is the one solver of that equation; the pressure here and
+the phase classification in imd.phase are both built on its roots.  The
 same limit is reproduced by the large-deviation route
 
     p(h, J) = sup_m [ (h - J) m + J m^2 - rate_function(m) ],
@@ -41,6 +43,7 @@ __all__ = [
     "tilde_p",
     "rate_function",
     "printed_rate_offset",
+    "consistency_roots",
     "variational_pressure",
     "variational_pressure_via_rate",
 ]
@@ -90,10 +93,9 @@ def g(h):
     evaluation fall back to the printed difference (= e^h there).
     """
     a = _as_float_array(h, "h")
-    with np.errstate(over="ignore"):
-        eh = np.exp(a)
-        rat = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * np.maximum(a, _G_BRANCH))))
-        deep = eh * (np.sqrt(eh * eh + 4.0) - eh) / 2.0
+    rat = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * np.maximum(a, _G_BRANCH))))
+    eh = np.exp(np.minimum(a, _G_BRANCH))
+    deep = eh * (np.sqrt(eh * eh + 4.0) - eh) / 2.0
     return _scalar_like(h, np.where(a > _G_BRANCH, rat, deep))
 
 
@@ -229,30 +231,56 @@ def _refine_local_maxima(fun, grid_vals, grid):
     return max(candidates)
 
 
-def variational_pressure(params: ModelParams) -> float:
-    """Limiting pressure sup_m ptilde(m).
+# consistency scan: bracketing grid and Newton stopping residual
+_ROOT_GRID = np.linspace(0.0, 1.0, 401)
+_ROOT_TOL = 1e-13
 
-    The maximizer is located through the stationarity condition: ptilde' is
-    proportional to g((2m-1)J + h) - m, whose sign changes are bracketed on a
-    fine grid and polished by brentq.  (The companion routine
-    variational_pressure_via_rate maximizes a different functional with a
-    derivative-free method, so the two suprema are independently computed.)
+
+def consistency_roots(params: ModelParams) -> list[float]:
+    """All solutions of m = g((2m-1)J + h) in [0, 1], in increasing order.
+
+    The residual m - g((2m-1)J + h) is scanned on a 401-point grid; every
+    sign change is solved by brentq and polished by Newton to residual
+    < 1e-13, and polish results closer than 1e-9 are merged.  At J = 0 the
+    equation reads m = g(h).
     """
     if params.J == 0.0:
-        return p0(params.h)
-    grid = np.linspace(0.0, 1.0, 1001)
-    residual = np.asarray(g(params.effective_field(grid))) - grid
-    candidates = [tilde_p(0.0, params), tilde_p(1.0, params)]
-    for i in range(len(grid) - 1):
-        if residual[i] == 0.0:
-            candidates.append(tilde_p(float(grid[i]), params))
-        elif residual[i] * residual[i + 1] < 0.0:
-            m = brentq(
-                lambda mm: float(np.asarray(g(params.effective_field(mm))) - mm),
-                float(grid[i]), float(grid[i + 1]), xtol=1e-15,
-            )
-            candidates.append(tilde_p(float(m), params))
-    return float(max(candidates))
+        return [float(g(params.h))]
+
+    def residual(m):
+        return m - g(params.effective_field(m))
+
+    grid = _ROOT_GRID
+    res = residual(grid)
+    roots = [float(m) for m in grid[res == 0.0]]
+    for i in np.flatnonzero(res[:-1] * res[1:] < 0.0):
+        roots.append(float(brentq(residual, grid[i], grid[i + 1], xtol=1e-15)))
+    polished = []
+    for m in roots:
+        for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
+            r = float(residual(m))
+            d = 1.0 - 2.0 * params.J * float(g_derivative(params.effective_field(m), 1))
+            if d == 0.0 or abs(r) < _ROOT_TOL:
+                break
+            m = min(max(m - r / d, 0.0), 1.0)
+        polished.append(m)
+    # an odd-multiplicity root always exists; dedupe near-coincident polish results
+    polished.sort()
+    out = []
+    for m in polished:
+        if not out or m - out[-1] > 1e-9:
+            out.append(m)
+    return out
+
+
+def variational_pressure(params: ModelParams) -> float:
+    """Limiting pressure sup_m ptilde(m): the largest value of ptilde over the
+    endpoints of [0, 1] and the consistency roots, where ptilde' vanishes.
+    (The companion routine variational_pressure_via_rate maximizes a
+    different functional with a derivative-free method, so the two suprema
+    are independently computed.)
+    """
+    return float(max(tilde_p(m, params) for m in (0.0, 1.0, *consistency_roots(params))))
 
 
 def variational_pressure_via_rate(params: ModelParams) -> float:

@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from imd.exact import (
     SmoothedDensity,
-    convolution_density,
     log_partition,
     log_partition_pure,
     matching_count_log,
@@ -21,6 +21,7 @@ from imd.exact import (
     pressure,
     pure_pressure_derivative,
 )
+from imd.phase import classify
 from imd.thermo import ModelParams, g, g_derivative, p0
 
 from oracles import brute_monomer_distribution, brute_partition, dimer_count_histogram
@@ -165,6 +166,19 @@ class TestMgf:
         val = mgf(10**4, ModelParams(0.0, 0.0), 1.0, 0.0, 1.0)
         assert abs(val - math.exp(g(0.0))) < 1e-2
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_underflowing_atoms_at_large_n(self, eta):
+        # most of the 5001 atoms underflow to probability 0 at N = 1e4
+        N, params = 10**4, ModelParams(0.0, 1.0)
+        law = monomer_law(N, params)
+        u, t = N * g(0.0), 0.5 * N**eta / math.sqrt(N)
+        linear = float(np.dot(law.probabilities, np.exp(t * (law.s_values - u) / N**eta)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mgf(N, params, eta, u, 0.0) == 1.0
+            val = mgf(N, params, eta, u, t)
+        assert abs(val / linear - 1.0) < 1e-10
+
     def test_overflow_is_reported(self):
         with pytest.raises(OverflowError):
             mgf(100, ModelParams(0.0, 0.0), 0.0, 0.0, 10.0)
@@ -263,8 +277,21 @@ class TestSmoothedDensity:
         with pytest.raises(ValueError):
             SmoothedDensity(10, ModelParams(0.0, 0.0))
 
-    def test_convolution_density_wrapper_checks_agreement(self):
-        val = convolution_density(10, ModelParams(0.0, 1.0), 0.5, method="both")
-        assert val > 0.0
-        with pytest.raises(ValueError):
-            convolution_density(10, ModelParams(0.0, 1.0), 0.5, method="nope")
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_underflowing_atoms_at_large_n(self, eta):
+        # most component weights underflow to 0 at N = 1e4; the mixture must
+        # stay finite and warning-free and still match the analytic route
+        params = ModelParams(0.0, 1.0)
+        m_star = classify(params).maximizers[0]
+        sd = SmoothedDensity(10**4, params, eta=eta, u=m_star)
+        p, means = sd.law.probabilities, sd.component_means
+        assert np.count_nonzero(p == 0.0) > 0
+        mean = float(np.dot(p, means))
+        spread = math.sqrt(float(np.dot(p, (means - mean) ** 2)) + sd.component_var)
+        xs = np.linspace(mean - 6.0 * spread, mean + 6.0 * spread, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_m = sd.log_mixture(xs)
+            log_a = sd.log_analytic(xs)
+        assert np.all(np.isfinite(log_m))
+        assert np.max(np.abs(np.expm1(log_a - log_m))) < 1e-8

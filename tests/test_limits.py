@@ -20,7 +20,6 @@ from imd.limits import (
     coexistence_masses,
     convergence_study,
     ks_distance,
-    limit_cdf,
     scaled_law,
 )
 from imd.thermo import ModelParams, g, g_derivative
@@ -86,7 +85,7 @@ class TestScaledLaw:
 
 class TestLimitLaws:
     def test_gaussian_quantile(self):
-        assert abs(limit_cdf(Gaussian(0.0, 1.0), 1.959964) - 0.975) < 1e-6
+        assert abs(Gaussian(0.0, 1.0).cdf(1.959964) - 0.975) < 1e-6
 
     def test_gaussian_requires_positive_variance(self):
         with pytest.raises(ValueError):

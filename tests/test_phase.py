@@ -3,6 +3,7 @@ coexistence curve and its limit-law parameters."""
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestClassify:
     def test_tiny_coupling_is_not_critical(self):
         # lambda ~ -2J ~ -2e-9 is numerically tiny but not a critical point
         report = classify(ModelParams(0.0, 1e-9))
+        assert report.kind == "unique"
+
+
+    def test_strong_coupling_without_warning(self):
+        # fields (2m-1)J + h span +-1000, far past where e^h overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(ModelParams(0.5, 1000.0))
         assert report.kind == "unique"
 
 

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from imd.quadrature import (
     IntegrationDomainError,
     PrecisionWarning,
-    grow_until_drop,
     log_integral,
     peaked_components,
     signed_log_integral,
@@ -57,15 +56,10 @@ class TestSignedIntegral:
 
 
 class TestWindowTools:
-    def test_grow_until_drop_on_gaussian(self):
-        log_f = lambda x: -x * x / 2.0
-        edge = grow_until_drop(log_f, 0.0, 0.0, +1.0, 50.0)
-        assert edge >= 10.0  # 50 log-units below peak needs |x| = 10
-        assert log_f(edge) < -50.0
-
-    def test_grow_until_drop_detects_non_decay(self):
+    def test_components_detect_non_decay(self):
+        # a flat integrand fills every expanded window up to its edges
         with pytest.raises(IntegrationDomainError):
-            grow_until_drop(lambda x: np.zeros_like(x), 0.0, 0.0, +1.0, 10.0, max_steps=20)
+            peaked_components(lambda x: np.zeros_like(x), -1.0, 1.0, drop=10.0, max_expand=5)
 
     def test_components_of_bimodal_integrand(self):
         # two sharp wells separated by a deep barrier

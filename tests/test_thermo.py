@@ -1,6 +1,7 @@
 """Tests for the closed-form thermodynamic functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from imd.thermo import (
     ModelParams,
+    consistency_roots,
     g,
     g_derivative,
     log_one_minus_g,
@@ -38,6 +40,14 @@ class TestPureDensity:
     def test_saturated_tail_is_cancellation_free(self):
         assert abs(g(20.0) - (1.0 - math.exp(-40.0))) < 1e-16
         assert np.isfinite(g(700.0))
+
+    def test_huge_field_saturates_without_warning(self):
+        # e^h overflows above h ~ 709; the deep-tail branch must not see it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g(800.0) == 1.0
+            vals = g(np.array([-1000.0, -400.0, 0.0, 400.0, 1000.0]))
+        assert vals[0] == 0.0 and vals[-1] == 1.0
         assert g(700.0) == 1.0  # saturates without overflow
 
     @given(finite_h)
@@ -233,3 +243,18 @@ class TestVariationalPressure:
         assert abs(
             variational_pressure(params) - variational_pressure_via_rate(params)
         ) < 1e-10
+
+    def test_strong_coupling_without_warning(self):
+        # fields (2m-1)J + h span +-1000 at J = 1000
+        params = ModelParams(0.5, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(variational_pressure(params) - variational_pressure_via_rate(params)) < 1e-10
+
+
+class TestConsistencyRoots:
+    def test_three_roots_at_strong_coupling(self):
+        # deep double well: maxima pinned at the ends, the minimum near m = 1/2
+        roots = consistency_roots(ModelParams(0.0, 1000.0))
+        assert len(roots) == 3
+        assert roots[0] < 1e-6 and 0.4 < roots[1] < 0.6 and roots[2] > 1.0 - 1e-6
