@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .thermo import ModelParams, consistency_roots, g, g_derivative, tilde_p
+from .thermo import _ROOT_GRID, ModelParams, consistency_roots, g, g_derivative, tilde_p
 
 __all__ = [
     "NearDegenerateError",
@@ -221,11 +221,16 @@ def classify(params: ModelParams) -> PhaseReport:
                        stationary_points=tuple(points))
 
 
+def _inflection_field() -> float:
+    """The field x_c where g'' = 0, at which g' is largest."""
+    return brentq(lambda x: g_derivative(x, 2), -3.0, 3.0, xtol=1e-15)
+
+
 def find_critical_point() -> CriticalPoint:
     """Solve the merge conditions numerically: the curvature of the pure
     density vanishes (g'' = 0) at the critical field, the coupling is fixed by
     2 J g'(x_c) = 1, and h_c follows from the consistency equation."""
-    x_c = brentq(lambda x: g_derivative(x, 2), -3.0, 3.0, xtol=1e-15)
+    x_c = _inflection_field()
     m_c = float(g(x_c))
     J_c = 1.0 / (2.0 * float(g_derivative(x_c, 1)))
     h_c = x_c - (2.0 * m_c - 1.0) * J_c
@@ -251,6 +256,25 @@ def _height_gap(params: ModelParams):
     return hi.value - lo.value
 
 
+def _spinodal_window(J: float) -> tuple[float, float]:
+    """The fields between which ptilde has two local maxima, for J > J_c.
+
+    A stationary point at pure-model field x sits at h = x - (2g(x) - 1)J,
+    which decreases in x exactly where 2J g'(x) > 1.  The two roots of
+    2J g'(x) = 1 straddle the inflection field, and the window runs between
+    the fields at those roots.
+    """
+    x_c = _inflection_field()
+
+    def excess(x):
+        return 2.0 * J * g_derivative(x, 1) - 1.0
+
+    roots = (brentq(excess, x_c - 40.0, x_c, xtol=1e-15),
+             brentq(excess, x_c, x_c + 40.0, xtol=1e-15))
+    h_lo, h_hi = sorted(x - (2.0 * g(x) - 1.0) * J for x in roots)
+    return h_lo, h_hi
+
+
 def _equal_height_field(J: float, h_center: float, width: float) -> float:
     """Bisect in h until the two maxima of ptilde have equal height.
 
@@ -268,7 +292,15 @@ def _equal_height_field(J: float, h_center: float, width: float) -> float:
                 found = h_center + delta
                 break
         if found is None:
-            raise ValueError(f"no two-maxima window near h={h_center} at J={J}")
+            # near J_c the window is narrower than the probe spacing
+            h_lo, h_hi = _spinodal_window(J)
+            found, width = 0.5 * (h_lo + h_hi), 0.5 * (h_hi - h_lo)
+            if _height_gap(ModelParams(found, J)) is None:
+                raise ValueError(
+                    f"no two-maxima window resolved at J={J}: the window "
+                    f"[{h_lo:.17g}, {h_hi:.17g}] is too narrow for the "
+                    f"{len(_ROOT_GRID)}-point consistency grid (J is too close to J_c)"
+                )
         h_center = found
         gap0 = _height_gap(ModelParams(h_center, J))
 

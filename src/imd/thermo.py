@@ -23,6 +23,20 @@ same limit is reproduced by the large-deviation route
 
 with the entropy-like rate of the weighted configuration counts.  Everything
 here is a pure function of (h, J, m); no state, safe to call from anywhere.
+
+Each function has two routes.  A real scalar (``float``, which includes
+``np.float64``) takes the scalar route: plain comparisons check that it is
+finite and in range, an ``if`` evaluates only the branch that applies, and
+a Python float comes back.  Anything else becomes a float64 array and takes
+the vectorized route, where ``np.where`` joins both branches.  The root
+finders call these functions one float at a time, so the scalar route
+spares them the array overhead.  Each formula is written once, in a helper
+that both routes share, and the routes must give the same bits: a scalar
+gives exactly what a 0-d array gives.  The rule that keeps this true is
+same ufuncs, same order, no ``math.*`` transcendentals.  ``math.exp`` and
+``math.log1p`` round differently from ``np.exp`` and ``np.log1p`` on a
+fraction of inputs.  For the same reason integer powers of a scalar stay
+scalar ``**`` (C ``pow``), which ``np.power`` on an array does not match.
 """
 
 from __future__ import annotations
@@ -64,22 +78,50 @@ class ModelParams:
 
     def effective_field(self, m):
         """Field seen by the pure model at monomer density m: (2m-1)J + h."""
-        return (2.0 * np.asarray(m) - 1.0) * self.J + self.h
+        if not isinstance(m, float):
+            m = np.asarray(m)
+        return (2.0 * m - 1.0) * self.J + self.h
 
 
-def _as_float_array(x, name):
+def _checked(x, name):
+    """x as a finite float (scalar route) or a finite float64 array."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
+        return float(x)
     a = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
     return a
 
 
+def _checked_density(x, name):
+    """x checked finite and inside [0, 1]."""
+    v = _checked(x, name)
+    if isinstance(v, float):
+        outside = not 0.0 <= v <= 1.0
+    else:
+        outside = np.any((v < 0.0) | (v > 1.0))
+    if outside:
+        raise ValueError(f"density {name} must lie in [0, 1], got {x}")
+    return v
+
+
 def _scalar_like(x, val):
-    return float(val) if np.isscalar(x) or np.ndim(x) == 0 else val
+    return float(val) if isinstance(x, float) or np.ndim(x) == 0 else val
 
 
 # below this field e^{-2h} overflows and the rationalized form degenerates
 _G_BRANCH = -350.0
+
+
+def _g_rational(h):
+    return 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * h)))
+
+
+def _g_deep(h):
+    eh = np.exp(h)
+    return eh * (np.sqrt(eh * eh + 4.0) - eh) / 2.0
 
 
 def g(h):
@@ -92,11 +134,16 @@ def g(h):
     the last ulp.  Only below h = -350, where e^{-2h} overflows, does the
     evaluation fall back to the printed difference (= e^h there).
     """
-    a = _as_float_array(h, "h")
-    rat = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * np.maximum(a, _G_BRANCH))))
-    eh = np.exp(np.minimum(a, _G_BRANCH))
-    deep = eh * (np.sqrt(eh * eh + 4.0) - eh) / 2.0
-    return _scalar_like(h, np.where(a > _G_BRANCH, rat, deep))
+    a = _checked(h, "h")
+    if isinstance(a, float):
+        return float(_g_rational(a) if a > _G_BRANCH else _g_deep(a))
+    val = np.where(a > _G_BRANCH, _g_rational(np.maximum(a, _G_BRANCH)),
+                   _g_deep(np.minimum(a, _G_BRANCH)))
+    return _scalar_like(h, val)
+
+
+def _log_one_minus_g_positive(h):
+    return math.log(4.0) - 2.0 * h - 2.0 * np.log1p(np.sqrt(1.0 + 4.0 * np.exp(-2.0 * h)))
 
 
 def log_one_minus_g(h):
@@ -105,12 +152,12 @@ def log_one_minus_g(h):
     From the quadratic for g, 1 - g = 4 e^{-2h} / (1 + sqrt(1 + 4 e^{-2h}))^2,
     so the log never sees an underflowing difference.
     """
-    a = _as_float_array(h, "h")
-    apos = np.maximum(a, 0.0)
-    root = np.sqrt(1.0 + 4.0 * np.exp(-2.0 * apos))
-    pos = math.log(4.0) - 2.0 * apos - 2.0 * np.log1p(root)
-    neg = np.log1p(-np.asarray(g(np.minimum(a, 0.0))))
-    return _scalar_like(h, np.where(a > 0, pos, neg))
+    a = _checked(h, "h")
+    if isinstance(a, float):
+        return float(_log_one_minus_g_positive(a) if a > 0.0 else np.log1p(-g(a)))
+    val = np.where(a > 0, _log_one_minus_g_positive(np.maximum(a, 0.0)),
+                   np.log1p(-g(np.minimum(a, 0.0))))
+    return _scalar_like(h, val)
 
 
 def g_derivative(h, k=1):
@@ -122,8 +169,7 @@ def g_derivative(h, k=1):
     """
     if k not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
-    val = g(h)
-    gg = np.asarray(val, dtype=np.float64)
+    gg = g(h)
     d1 = 2.0 * gg * (1.0 - gg) / (2.0 - gg)
     if k == 1:
         return _scalar_like(h, d1)
@@ -138,19 +184,16 @@ def g_derivative(h, k=1):
 
 def p0(h):
     """Limiting pressure of the pure hard-core model: -(1-g)/2 - log(1-g)/2."""
-    a = _as_float_array(h, "h")
-    lg = np.asarray(log_one_minus_g(a))
-    val = -np.exp(lg) / 2.0 - 0.5 * lg
-    return _scalar_like(h, val)
+    lg = log_one_minus_g(h)
+    return _scalar_like(h, -np.exp(lg) / 2.0 - 0.5 * lg)
 
 
 def p0_second_form(h):
     """Equivalent printed form -(1-g)/2 - log(g) + h (the g-quadratic forces
     log(1-g) = 2 log g - 2h, so this must agree with p0 to roundoff)."""
-    a = _as_float_array(h, "h")
-    gg = np.asarray(g(a), dtype=np.float64)
-    val = -(1.0 - gg) / 2.0 - np.log(gg) + a
-    return _scalar_like(h, val)
+    a = _checked(h, "h")
+    gg = g(a)
+    return _scalar_like(h, -(1.0 - gg) / 2.0 - np.log(gg) + a)
 
 
 def tilde_p(m, params: ModelParams, order: int = 0):
@@ -161,21 +204,19 @@ def tilde_p(m, params: ModelParams, order: int = 0):
     ptilde'  = 2J (g(x) - m),        ptilde'' = -2J + (2J)^2 g'(x),
     ptilde''' = (2J)^3 g''(x),       ptilde'''' = (2J)^4 g'''(x).
     """
-    mm = _as_float_array(m, "m")
-    if np.any((mm < 0.0) | (mm > 1.0)):
-        raise ValueError(f"density m must lie in [0, 1], got {m}")
+    mm = _checked_density(m, "m")
     x = params.effective_field(mm)
     J = params.J
     if order == 0:
         val = -J * mm * mm + p0(x)
     elif order == 1:
-        val = 2.0 * J * (np.asarray(g(x)) - mm)
+        val = 2.0 * J * (g(x) - mm)
     elif order == 2:
-        val = -2.0 * J + (2.0 * J) ** 2 * np.asarray(g_derivative(x, 1))
+        val = -2.0 * J + (2.0 * J) ** 2 * g_derivative(x, 1)
     elif order == 3:
-        val = (2.0 * J) ** 3 * np.asarray(g_derivative(x, 2))
+        val = (2.0 * J) ** 3 * g_derivative(x, 2)
     elif order == 4:
-        val = (2.0 * J) ** 4 * np.asarray(g_derivative(x, 3))
+        val = (2.0 * J) ** 4 * g_derivative(x, 3)
     else:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
     return _scalar_like(m, val)
@@ -190,14 +231,12 @@ def rate_function(z):
     with minimum value -p0(0), so that sup_z (h z - I(z)) = p0(h).
     No additive constant is included; see printed_rate_offset().
     """
-    zz = _as_float_array(z, "z")
-    if np.any((zz < 0.0) | (zz > 1.0)):
-        raise ValueError(f"density z must lie in [0, 1], got {z}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zlogz = np.where(zz > 0.0, zz * np.log(np.maximum(zz, 1e-300)), 0.0)
-        w = 1.0 - zz
-        wlogw = np.where(w > 0.0, w * np.log(np.maximum(w, 1e-300)), 0.0)
-    return _scalar_like(z, zlogz + 0.5 * wlogw + w / 2.0)
+    zz = _checked_density(z, "z")
+    # log sees max(z, 1e-300), never 0; 0 * log(1e-300) gives 0 log 0 := 0
+    floor = max if isinstance(zz, float) else np.maximum
+    w = 1.0 - zz
+    val = zz * np.log(floor(zz, 1e-300)) + 0.5 * (w * np.log(floor(w, 1e-300))) + w / 2.0
+    return _scalar_like(z, val)
 
 
 def printed_rate_offset():
@@ -207,22 +246,23 @@ def printed_rate_offset():
     return -p0(0.0)
 
 
-def _refine_local_maxima(fun, grid_vals, grid):
-    """Brent-polish every local maximum of fun sampled on grid, including
-    maximizers hiding between the last grid cell and the domain boundary."""
-    v = grid_vals
-    n = len(grid)
-    brackets = [
-        (grid[i - 1], grid[i + 1])
-        for i in range(1, n - 1)
-        if v[i] >= v[i - 1] and v[i] >= v[i + 1]
-    ]
+def _local_maximum_brackets(v, grid):
+    """(lo, hi) around every grid sample no lower than its neighbours,
+    interior samples first, then the two end cells when they qualify."""
+    inner = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    brackets = [(grid[i - 1], grid[i + 1]) for i in inner]
     if v[0] >= v[1]:
         brackets.append((grid[0], grid[1]))
     if v[-1] >= v[-2]:
         brackets.append((grid[-2], grid[-1]))
-    candidates = [v[0], v[-1]]
-    for lo, hi in brackets:
+    return brackets
+
+
+def _refine_local_maxima(fun, grid_vals, grid):
+    """Brent-polish every local maximum of fun sampled on grid, including
+    maximizers hiding between the last grid cell and the domain boundary."""
+    candidates = [grid_vals[0], grid_vals[-1]]
+    for lo, hi in _local_maximum_brackets(grid_vals, grid):
         res = minimize_scalar(
             lambda m: -fun(m), bounds=(lo, hi), method="bounded",
             options={"xatol": 1e-13},

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from imd.cli import EXIT_DOMAIN, EXIT_OK, main
 from imd.phase import (
     CriticalPoint,
     GammaPoint,
@@ -165,6 +166,32 @@ class TestTraceGamma:
         gaps2 = [abs(p.m2 - M_C) for p in points]
         assert gaps1 == sorted(gaps1, reverse=True)
         assert gaps2 == sorted(gaps2, reverse=True)
+
+    def test_near_critical_gap_follows_square_root_law(self, critical):
+        # the 41-point probe misses these windows; the spinodal window seeds
+        # them.  Quartic normal form: m2 - m1 ~ 2 sqrt(12 (J - J_c) / |lambda_c|)
+        law = 2.0 * math.sqrt(12.0 / -LAMBDA_C)
+        ratios = []
+        for d in (1e-4, 1e-5):
+            p = trace_gamma([critical.J_c + d])[0]
+            assert classify(ModelParams(p.h, p.J)).kind == "coexistence"
+            ratios.append((p.m2 - p.m1) / math.sqrt(d))
+        assert abs(ratios[0] / ratios[1] - 1.0) < 1e-3
+        assert all(abs(r / law - 1.0) < 1e-3 for r in ratios)
+
+    def test_near_critical_cli_trace(self, capsys):
+        # J - J_c = 2.9e-3 at the first point; the fixed probe used to miss it
+        assert main(["gamma", "--jmin", "1.46", "--jmax", "2", "--steps", "3"]) == EXIT_OK
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
+    def test_unresolved_window_is_domain_error(self, critical, capsys):
+        # at J_c + 1e-6 the two maxima sit closer than the consistency grid
+        # resolves: a documented domain error naming that limit, exit 1
+        with pytest.raises(ValueError, match="401-point consistency grid"):
+            trace_gamma([critical.J_c + 1e-6])
+        jmin = repr(critical.J_c + 1e-6)
+        assert main(["gamma", "--jmin", jmin, "--jmax", "2", "--steps", "2"]) == EXIT_DOMAIN
+        assert "401-point consistency grid" in capsys.readouterr().err
 
     def test_below_critical_coupling_rejected(self):
         with pytest.raises(ValueError, match="critical coupling"):

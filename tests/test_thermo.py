@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from imd.thermo import (
     ModelParams,
+    _local_maximum_brackets,
     consistency_roots,
     g,
     g_derivative,
@@ -25,6 +27,29 @@ from imd.thermo import (
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 finite_h = st.floats(min_value=-30.0, max_value=30.0)
+
+# fields on both sides of the deep-tail branch (-350) and of 0, up to |h| = 800;
+# the dense part is there because a swapped transcendental (math.exp for
+# np.exp) changes the last bit on only a few percent of inputs
+FIELDS = [-800.0, -400.0, -350.5, -350.0, -349.5, -0.0, 400.0, 800.0] + [
+    float(h) for h in np.linspace(-30.0, 30.0, 601)]
+DENSITIES = [0.0, 1e-310, 1.0 - 1e-16, 1.0] + [float(m) for m in np.linspace(0.0, 1.0, 301)]
+# at J = 800 the pure-model field (2m-1)J + h spans [-800, 800]
+_PTILDE_PARAMS = {"J800": ModelParams(0.0, 800.0), "J2": ModelParams(-0.4, 2.0)}
+# (name, function, inputs, rtol of the array route against the scalar route):
+# a cube on an array is np.power, which rounds differently from scalar pow;
+# every other array route must match the scalar route exactly
+_ROUTES = (
+    [("g", g, FIELDS, 0.0), ("log_one_minus_g", log_one_minus_g, FIELDS, 0.0),
+     ("p0", p0, FIELDS, 0.0)]
+    + [(f"g_derivative{k}", partial(g_derivative, k=k), FIELDS, 1e-15 if k == 3 else 0.0)
+       for k in (1, 2, 3)]
+    + [(f"tilde_p{order}-{key}", partial(tilde_p, params=params, order=order), DENSITIES,
+        1e-15 if order == 4 else 0.0)
+       for key, params in _PTILDE_PARAMS.items() for order in range(5)]
+    + [("rate_function", rate_function, DENSITIES, 0.0)]
+)
+ROUTE_CASES = [pytest.param(f, xs, rtol, id=name) for name, f, xs, rtol in _ROUTES]
 
 
 class TestPureDensity:
@@ -78,10 +103,27 @@ class TestPureDensity:
         with pytest.raises(ValueError):
             g(math.inf)
 
-    def test_vectorized_matches_scalar(self):
-        hs = np.linspace(-5, 5, 11)
-        vec = g(hs)
-        assert np.allclose(vec, [g(float(h)) for h in hs], rtol=0, atol=0)
+    @pytest.mark.parametrize("f,xs,rtol", ROUTE_CASES)
+    def test_vectorized_matches_scalar(self, f, xs, rtol):
+        # a float (or np.float64) takes the scalar route, a 0-d array the
+        # vectorized one: same bits, and a Python float back
+        for x in xs:
+            for arg in (x, np.float64(x)):
+                out = f(arg)
+                assert type(out) is float
+                assert out.hex() == f(np.asarray(x)).hex()
+        vec = f(np.array(xs))
+        slack = rtol * np.max(np.abs(vec))  # near a zero of g''' the rounding is not relative
+        np.testing.assert_allclose(vec, [f(x) for x in xs], rtol=rtol, atol=slack)
+
+    @pytest.mark.parametrize("f,xs,rtol", ROUTE_CASES)
+    def test_scalar_route_rejects_bad_input(self, f, xs, rtol):
+        bad = [math.nan, math.inf, -math.inf, np.float64("nan")]
+        if xs is DENSITIES:
+            bad += [-1e-300, 1.0 + 2.0**-52, np.float64(1.5), -0.1]
+        for x in bad:
+            with pytest.raises(ValueError, match="finite|lie in"):
+                f(x)
 
 
 class TestPureDensityDerivative:
@@ -258,3 +300,49 @@ class TestConsistencyRoots:
         roots = consistency_roots(ModelParams(0.0, 1000.0))
         assert len(roots) == 3
         assert roots[0] < 1e-6 and 0.4 < roots[1] < 0.6 and roots[2] > 1.0 - 1e-6
+
+
+def _loop_brackets(v, grid):
+    """Reference for the bracket scan: the per-sample loop it replaced."""
+    n = len(grid)
+    brackets = [
+        (grid[i - 1], grid[i + 1])
+        for i in range(1, n - 1)
+        if v[i] >= v[i - 1] and v[i] >= v[i + 1]
+    ]
+    if v[0] >= v[1]:
+        brackets.append((grid[0], grid[1]))
+    if v[-1] >= v[-2]:
+        brackets.append((grid[-2], grid[-1]))
+    return brackets
+
+
+class TestLocalMaximumBrackets:
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0, 1.0, 1.0, 0.0],            # plateau: every equal sample brackets
+        [2.0, 2.0, 2.0, 2.0],                 # flat: all samples and both ends
+        [3.0, 1.0, 2.0, 1.0, 3.0],            # maxima at both edges and inside
+        [5.0, 4.0, 3.0, 2.0],                 # decreasing: left edge only
+        [1.0, 2.0, 3.0, 3.0],                 # increasing into an end plateau
+        [1.0, 1.0],                           # two samples, no interior
+    ], ids=["plateau", "flat", "edges", "decreasing", "end-plateau", "two"])
+    def test_matches_loop_reference(self, values):
+        v = np.array(values)
+        grid = np.linspace(0.0, 1.0, len(v))
+        assert _local_maximum_brackets(v, grid) == _loop_brackets(v, grid)
+
+    def test_ties_on_integer_samples(self):
+        rng = np.random.default_rng(3)
+        grid = np.linspace(0.0, 1.0, 200)
+        for _ in range(20):
+            v = rng.integers(0, 3, grid.size).astype(float)
+            assert _local_maximum_brackets(v, grid) == _loop_brackets(v, grid)
+
+    def test_criterion_10_objectives(self):
+        # the objectives variational_pressure_via_rate scans in criterion 10
+        grid = np.linspace(0.0, 1.0, 1001)
+        rate = np.asarray(rate_function(grid))
+        for h in np.linspace(-1.0, 1.0, 21):
+            for J in np.linspace(0.0, 3.0, 21):
+                v = (h - J) * grid + J * grid * grid - rate
+                assert _local_maximum_brackets(v, grid) == _loop_brackets(v, grid)
