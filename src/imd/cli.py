@@ -3,8 +3,12 @@ Laplace-asymptote tables and the acceptance suite, as plot-ready CSV/JSON.
 
 Every run is fully deterministic (the library has no random state and output
 files carry no timestamps), so identical invocations produce byte-identical
-artifacts.  Exit codes: 0 success, 1 domain error, 2 verification failure,
-64 usage error, 74 unwritable output.
+artifacts.  ``gamma`` and ``dist`` write CSV, or JSON with ``--format json``;
+the other commands have one format and no ``--format``.  Exit codes: 0
+success, 1 domain error, 2 verification failure, 64 usage error, 74
+unwritable output.  Usage errors that argparse detects raise SystemExit(64);
+a non-finite --h/--J/--eta/--u/--jmin/--jmax or a --N list that is not
+integers makes ``main`` return 64.
 """
 
 from __future__ import annotations
@@ -14,15 +18,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import exact, laplace, limits, phase, verification
 from .thermo import ModelParams
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -38,186 +40,110 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully-specified CLI invocation."""
-
-    command: str
-    h: float = 0.0
-    J: float = 0.0
-    N: Optional[int] = None
-    N_list: Optional[tuple[int, ...]] = None
-    eta: Optional[float] = None
-    u: Optional[float] = None
-    jmin: float = 0.0
-    jmax: float = 0.0
-    steps: int = 0
-    suite: str = "all"
-    output: Optional[str] = None
-    fmt: str = "csv"
-
-
-def _float17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_text(config: RunConfig, text: str) -> None:
-    if config.output is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise _OutputError(str(err)) from err
-
-
-class _OutputError(Exception):
-    pass
-
-
-class _UsageError(Exception):
-    pass
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_phase(config: RunConfig) -> int:
-    report = phase.classify(ModelParams(config.h, config.J))
-    payload = {"h": config.h, "J": config.J} | report.to_json_dict()
-    _write_text(config, _json_text(payload))
-    return EXIT_OK
+def _table_text(args, to_json, write_csv) -> str:
+    """JSON of to_json() under --format json, else the CSV from write_csv(fh)."""
+    if args.fmt == "json":
+        return _json_text(to_json())
+    buf = io.StringIO()
+    write_csv(buf)
+    return buf.getvalue()
 
 
-def _cmd_critical(config: RunConfig) -> int:
+# Each command returns its artifact and its exit code; main writes the artifact.
+
+
+def _cmd_phase(args) -> tuple[str, int]:
+    report = phase.classify(ModelParams(args.h, args.J))
+    payload = {"h": args.h, "J": args.J} | report.to_json_dict()
+    return _json_text(payload), EXIT_OK
+
+
+def _cmd_critical(args) -> tuple[str, int]:
     cp = phase.find_critical_point()
-    _write_text(config, _json_text(cp.to_json_dict()))
-    return EXIT_OK
+    return _json_text(cp.to_json_dict()), EXIT_OK
 
 
-def _cmd_gamma(config: RunConfig) -> int:
-    if config.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {config.steps}")
-    J_values = np.linspace(config.jmin, config.jmax, config.steps)
+def _cmd_gamma(args) -> tuple[str, int]:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    J_values = np.linspace(args.jmin, args.jmax, args.steps)
     points = phase.trace_gamma([float(j) for j in J_values])
-    if config.fmt == "json":
-        _write_text(config, _json_text(phase.gamma_points_to_json(points)))
+    text = _table_text(args, lambda: phase.gamma_points_to_json(points),
+                       lambda fh: phase.gamma_points_to_csv(points, fh))
+    return text, EXIT_OK
+
+
+def _cmd_dist(args) -> tuple[str, int]:
+    params = ModelParams(args.h, args.J)
+    if args.eta is None and args.u is None:
+        law = exact.monomer_law(args.N, params)
     else:
-        buf = io.StringIO()
-        phase.gamma_points_to_csv(points, buf)
-        _write_text(config, buf.getvalue())
-    return EXIT_OK
+        eta = args.eta if args.eta is not None else 0.0
+        u = args.u if args.u is not None else 0.0
+        law = limits.scaled_law(args.N, params, eta, u)
+    return _table_text(args, law.to_json_dict, law.write_csv), EXIT_OK
 
 
-def _cmd_dist(config: RunConfig) -> int:
-    if config.N is None:
-        raise ValueError("dist requires --N")
-    params = ModelParams(config.h, config.J)
-    if config.eta is not None or config.u is not None:
-        eta = config.eta if config.eta is not None else 0.0
-        u = config.u if config.u is not None else 0.0
-        law = limits.scaled_law(config.N, params, eta, u)
-        if config.fmt == "json":
-            payload = {
-                "N": law.N, "h": params.h, "J": params.J, "eta": law.eta, "u": law.u,
-                "position": list(map(float, law.positions)),
-                "probability": list(map(float, law.probabilities)),
-            }
-            _write_text(config, _json_text(payload))
-        else:
-            buf = io.StringIO()
-            law.write_csv(buf)
-            _write_text(config, buf.getvalue())
-    else:
-        law = exact.monomer_law(config.N, params)
-        if config.fmt == "json":
-            _write_text(config, _json_text(law.to_json_dict()))
-        else:
-            buf = io.StringIO()
-            law.write_csv(buf)
-            _write_text(config, buf.getvalue())
-    return EXIT_OK
-
-
-def _cmd_laplace(config: RunConfig) -> int:
-    if not config.N_list:
+def _cmd_laplace(args) -> tuple[str, int]:
+    if not args.N:
         raise ValueError("laplace requires --N")
     lines = ["N,log_quadrature,log_asymptote,ratio"]
-    for n in config.N_list:
-        result = laplace.laplace_approx(laplace.psi_family(config.h), n)
+    for n in args.N:
+        result = laplace.laplace_approx(laplace.psi_family(args.h), n)
         lines.append(
             ",".join(
                 [
                     str(n),
-                    _float17(result.log_integral_quadrature),
-                    _float17(result.log_asymptote),
-                    _float17(np.exp(result.log_ratio)),
+                    format(result.log_integral_quadrature, ".17g"),
+                    format(result.log_asymptote, ".17g"),
+                    format(np.exp(result.log_ratio), ".17g"),
                 ]
             )
         )
-    _write_text(config, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    results = verification.run_suite(config.suite)
+def _cmd_verify(args) -> tuple[str, int]:
+    results = verification.run_suite(args.suite)
     lines = []
     for res in results:
         lines.append(res.summary_line())
         lines.extend(res.detail_lines())
     n_fail = sum(not r.passed for r in results)
     lines.append(
-        f"suite {config.suite!r}: {len(results) - n_fail}/{len(results)} criteria passed"
+        f"suite {args.suite!r}: {len(results) - n_fail}/{len(results)} criteria passed"
     )
-    _write_text(config, "\n".join(lines) + "\n")
-    return EXIT_OK if n_fail == 0 else EXIT_VERIFY
-
-
-_COMMANDS = {
-    "phase": _cmd_phase,
-    "critical": _cmd_critical,
-    "gamma": _cmd_gamma,
-    "dist": _cmd_dist,
-    "laplace": _cmd_laplace,
-    "verify": _cmd_verify,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configuration; maps exceptions onto the exit-code contract."""
-    try:
-        return _COMMANDS[config.command](config)
-    except _OutputError as err:
-        print(f"imd: cannot write output: {err}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, OverflowError) as err:
-        print(f"imd: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    return "\n".join(lines) + "\n", EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="imd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
+    def add_common(p, run, formats=False):
+        """--output, --format where the command honours it, and the command."""
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("phase", help="classify (h, J): unique / coexistence / critical")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--J", type=float, required=True)
-    add_output(p)
+    add_common(p, _cmd_phase)
 
     p = sub.add_parser("critical", help="locate the critical point")
-    add_output(p)
+    add_common(p, _cmd_critical)
 
     p = sub.add_parser("gamma", help="trace the coexistence curve h = gamma(J)")
     p.add_argument("--jmin", type=float, required=True)
     p.add_argument("--jmax", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    add_output(p)
+    add_common(p, _cmd_gamma, formats=True)
 
     p = sub.add_parser("dist", help="exact monomer-count law (optionally rescaled)")
     p.add_argument("--N", type=int, required=True)
@@ -225,59 +151,50 @@ def _build_parser() -> _Parser:
     p.add_argument("--J", type=float, required=True)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--u", type=float, default=None)
-    add_output(p)
+    add_common(p, _cmd_dist, formats=True)
 
     p = sub.add_parser("laplace", help="quadrature vs Laplace asymptote rows")
     p.add_argument("--N", type=str, required=True,
                    help="comma-separated list of system sizes, e.g. 10,100,1000")
     p.add_argument("--h", type=float, default=0.0)
-    add_output(p)
+    add_common(p, _cmd_laplace)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--suite", choices=sorted(verification.SUITES), default="all")
-    add_output(p)
+    add_common(p, _cmd_verify)
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    fields = {
-        "command": args.command,
-        "output": getattr(args, "output", None),
-        "fmt": getattr(args, "fmt", "csv"),
-    }
-    for name in ("h", "J", "eta", "u", "jmin", "jmax", "steps", "suite"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if args.command == "dist":
-        fields["N"] = args.N
-        fields["eta"] = getattr(args, "eta", None)
-        fields["u"] = getattr(args, "u", None)
+def main(argv=None) -> int:
+    """Run one invocation, write its artifact and map errors onto exit codes."""
+    args = _build_parser().parse_args(argv)
     if args.command == "laplace":
         try:
-            fields["N_list"] = tuple(int(tok) for tok in args.N.split(",") if tok)
+            args.N = tuple(int(tok) for tok in args.N.split(",") if tok)
         except ValueError:
-            raise SystemExit(EXIT_USAGE)
-    config = RunConfig(**fields)
+            print("imd: --N expects a comma-separated list of integers", file=sys.stderr)
+            return EXIT_USAGE
     for name in ("h", "J", "eta", "u", "jmin", "jmax"):
-        value = getattr(config, name)
+        value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
-            raise _UsageError(f"--{name} must be finite, got {value}")
-    return config
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+            print(f"imd: --{name} must be finite, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
-        config = _config_from_args(args)
-    except SystemExit:
-        print("imd: --N expects a comma-separated list of integers", file=sys.stderr)
-        return EXIT_USAGE
-    except _UsageError as err:
+        text, code = args.run(args)
+    except (ValueError, OverflowError) as err:
         print(f"imd: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(config)
+        return EXIT_DOMAIN
+    if args.output is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"imd: cannot write output: {err}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

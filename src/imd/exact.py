@@ -80,11 +80,6 @@ class MonomerLaw:
     def mean_s(self) -> float:
         return float(np.dot(self.probabilities, self.s_values))
 
-    def var_s(self) -> float:
-        s = self.s_values
-        mu = self.mean_s()
-        return float(np.dot(self.probabilities, (s - mu) ** 2))
-
     def central_moment(self, order: int) -> float:
         s = self.s_values - self.mean_s()
         return float(np.dot(self.probabilities, s**order))
@@ -273,7 +268,7 @@ class SmoothedDensity:
     def log_normalizer(self) -> float:
         """log C_N with C_N^{-1} = integral of exp(N F_N(x/N^eta + u)) dx."""
         if self._log_norm is None:
-            pieces = peaked_components(self._n_log_shape, -1.0, 2.0, drop=80.0)
+            pieces = peaked_components(self._n_log_shape, -1.0, 2.0)
             if not pieces:
                 raise ValueError("normalization failed: no density mass located")
             log_int_y = logsumexp([log_integral(self._n_log_shape, a, b) for a, b in pieces])

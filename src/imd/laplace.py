@@ -44,11 +44,6 @@ __all__ = [
     "prefactor_ratio",
 ]
 
-# integration cutoff relative to the peak: contributions below exp(-TAIL_DROP)
-# of the maximum are discarded (well under every tolerance used here)
-TAIL_DROP = 80.0
-
-
 class LaplaceConditionError(ValueError):
     """An integrand family violates the conditions of the Laplace asymptote."""
 
@@ -69,43 +64,39 @@ class IntegrandFamily:
     d2log: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
 
-def psi_family(u: float, t: float = 0.0, eta: float = 0.0) -> IntegrandFamily:
-    """The monomer-dimer family Psi_n(x) = (x + a_n) e^{-x^2/2} with
-    a_n = exp(u + t / n^eta)."""
-
-    def shift(n):
-        return math.exp(u + (t / n**eta if t else 0.0))
+def psi_family(u: float) -> IntegrandFamily:
+    """The monomer-dimer family Psi_n(x) = (x + a) e^{-x^2/2} with a = exp(u),
+    the same for every n."""
+    a = math.exp(u)
 
     def log_abs(n, x):
-        a = shift(n)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(x + a)) - x * x / 2.0
 
     def sign(n, x):
-        return np.sign(x + shift(n))
+        return np.sign(x + a)
 
     def dlog(n, x):
-        return 1.0 / (x + shift(n)) - x
+        return 1.0 / (x + a) - x
 
     def d2log(n, x):
-        return -1.0 / (x + shift(n)) ** 2 - 1.0
+        return -1.0 / (x + a) ** 2 - 1.0
 
-    # the maximizer is xhat = e^{-u} g(u) shifted slightly by t/n^eta;
-    # a unit margin on each side keeps it interior for every n in use
+    # the maximizer xhat = e^{-u} g(u) lies well inside this window
     xhat = math.exp(-u) * g(u)
     window = (xhat / 4.0, xhat + 1.0)
     return IntegrandFamily(log_abs=log_abs, window=window, sign=sign, dlog=dlog, d2log=d2log)
 
 
 def _integration_pieces(family: IntegrandFamily, n: int):
-    """Integration domain for psi_n^n: the span of the region where
-    n log|psi_n| lies within TAIL_DROP of its peak, split at sign changes."""
+    """Integration domain for psi_n^n: the span of the region where n log|psi_n|
+    lies within quadrature.TAIL_DROP of its peak, split at sign changes."""
 
     def nlog(x):
         return n * np.asarray(family.log_abs(n, x), dtype=np.float64)
 
     a, b = family.window
-    pieces = peaked_components(nlog, a, b, drop=TAIL_DROP)
+    pieces = peaked_components(nlog, a, b)
     lo, hi = pieces[0][0], pieces[-1][1]
 
     if family.sign is None:
@@ -127,7 +118,7 @@ def _integration_pieces(family: IntegrandFamily, n: int):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def quad_log_integral(family: IntegrandFamily, n: int, rel_tol: float = 1e-12) -> float:
+def quad_log_integral(family: IntegrandFamily, n: int) -> float:
     """log of integral psi_n(x)^n dx by signed, shifted-log quadrature."""
     pieces = _integration_pieces(family, n)
     logs, signs = [], []
@@ -138,7 +129,6 @@ def quad_log_integral(family: IntegrandFamily, n: int, rel_tol: float = 1e-12) -
             b,
             sign_f=(None if family.sign is None
                     else (lambda x: np.asarray(family.sign(n, x), dtype=np.float64) ** n)),
-            rel_tol=rel_tol,
         )
         if math.isfinite(la):
             logs.append(la)

@@ -69,10 +69,6 @@ class ScaledLaw:
         left = right - self.probabilities
         return left, right
 
-    def mass_below(self, threshold: float) -> float:
-        """Total probability of atoms with position strictly below threshold."""
-        return float(np.sum(self.probabilities[self.positions < threshold]))
-
     def write_csv(self, fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(["k", "S", "position", "probability"])
@@ -85,6 +81,17 @@ class ScaledLaw:
                 format(self.positions[i], ".17g"),
                 format(self.probabilities[i], ".17g"),
             ])
+
+    def to_json_dict(self) -> dict:
+        return {
+            "N": self.N,
+            "h": self.params.h,
+            "J": self.params.J,
+            "eta": self.eta,
+            "u": self.u,
+            "position": list(map(float, self.positions)),
+            "probability": list(map(float, self.probabilities)),
+        }
 
 
 def scaled_law(N: int, params: ModelParams, eta: float, u: float) -> ScaledLaw:
@@ -260,14 +267,6 @@ class StudyTable:
         writer.writerow(["N", "ks", "decreasing"])
         for r in self.rows:
             writer.writerow([r.N, format(r.ks, ".17g"), str(r.decreasing).lower()])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [
-                {"N": r.N, "ks": r.ks, "decreasing": r.decreasing} for r in self.rows
-            ],
-            "trend_ok": self.trend_ok,
-        }
 
 
 def convergence_study(params: ModelParams, eta: float, u: float, law, N_list) -> StudyTable:

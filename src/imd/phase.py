@@ -382,16 +382,15 @@ def trace_gamma(J_values) -> list[GammaPoint]:
     return [results[i] for i in range(len(J_list))]
 
 
-def mixture_weights(point: GammaPoint, validate: bool = True) -> tuple[float, float]:
+def mixture_weights(point: GammaPoint) -> tuple[float, float]:
     """Limiting phase weights (rho1, rho2) at a coexistence point, with the
     closed-form ratio check sqrt(((2-m2) - 4J m2(1-m2)) / ((2-m1) - 4J m1(1-m1)))."""
-    if validate:
-        report = classify(ModelParams(point.h, point.J))
-        if report.kind != "coexistence":
-            raise ValueError(
-                f"mixture weights are defined on the coexistence curve only, "
-                f"classification at (h={point.h}, J={point.J}) is {report.kind!r}"
-            )
+    report = classify(ModelParams(point.h, point.J))
+    if report.kind != "coexistence":
+        raise ValueError(
+            f"mixture weights are defined on the coexistence curve only, "
+            f"classification at (h={point.h}, J={point.J}) is {report.kind!r}"
+        )
     b1 = phase_weight(point.lambda1, point.m1)
     b2 = phase_weight(point.lambda2, point.m2)
     rho1 = b1 / (b1 + b2)
@@ -405,9 +404,9 @@ def mixture_ratio_closed_form(point: GammaPoint) -> float:
     return math.sqrt(num / den)
 
 
-def clt_variance(params: ModelParams) -> float:
-    """Variance of the Gaussian monomer-count fluctuations in the uniqueness
-    region: sigma^2 = -1/lambda - 1/(2J); at J = 0 this degenerates to g'(h)."""
+def _clt_variance(params: ModelParams, variance_at) -> float:
+    """Guard of both CLT variance formulas: g'(h) at J = 0, else variance_at(m*)
+    at the unique maximizer m*; raises outside the uniqueness region."""
     if params.J == 0.0:
         return float(g_derivative(params.h, 1))
     report = classify(params)
@@ -416,24 +415,25 @@ def clt_variance(params: ModelParams) -> float:
             f"the central limit theorem does not hold at (h={params.h}, "
             f"J={params.J}): classification is {report.kind!r}"
         )
-    m_star = report.maximizers[0]
-    lam = tilde_p(m_star, params, 2)
-    return -1.0 / lam - 1.0 / (2.0 * params.J)
+    return variance_at(report.maximizers[0])
+
+
+def clt_variance(params: ModelParams) -> float:
+    """Variance of the Gaussian monomer-count fluctuations in the uniqueness
+    region: sigma^2 = -1/lambda - 1/(2J); at J = 0 this degenerates to g'(h)."""
+    return _clt_variance(
+        params, lambda m_star: -1.0 / tilde_p(m_star, params, 2) - 1.0 / (2.0 * params.J)
+    )
 
 
 def clt_variance_reduced(params: ModelParams) -> float:
     """Equivalent closed form g'(x*) / (1 - 2J g'(x*)) at x* = (2m*-1)J + h."""
-    if params.J == 0.0:
-        return float(g_derivative(params.h, 1))
-    report = classify(params)
-    if report.kind != "unique":
-        raise ValueError(
-            f"the central limit theorem does not hold at (h={params.h}, "
-            f"J={params.J}): classification is {report.kind!r}"
-        )
-    x_star = params.effective_field(report.maximizers[0])
-    gp = float(g_derivative(x_star, 1))
-    return gp / (1.0 - 2.0 * params.J * gp)
+
+    def variance_at(m_star):
+        gp = float(g_derivative(params.effective_field(m_star), 1))
+        return gp / (1.0 - 2.0 * params.J * gp)
+
+    return _clt_variance(params, variance_at)
 
 
 def gamma_points_to_csv(points, fh) -> None:

@@ -25,6 +25,19 @@ __all__ = [
     "peaked_components",
 ]
 
+# signed_log_integral: composite Gauss-Legendre with _ORDER nodes per panel,
+# from _INITIAL_PANELS panels, doubled until log|I| moves by at most _REL_TOL
+_ORDER = 24
+_INITIAL_PANELS = 16
+_MAX_DOUBLINGS = 12
+_REL_TOL = 1e-12
+# peaked_components: contributions below exp(-TAIL_DROP) of the peak are
+# discarded (well under every tolerance used here); the probe window of
+# _N_PROBE points grows at most _MAX_EXPAND times
+TAIL_DROP = 80.0
+_N_PROBE = 2001
+_MAX_EXPAND = 40
+
 
 class IntegrationDomainError(ValueError):
     """Raised when an integrand fails to decay over any tractable domain."""
@@ -50,23 +63,14 @@ def _composite_nodes(a: float, b: float, panels: int, order: int):
     return x, w
 
 
-def signed_log_integral(
-    log_f,
-    a: float,
-    b: float,
-    sign_f=None,
-    rel_tol: float = 1e-12,
-    order: int = 24,
-    initial_panels: int = 16,
-    max_doublings: int = 12,
-):
+def signed_log_integral(log_f, a: float, b: float, sign_f=None):
     """Return (log|I|, sign) for I = integral of sign_f * exp(log_f) on [a, b]."""
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    panels = initial_panels
+    panels = _INITIAL_PANELS
     prev = None
-    for _ in range(max_doublings + 1):
-        x, w = _composite_nodes(a, b, panels, order)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        x, w = _composite_nodes(a, b, panels, _ORDER)
         lf = np.asarray(log_f(x), dtype=np.float64)
         s = np.ones_like(lf) if sign_f is None else np.asarray(sign_f(x), dtype=np.float64)
         m = float(np.max(lf))
@@ -86,35 +90,32 @@ def signed_log_integral(
             return -math.inf, 0.0
         log_abs = m + math.log(abs(total))
         sign = math.copysign(1.0, total)
-        if prev is not None and abs(log_abs - prev) <= rel_tol:
+        if prev is not None and abs(log_abs - prev) <= _REL_TOL:
             return log_abs, sign
         prev = log_abs
         panels *= 2
     raise IntegrationDomainError(
-        f"quadrature failed to converge to rel_tol={rel_tol} on [{a}, {b}]"
+        f"quadrature failed to converge to rel_tol={_REL_TOL} on [{a}, {b}]"
     )
 
 
-def log_integral(log_f, a: float, b: float, **kwargs) -> float:
+def log_integral(log_f, a: float, b: float) -> float:
     """log of the integral of a positive integrand given as log_f."""
-    log_abs, sign = signed_log_integral(log_f, a, b, sign_f=None, **kwargs)
+    log_abs, sign = signed_log_integral(log_f, a, b)
     if sign <= 0:
         raise IntegrationDomainError("integrand is not positive on the domain")
     return log_abs
 
 
-def peaked_components(
-    log_f, lo: float, hi: float, drop: float = 80.0,
-    n_probe: int = 2001, max_expand: int = 40,
-):
+def peaked_components(log_f, lo: float, hi: float, drop: float = TAIL_DROP):
     """Disjoint intervals covering {x : log_f(x) > max log_f - drop}.
 
     The probe window [lo, hi] is grown geometrically while the super-level
     set touches its boundary, so callers only need a window containing the
     peak region, not the whole decay range.
     """
-    for _ in range(max_expand):
-        xs = np.linspace(lo, hi, n_probe)
+    for _ in range(_MAX_EXPAND):
+        xs = np.linspace(lo, hi, _N_PROBE)
         vals = np.asarray(log_f(xs), dtype=np.float64)
         vmax = float(np.max(vals))
         if not math.isfinite(vmax):
@@ -129,11 +130,11 @@ def peaked_components(
         start = idx[0]
         for j, i in enumerate(idx):
             if j and i != idx[j - 1] + 1:
-                pieces.append((xs[max(start - 1, 0)], xs[min(idx[j - 1] + 1, n_probe - 1)]))
+                pieces.append((xs[max(start - 1, 0)], xs[min(idx[j - 1] + 1, _N_PROBE - 1)]))
                 start = i
-        pieces.append((xs[max(start - 1, 0)], xs[min(idx[-1] + 1, n_probe - 1)]))
+        pieces.append((xs[max(start - 1, 0)], xs[min(idx[-1] + 1, _N_PROBE - 1)]))
         return pieces
     raise IntegrationDomainError(
         f"super-level set still touches the window boundary after "
-        f"{max_expand} expansions; integrand appears not to decay"
+        f"{_MAX_EXPAND} expansions; integrand appears not to decay"
     )

@@ -190,10 +190,17 @@ def p0(h):
 
 def p0_second_form(h):
     """Equivalent printed form -(1-g)/2 - log(g) + h (the g-quadratic forces
-    log(1-g) = 2 log g - 2h, so this must agree with p0 to roundoff)."""
+    log(1-g) = 2 log g - 2h, so this must agree with p0 to roundoff).  Below
+    h = -350, g = e^h q with q = (sqrt(e^{2h} + 4) - e^h) / 2, and -log(g) + h
+    is evaluated as -log(q), which stays finite where g underflows."""
     a = _checked(h, "h")
     gg = g(a)
-    return _scalar_like(h, -(1.0 - gg) / 2.0 - np.log(gg) + a)
+    deep = np.less(a, _G_BRANCH)
+    eh = np.exp(np.minimum(a, _G_BRANCH))
+    minus_log_q = -np.log((np.sqrt(eh * eh + 4.0) - eh) / 2.0)
+    val = np.where(deep, -(1.0 - gg) / 2.0 + minus_log_q,
+                   -(1.0 - gg) / 2.0 - np.log(np.where(deep, 1.0, gg)) + a)
+    return _scalar_like(h, val)
 
 
 def tilde_p(m, params: ModelParams, order: int = 0):

@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from imd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from imd.limits import scaled_law
+from imd.thermo import ModelParams
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +115,18 @@ class TestDistCommand:
         assert code == EXIT_IO
         assert "cannot write" in err
 
+    def test_scaled_law_json_round_trip(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "dist", "--N", "6", "--h", "0", "--J", "0", "--eta", "0.5", "--u", "0.6",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        law = scaled_law(6, ModelParams(0.0, 0.0), 0.5, 0.6)
+        assert payload["position"] == law.positions.tolist()
+        assert payload["probability"] == law.probabilities.tolist()
+        assert (payload["N"], payload["eta"], payload["u"]) == (6, 0.5, 0.6)
+
     def test_invalid_params_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "dist", "--N", "4", "--h", "0", "--J", "-1")
         assert code == EXIT_DOMAIN
@@ -148,6 +162,18 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["dist", "--h", "0", "--J", "0"])
+        assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--h", "0", "--J", "0"],
+        ["critical"],
+        ["laplace", "--N", "10"],
+        ["verify", "--suite", "laplace"],
+    ])
+    def test_format_only_on_table_commands(self, argv):
+        # only gamma and dist write either CSV or JSON
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--format", "json"])
         assert err.value.code == EXIT_USAGE
 
     def test_non_finite_flag_is_usage_error(self, capsys):

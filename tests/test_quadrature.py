@@ -59,7 +59,7 @@ class TestWindowTools:
     def test_components_detect_non_decay(self):
         # a flat integrand fills every expanded window up to its edges
         with pytest.raises(IntegrationDomainError):
-            peaked_components(lambda x: np.zeros_like(x), -1.0, 1.0, drop=10.0, max_expand=5)
+            peaked_components(lambda x: np.zeros_like(x), -1.0, 1.0, drop=10.0)
 
     def test_components_of_bimodal_integrand(self):
         # two sharp wells separated by a deep barrier

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from imd.thermo import (
     ModelParams,
@@ -170,6 +170,8 @@ class TestPurePressure:
         assert abs(p0(0.0) - 0.290228819434551) < 1e-12
 
     @given(finite_h)
+    @example(-800.0)
+    @example(-1e4)
     def test_both_printed_forms_agree(self, h):
         assert abs(p0(h) - p0_second_form(h)) < 1e-12
 
