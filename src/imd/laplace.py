@@ -118,8 +118,15 @@ def _integration_pieces(family: IntegrandFamily, n: int):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"system size must be positive, got N={n}")
+
+
 def quad_log_integral(family: IntegrandFamily, n: int) -> float:
-    """log of integral psi_n(x)^n dx by signed, shifted-log quadrature."""
+    """log of integral psi_n(x)^n dx by signed, shifted-log quadrature;
+    ValueError for n < 1."""
+    _check_size(n)
     pieces = _integration_pieces(family, n)
     logs, signs = [], []
     for a, b in pieces:
@@ -144,8 +151,7 @@ def quad_log_integral(family: IntegrandFamily, n: int) -> float:
 def gaussian_rep_log_partition(N: int, h: float) -> float:
     """log Z0_N(h) through the Gaussian-moment representation
     sqrt(N/2pi) * integral Psi_N^N; independent of the combinatorial sum."""
-    if N < 1:
-        raise ValueError(f"system size must be positive, got N={N}")
+    _check_size(N)
     fam = psi_family(h)
     return 0.5 * math.log(N / (2.0 * math.pi)) + quad_log_integral(fam, N)
 
@@ -179,8 +185,9 @@ def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
     The maximizer of f_n = log psi_n is located by bounded minimization on the
     window followed by Newton polish on f_n'; the conditions "interior
     maximizer" and "negative curvature" are enforced and violations raise
-    LaplaceConditionError.
+    LaplaceConditionError; n < 1 raises ValueError.
     """
+    _check_size(n)
     a, b = family.window
 
     def f_n(x):
@@ -238,8 +245,7 @@ def pure_asymptote_ratio(N: int, u: float, t: float = 0.0, eta: float = 0.0) -> 
     with O(1/N) error; Z0_N is taken from the exact combinatorial sum, so this
     measures the quality of the asymptote, not of the quadrature.
     """
-    if N < 1:
-        raise ValueError(f"system size must be positive, got N={N}")
+    _check_size(N)
     if eta < 0:
         raise ValueError(f"scaling exponent eta must be >= 0, got {eta}")
     w = u + (t / N**eta if t else 0.0)

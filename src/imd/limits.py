@@ -70,17 +70,9 @@ class ScaledLaw:
         return left, right
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "S", "position", "probability"])
-        n_atoms = len(self.positions)
         s_vals = np.rint(self.positions * self.N**self.eta + self.N * self.u).astype(int)
-        for i in range(n_atoms):
-            writer.writerow([
-                (self.N - s_vals[i]) // 2,
-                s_vals[i],
-                format(self.positions[i], ".17g"),
-                format(self.probabilities[i], ".17g"),
-            ])
+        exact._write_atom_csv(fh, "position", (self.N - s_vals) // 2, s_vals,
+                              self.positions, self.probabilities)
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,8 +81,8 @@ class ScaledLaw:
             "J": self.params.J,
             "eta": self.eta,
             "u": self.u,
-            "position": list(map(float, self.positions)),
-            "probability": list(map(float, self.probabilities)),
+            "position": self.positions.tolist(),
+            "probability": self.probabilities.tolist(),
         }
 
 

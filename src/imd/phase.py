@@ -289,7 +289,7 @@ def _equal_height_field(J: float, h_center: float, width: float) -> float:
         found = None
         for delta in np.linspace(-width, width, 41):
             if _height_gap(ModelParams(h_center + delta, J)) is not None:
-                found = h_center + delta
+                found = float(h_center + delta)
                 break
         if found is None:
             # near J_c the window is narrower than the probe spacing

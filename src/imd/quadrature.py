@@ -121,6 +121,11 @@ def peaked_components(log_f, lo: float, hi: float, drop: float = TAIL_DROP):
         if not math.isfinite(vmax):
             raise IntegrationDomainError("integrand has no finite values on the window")
         mask = vals > vmax - drop
+        if not mask.any():
+            raise IntegrationDomainError(
+                f"super-level set is empty: a drop of {drop:g} is below the "
+                f"resolution of the peak value {vmax:.6g}"
+            )
         if mask[0] or mask[-1]:
             width = hi - lo
             lo, hi = lo - width, hi + width

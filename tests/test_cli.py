@@ -1,5 +1,7 @@
 """Tests for the command-line interface: schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from imd.exact import monomer_law
 from imd.limits import scaled_law
 from imd.thermo import ModelParams
 
@@ -131,6 +135,28 @@ class TestDistCommand:
         code, _, err = run_cli(capsys, "dist", "--N", "4", "--h", "0", "--J", "-1")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_json_bytes_match_element_wise_route(self, capsys, scaled):
+        # reference: the payloads as built with float()/int() per element
+        params = ModelParams(0.2, 1.5)
+        argv = ["dist", "--N", "1000", "--h", "0.2", "--J", "1.5", "--format", "json"]
+        if scaled:
+            argv += ["--eta", "0.5", "--u", "0.3"]
+            law = scaled_law(1000, params, 0.5, 0.3)
+            payload = {"N": 1000, "h": 0.2, "J": 1.5, "eta": 0.5, "u": 0.3,
+                       "position": list(map(float, law.positions)),
+                       "probability": list(map(float, law.probabilities))}
+        else:
+            law = monomer_law(1000, params)
+            payload = {"N": 1000, "h": 0.2, "J": 1.5, "log_Z": law.log_Z,
+                       "k": [int(k) for k in law.k_values],
+                       "S": [int(s) for s in law.s_values],
+                       "log_weight": list(map(float, law.log_weights)),
+                       "probability": list(map(float, law.probabilities))}
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
 
 class TestLaplaceCommand:
     def test_row_schema(self, capsys):
@@ -146,6 +172,14 @@ class TestLaplaceCommand:
     def test_malformed_N_list_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "laplace", "--N", "10,xyz")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_non_positive_size_is_domain_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "laplace", f"--N={n}")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert f"system size must be positive, got N={n}" in err
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:
@@ -180,6 +214,44 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "phase", "--h", "inf", "--J", "0")
         assert code == EXIT_USAGE
         assert "finite" in err
+
+
+sizes = st.integers(-200, 200)
+# --h also draws non-finite values, which main refuses with exit 64
+fields = st.one_of(st.floats(-30.0, 30.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+couplings = st.floats(-1.0, 1000.0)
+numeric_argv = st.one_of(
+    st.tuples(st.just("phase"), st.tuples(st.just("h"), fields),
+              st.tuples(st.just("J"), couplings)),
+    st.tuples(st.just("gamma"), st.tuples(st.just("jmin"), couplings),
+              st.tuples(st.just("jmax"), couplings),
+              st.tuples(st.just("steps"), st.integers(-1, 3))),
+    st.tuples(st.just("dist"), st.tuples(st.just("N"), sizes),
+              st.tuples(st.just("h"), fields), st.tuples(st.just("J"), couplings),
+              st.tuples(st.just("eta"), st.floats(-1.0, 3.0)),
+              st.tuples(st.just("u"), st.floats(-10.0, 10.0))),
+    st.tuples(st.just("laplace"),
+              st.tuples(st.just("N"), st.lists(sizes, min_size=1, max_size=2).map(
+                  lambda ns: ",".join(map(str, ns)))),
+              st.tuples(st.just("h"), fields)),
+)
+
+
+class TestNumericFlags:
+    @settings(max_examples=200)
+    @given(numeric_argv)
+    def test_every_value_gets_an_exit_code(self, drawn):
+        # --flag=value, so that argparse reads "-1e-05" as a value, not a flag
+        command, *flags = drawn
+        argv = [command] + [f"--{name}={value}" for name, value in flags]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestVerifyCommand:

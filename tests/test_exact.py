@@ -1,14 +1,19 @@
 """Tests for the exact finite-N Gibbs statistics."""
 
+import csv
 import io
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import logsumexp
 
+from imd import exact
+from imd.cli import EXIT_OK, main
 from imd.exact import (
     SmoothedDensity,
     log_partition,
@@ -21,6 +26,7 @@ from imd.exact import (
     pressure,
     pure_pressure_derivative,
 )
+from imd.limits import ScaledLaw, scaled_law
 from imd.phase import classify
 from imd.thermo import ModelParams, g, g_derivative, p0
 
@@ -122,6 +128,139 @@ class TestMonomerLaw:
         assert len(lines) == 1 + 4
         total = sum(float(line.split(",")[3]) for line in lines[1:])
         assert abs(total - 1.0) < 1e-12
+
+
+def csv_writer_monomer_law(law) -> str:
+    """Reference: the csv.writer route MonomerLaw.write_csv replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "S", "log_weight", "probability"])
+    for k, s, lw, p in zip(law.k_values, law.s_values, law.log_weights, law.probabilities):
+        writer.writerow([int(k), int(s), format(lw, ".17g"), format(p, ".17g")])
+    return buf.getvalue()
+
+
+def csv_writer_scaled_law(law) -> str:
+    """Reference: the csv.writer route ScaledLaw.write_csv replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "S", "position", "probability"])
+    s_vals = np.rint(law.positions * law.N**law.eta + law.N * law.u).astype(int)
+    for i in range(len(law.positions)):
+        writer.writerow([
+            (law.N - s_vals[i]) // 2,
+            s_vals[i],
+            format(law.positions[i], ".17g"),
+            format(law.probabilities[i], ".17g"),
+        ])
+    return buf.getvalue()
+
+
+def written_csv(law) -> str:
+    buf = io.StringIO()
+    law.write_csv(buf)
+    return buf.getvalue()
+
+
+# doubles that stress %.17g: zeros, the smallest subnormal, extreme exponents,
+# log weights far below any probability that survives exp
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, -745.2, -1e5,
+               -7.5e6, 2.0**53 + 2.0, 0.1, 1.0 / 3.0, math.inf, -math.inf, math.nan]
+float_cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+# eta = u = 0 keeps S = rint(position) in int64 for any of these positions
+position_cells = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, -2.5]),
+                           st.floats(-1e12, 1e12))
+
+
+@st.composite
+def atom_columns(draw, first_cells):
+    """N with a first float column from first_cells and a probability column,
+    each of N//2 + 1 atoms."""
+    n = draw(st.integers(1, 40))
+    size = n // 2 + 1
+    first = draw(st.lists(first_cells, min_size=size, max_size=size))
+    probs = draw(st.lists(float_cells, min_size=size, max_size=size))
+    return n, np.array(first), np.array(probs)
+
+
+class TestAtomCsv:
+    @given(atom_columns(float_cells))
+    @example((31, np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])))
+    def test_monomer_law_matches_csv_writer(self, columns):
+        n, log_w, probs = columns
+        law = exact.MonomerLaw(N=n, params=ModelParams(0.0, 0.0), log_weights=log_w,
+                               log_Z=0.0, probabilities=probs)
+        assert written_csv(law) == csv_writer_monomer_law(law)
+
+    @given(atom_columns(position_cells))
+    def test_scaled_law_matches_csv_writer(self, columns):
+        n, positions, probs = columns
+        law = ScaledLaw(N=n, params=ModelParams(0.0, 0.0), eta=0.0, u=0.0,
+                        positions=positions, probabilities=probs)
+        assert written_csv(law) == csv_writer_scaled_law(law)
+
+    @pytest.mark.parametrize("n, h, J, eta, u", [
+        (1000, 0.2, 1.5, None, None),
+        (999, -0.3, 0.0, 0.5, 0.61803398874989479),
+        (1000, 0.0, 2.0, 0.75, 0.3),
+        (5, 30.0, 0.0, 1.0, 0.0),
+    ])
+    def test_cli_file_bytes_match_csv_writer(self, tmp_path, capsys, n, h, J, eta, u):
+        path = tmp_path / "law.csv"
+        argv = ["dist", "--N", str(n), f"--h={h!r}", f"--J={J!r}", "--output", str(path)]
+        params = ModelParams(h, J)
+        if eta is None:
+            expected = csv_writer_monomer_law(monomer_law(n, params))
+        else:
+            argv += [f"--eta={eta!r}", f"--u={u!r}"]
+            expected = csv_writer_scaled_law(scaled_law(n, params, eta, u))
+        assert main(argv) == EXIT_OK
+        # newline="" on the output file keeps the \r\n row endings
+        assert path.read_bytes() == expected.encode("ascii")
+
+
+def broadcast_log_partition_pure(N, fields):
+    """Reference: the one-shot fields x atoms broadcast that log_partition_pure
+    replaced with blocks of fields."""
+    hs = np.atleast_1d(np.asarray(fields, dtype=np.float64))
+    k = np.arange(N // 2 + 1)
+    base = matching_count_log(N, k) - k * math.log(N)
+    s = (N - 2.0 * k)[None, :]
+    return logsumexp(base[None, :] + hs[:, None] * s, axis=1)
+
+
+class TestLogPartitionPureBlocks:
+    @pytest.mark.parametrize("N", [2, 51, 10**4])
+    @pytest.mark.parametrize("count", [
+        lambda rows: 1, lambda rows: rows - 1, lambda rows: rows,
+        lambda rows: rows + 1, lambda rows: 2001,
+    ], ids=["1", "rows-1", "rows", "rows+1", "2001"])
+    def test_bitwise_equal_to_broadcast(self, N, count):
+        # rows: the number of fields log_partition_pure puts in one block
+        n_fields = count(max(1, exact._CELLS // (N // 2 + 1)))
+        fields = np.random.default_rng(n_fields).uniform(-5.0, 5.0, n_fields)
+        got = log_partition_pure(N, fields)
+        ref = broadcast_log_partition_pure(N, fields)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("N", [2, 51, 10**4])
+    def test_scalar_field_returns_float(self, N):
+        val = log_partition_pure(N, 0.3)
+        assert type(val) is float
+        assert val == broadcast_log_partition_pure(N, 0.3)[0]
+
+    def test_traced_memory_is_bounded(self):
+        fields = np.linspace(-3.0, 3.0, 6144)
+        log_partition_pure(10**4, fields[:1])  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            log_partition_pure(10**4, fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one broadcast of 6144 x 5001 doubles would be 246 MB per temporary
+        assert peak < 16 * 2**20
 
 
 class TestLogPartition:

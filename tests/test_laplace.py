@@ -81,6 +81,13 @@ class TestLaplaceApprox:
         assert abs(peak - p0(h)) < 1e-12
         assert abs(res.second_derivative - (g(h) - 2.0)) < 1e-10
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_size_is_domain_error(self, n):
+        fam = psi_family(0.0)
+        for route in (laplace_approx, quad_log_integral):
+            with pytest.raises(ValueError, match=f"system size must be positive, got N={n}"):
+                route(fam, n)
+
     def test_boundary_maximizer_is_rejected(self):
         monotone = IntegrandFamily(log_abs=lambda n, x: x, window=(0.0, 1.0))
         with pytest.raises(LaplaceConditionError):

@@ -201,6 +201,12 @@ class TestTraceGamma:
         points = trace_gamma([3.0, 2.0])
         assert points[0].J == 3.0 and points[1].J == 2.0
 
+    def test_points_carry_python_floats(self):
+        # the 41-point probe seeds from np.linspace on this grid
+        for p in trace_gamma([1.5, 2.0]):
+            fields = vars(p)
+            assert all(type(v) is float for v in fields.values()), fields
+
     def test_invariants_along_curve(self):
         for p in trace_gamma([1.6, 2.5, 8.0]):
             assert p.m1 < p.m2

@@ -61,6 +61,11 @@ class TestWindowTools:
         with pytest.raises(IntegrationDomainError):
             peaked_components(lambda x: np.zeros_like(x), -1.0, 1.0, drop=10.0)
 
+    def test_components_reject_unresolvable_peak(self):
+        # at 1e300 a drop of 80 is below one ulp, so no point is above the cut
+        with pytest.raises(IntegrationDomainError, match="super-level set is empty"):
+            peaked_components(lambda x: 1e300 - x * x, -1.0, 1.0)
+
     def test_components_of_bimodal_integrand(self):
         # two sharp wells separated by a deep barrier
         def log_f(x):
