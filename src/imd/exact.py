@@ -9,18 +9,27 @@ explicit weighted sum over the dimer number k = |D|:
 
 with S_N = N - 2k supported on one parity class.  All weights are kept in log
 space (they span e^{+-N} scales); probabilities are materialized only after a
-log-sum-exp shift.  Construction is O(N) and exact for N up to 1e5 and beyond.
+log-sum-exp shift.
+
+Only a window of atoms carries probability: every atom whose log weight lies
+more than 750 below the largest has probability exactly 0 in double precision
+(exp underflows below -745.2).  ``monomer_law`` finds that window with the
+package's tail finder, ``quadrature.peaked_components``, on the continuous
+(gammaln) log weight, and evaluates gammaln, exp and the normalization only
+inside it: O(sqrt(N)) atoms away from coexistence.  The full-support arrays
+of ``MonomerLaw`` keep one entry per atom and are evaluated outside the window
+only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.optimize import brentq
+from scipy.special import digamma, gammaln, logsumexp, polygamma
 
-from .quadrature import log_integral, peaked_components
+from .quadrature import N_PROBE, log_integral, peaked_components
 from .thermo import ModelParams
 
 __all__ = [
@@ -38,6 +47,10 @@ __all__ = [
 ]
 
 
+# atoms more than this below the largest log weight have probability 0
+_WINDOW_DROP = 750.0
+
+
 def matching_count_log(N: int, k) -> float:
     """log of the number of k-dimer matchings of the complete graph K_N,
     log[ N! / ((N-2k)! 2^k k!) ], via log-gamma."""
@@ -53,15 +66,33 @@ def matching_count_log(N: int, k) -> float:
     return float(val) if np.ndim(k) == 0 else val
 
 
-@dataclass(frozen=True, eq=False)
 class MonomerLaw:
-    """Exact law of the monomer count S_N = N - 2k under the Gibbs measure."""
+    """Exact law of the monomer count S_N = N - 2k under the Gibbs measure.
 
-    N: int
-    params: ModelParams
-    log_weights: np.ndarray = field(repr=False)
-    log_Z: float
-    probabilities: np.ndarray = field(repr=False)
+    Probability sits on the window of dimer counts lo <= k < hi, whose log
+    weights are ``window_log_weights``.  ``probabilities`` and ``log_weights``
+    hold one entry per atom k = 0..N//2: the first is zero outside the window,
+    the second is evaluated there on first read.  The constructor takes the
+    window's log weights, every atom's probability and lo; given every atom's
+    log weight (lo = 0), the window is the whole support.
+    """
+
+    def __init__(self, N: int, params: ModelParams, log_weights, log_Z: float,
+                 probabilities, lo: int = 0):
+        self.N = N
+        self.params = params
+        self.log_Z = log_Z
+        self.probabilities = probabilities
+        self.window_log_weights = log_weights
+        self.lo = lo
+        self.hi = lo + len(log_weights)
+        self._full_log_weights = log_weights if len(log_weights) == len(probabilities) else None
+
+    @property
+    def log_weights(self):
+        if self._full_log_weights is None:
+            self._full_log_weights = _log_weights(self.N, self.params, self.k_values)
+        return self._full_log_weights
 
     @property
     def k_values(self):
@@ -76,16 +107,19 @@ class MonomerLaw:
     def densities(self):
         return self.s_values / self.N
 
+    def _window_s(self):
+        return self.N - 2 * np.arange(self.lo, self.hi)
+
     def mean_s(self) -> float:
-        return float(np.dot(self.probabilities, self.s_values))
+        return float(np.dot(self.probabilities[self.lo:self.hi], self._window_s()))
 
     def central_moment(self, order: int) -> float:
-        s = self.s_values - self.mean_s()
-        return float(np.dot(self.probabilities, s**order))
+        s = self._window_s() - self.mean_s()
+        return float(np.dot(self.probabilities[self.lo:self.hi], s**order))
 
     def write_csv(self, fh) -> None:
         _write_atom_csv(fh, "log_weight", self.k_values, self.s_values,
-                        self.log_weights, self.probabilities)
+                        self.log_weights, self.probabilities, self.lo, self.hi)
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,35 +134,126 @@ class MonomerLaw:
         }
 
 
-def _write_atom_csv(fh, value_name: str, k, s, values, probabilities) -> None:
+def _write_atom_csv(fh, value_name: str, k, s, values, probabilities, lo, hi) -> None:
     """Write one atom per row as ``k,S,<value_name>,probability``.
 
     Integers are written in full and floats with 17 significant digits
     (``%.17g``, which round-trips every double), rows end in ``\\r\\n``: the
     same bytes as ``csv.writer`` with ``format(x, ".17g")`` cells.  Formatting
     Python scalars from ``.tolist()`` with one ``%`` per row avoids a csv
-    writer call and four NumPy scalar conversions per atom.
+    writer call and four NumPy scalar conversions per atom.  Rows outside
+    [lo, hi) have probability 0, written as the constant ``0``.
     """
-    rows = zip(k.tolist(), s.tolist(), values.tolist(), probabilities.tolist())
+    n = len(probabilities)
+    zero, row = "%d,%d,%.17g,0\r\n", "%d,%d,%.17g,%.17g\r\n"
     fh.write(f"k,S,{value_name},probability\r\n")
-    fh.write("".join(["%d,%d,%.17g,%.17g\r\n" % row for row in rows]))
+    for a, b, fmt in ((0, lo, zero), (lo, hi, row), (hi, n, zero)):
+        columns = (k, s, values, probabilities)[:4 if fmt is row else 3]
+        fh.write("".join([fmt % cells for cells in zip(*[c[a:b].tolist() for c in columns])]))
 
 
-def monomer_law(N: int, params: ModelParams) -> MonomerLaw:
-    """Construct the exact monomer-count law for system size N."""
-    if N < 1:
-        raise ValueError(f"system size must be positive, got N={N}")
-    k = np.arange(N // 2 + 1)
+def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:
+    """log w_k at dimer counts k; between atoms, the gammaln interpolation."""
     m = (N - 2.0 * k) / N
-    log_w = (
+    return (
         matching_count_log(N, k)
         - k * math.log(N)
         + N * ((params.h - params.J) * m + params.J * m * m)
     )
-    log_Z = float(logsumexp(log_w))
-    probs = np.exp(log_w - log_Z)
-    probs /= probs.sum()
-    return MonomerLaw(N=N, params=params, log_weights=log_w, log_Z=log_Z, probabilities=probs)
+
+
+def _valley(N: int, params: ModelParams) -> float | None:
+    """The interior local minimum of the continuous log weight L(k) on
+    [0, N/2], or None when L is unimodal.
+
+    L'' = -4 psi'(N - 2k + 1) - psi'(k + 1) + 8J/N is concave (trigamma is
+    convex), so L' falls, then rises on the stretch [k1, k2] where L'' > 0,
+    then falls: L has two local maxima only if L' crosses zero upwards on that
+    stretch, at the valley.  As psi'(x) > 1/x, L'' < 0 everywhere when
+    8J/N <= (2 + sqrt 2)^2 / (N + 3), which covers every J <= J_c N/(N + 3).
+    """
+    J, half = params.J, N / 2.0
+    if 8.0 * J / N <= (2.0 + math.sqrt(2.0)) ** 2 / (N + 3.0):
+        return None
+
+    def d1(k):
+        return (2.0 * digamma(N - 2.0 * k + 1.0) - digamma(k + 1.0) - math.log(2.0 * N)
+                - 2.0 * (params.h - J) - 4.0 * J * (N - 2.0 * k) / N)
+
+    def d2(k):
+        return -4.0 * polygamma(1, N - 2.0 * k + 1.0) - polygamma(1, k + 1.0) + 8.0 * J / N
+
+    def d3(k):
+        return 8.0 * polygamma(2, N - 2.0 * k + 1.0) - polygamma(2, k + 1.0)
+
+    # d3 falls from about -psi''(1) > 0 at k = 0 to about 8 psi''(1) < 0 at N/2
+    top = brentq(d3, 0.0, half)
+    if d2(top) <= 0.0:
+        return None
+    k1 = brentq(d2, 0.0, top) if d2(0.0) < 0.0 else 0.0
+    k2 = brentq(d2, top, half) if d2(half) < 0.0 else half
+    if not d1(k1) < 0.0 < d1(k2):
+        return None
+    return brentq(d1, k1, k2)
+
+
+def _window(N: int, params: ModelParams) -> tuple[int, int]:
+    """[lo, hi): the dimer counts whose log weight may lie within
+    _WINDOW_DROP of the largest; every other atom's probability is 0.
+
+    The log weight is split at its valley into unimodal sides, and on each
+    side peaked_components returns grid points below its grid peak minus the
+    drop on both flanks of the peak, so every atom beyond them is lower still.
+    A side whose atoms all lie more than the drop below the other's is left
+    out.  Up to N_PROBE atoms the window is the whole support.
+    """
+    size = N // 2 + 1
+    if size <= N_PROBE:
+        return 0, size
+    valley = _valley(N, params)
+    sides = [(0.0, N / 2.0)] if valley is None else [(0.0, valley), (valley, N / 2.0)]
+    windows = []
+    for a, b in sides:
+        def log_w(x, a=a, b=b):
+            out = np.full(len(x), -np.inf)
+            inside = (x >= a) & (x <= b)
+            out[inside] = _log_weights(N, params, x[inside])
+            return out
+
+        pieces = peaked_components(log_w, a, b, _WINDOW_DROP)
+        lo = max(0, math.floor(pieces[0][0]))
+        hi = min(size, math.ceil(pieces[-1][1]) + 1)
+        windows.append((lo, hi, float(np.max(_log_weights(N, params, np.arange(lo, hi))))))
+    top = max(w[2] for w in windows)
+    kept = [w for w in windows if w[2] > top - _WINDOW_DROP]
+    return kept[0][0], kept[-1][1]
+
+
+def monomer_law(N: int, params: ModelParams) -> MonomerLaw:
+    """Construct the exact monomer-count law for system size N.
+
+    log Z is scipy's logsumexp formula (_log_total) with its sum run over a
+    full-support array that is zero outside the window, as is the
+    normalizing sum of the probabilities: NumPy's pairwise summation then
+    sees the same layout as on the full support, so every bit is the same as
+    there while only the window's pages are written.
+    """
+    if N < 1:
+        raise ValueError(f"system size must be positive, got N={N}")
+    lo, hi = _window(N, params)
+    log_w = _log_weights(N, params, np.arange(lo, hi))
+    w_max = np.max(log_w)
+    at_max = log_w == w_max
+    count = np.float64(np.count_nonzero(at_max))
+    probs = np.zeros(N // 2 + 1)
+    window = probs[lo:hi]
+    np.exp(log_w - w_max, out=window)
+    window[at_max] = 0.0
+    log_Z = float(_log_total(probs.sum(), count, w_max))
+    np.exp(log_w - log_Z, out=window)
+    window /= probs.sum()
+    return MonomerLaw(N=N, params=params, log_weights=log_w, log_Z=log_Z,
+                      probabilities=probs, lo=lo)
 
 
 def log_partition(N: int, params: ModelParams) -> float:
@@ -149,19 +274,46 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     """log Z_N of the pure hard-core model (J = 0) at one or many external
     fields; vectorized over fields for quadrature callbacks.
 
-    Fields are processed in blocks of max(1, _CELLS // (N//2 + 1)) rows, so
-    the temporaries take O(_CELLS) memory whatever the number of fields (one
-    row of N//2 + 1 cells when that exceeds _CELLS); each field's result is
-    bitwise the same as from a single fields x atoms broadcast."""
+    Fields are processed in blocks of max(1, _CELLS // (N//2 + 1)) rows in
+    one reused buffer, so the temporaries take O(_CELLS) memory whatever the
+    number of fields (one row of N//2 + 1 cells when that exceeds _CELLS) and
+    are not handed back to the allocator block by block; each field's result
+    is bitwise the same as from a single fields x atoms broadcast."""
     hs = np.atleast_1d(np.asarray(fields, dtype=np.float64))
     k = np.arange(N // 2 + 1)
     base = matching_count_log(N, k) - k * math.log(N)
     s = N - 2.0 * k
     rows = max(1, _CELLS // len(k))
     out = np.empty(len(hs))
+    block = np.empty((min(rows, len(hs)), len(k)))
     for i in range(0, len(hs), rows):
-        out[i:i + rows] = logsumexp(base + hs[i:i + rows, None] * s, axis=1)
+        a = block[:min(rows, len(hs) - i)]
+        np.multiply(hs[i:i + rows, None], s, out=a)
+        a += base
+        out[i:i + rows] = _logsumexp_rows(a)
     return float(out[0]) if np.ndim(fields) == 0 else out
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """scipy's logsumexp(a, axis=1), bit for bit, computed in a's storage.
+    scipy's second, direct pass only replaces results that are not finite,
+    which needs a non-finite row maximum: such a block goes to scipy."""
+    a_max = a.max(axis=1, keepdims=True)
+    if not np.isfinite(a_max).all():
+        return logsumexp(a, axis=1)
+    at_max = a == a_max
+    m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    a -= a_max
+    np.exp(a, out=a)
+    a[at_max] = 0.0
+    return _log_total(a.sum(axis=1, keepdims=True), m, a_max)[:, 0]
+
+
+def _log_total(s, m, a_max):
+    """scipy's logsumexp from the largest value a_max, its multiplicity m and
+    the sum s of exp(a - a_max) over the other values: log1p(s / m) + log m
+    + a_max, the same operations in the same order."""
+    return np.log1p(np.where(s == 0.0, s, s / m)) + np.log(m) + a_max
 
 
 def _exp_or_overflow(log_val: float, t: float) -> float:

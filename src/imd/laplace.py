@@ -210,8 +210,11 @@ def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
         if abs(delta) < 1e-15 * max(1.0, abs(xhat)):
             break
 
-    margin = 1e-9 * (b - a)
-    if not (a + margin < xhat < b - margin):
+    # strictly inside, by more than 1e-9 relative to the edge or the
+    # maximizer: psi_family's window starts at xhat/4, and xhat = e^{-u} g(u)
+    # is below 1e-9 for u above about 20.4, so an absolute margin would not do
+    if any(abs(xhat - e) <= 1e-9 * max(abs(xhat), abs(e)) for e in (a, b)) \
+            or not a < xhat < b:
         raise LaplaceConditionError(
             f"maximizer {xhat:.6g} sits on the boundary of the window [{a}, {b}]"
         )

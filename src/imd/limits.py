@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, gamma, gammainc
 
 from . import exact, phase
 from .parallel import parallel_map
-from .quadrature import gauss_legendre
 from .thermo import ModelParams
 
 __all__ = [
@@ -45,34 +45,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class ScaledLaw:
-    """Atoms of (S_N - N u)/N^eta with the exact Gibbs probabilities."""
+    """Atoms of (S_N - N u)/N^eta in increasing order, with the exact Gibbs
+    probabilities.
 
-    N: int
-    params: ModelParams
-    eta: float
-    u: float
-    positions: np.ndarray = field(repr=False)
-    probabilities: np.ndarray = field(repr=False)
+    Probability sits on the window of atoms lo <= i < hi, at
+    ``window_positions``.  ``positions`` and ``probabilities`` hold every atom
+    of the support: the second is zero outside the window, the first is
+    evaluated there on first read.  The constructor takes the window's
+    positions, every atom's probability and lo; given every atom's position
+    (lo = 0), the window is the whole support.
+    """
+
+    def __init__(self, N: int, params: ModelParams, eta: float, u: float,
+                 positions, probabilities, lo: int = 0):
+        self.N = N
+        self.params = params
+        self.eta = eta
+        self.u = u
+        self.probabilities = probabilities
+        self.window_positions = positions
+        self.lo = lo
+        self.hi = lo + len(positions)
+        self._positions = positions if len(positions) == len(probabilities) else None
+
+    def _positions_at(self, i):
+        """Positions of the atoms with indices i (S = N mod 2 + 2 i)."""
+        if self._positions is not None:
+            return self._positions[i]
+        return (self.N % 2 + 2 * np.asarray(i) - self.N * self.u) / self.N**self.eta
+
+    @property
+    def positions(self):
+        if self._positions is None:
+            self._positions = self._positions_at(np.arange(len(self.probabilities)))
+        return self._positions
 
     def mean(self) -> float:
-        return float(np.dot(self.probabilities, self.positions))
+        return float(np.dot(self.probabilities[self.lo:self.hi], self.window_positions))
 
     def variance(self) -> float:
         mu = self.mean()
-        return float(np.dot(self.probabilities, (self.positions - mu) ** 2))
-
-    def cdf_left_right(self):
-        right = np.cumsum(self.probabilities)
-        right[-1] = 1.0
-        left = right - self.probabilities
-        return left, right
+        return float(np.dot(self.probabilities[self.lo:self.hi],
+                            (self.window_positions - mu) ** 2))
 
     def write_csv(self, fh) -> None:
         s_vals = np.rint(self.positions * self.N**self.eta + self.N * self.u).astype(int)
         exact._write_atom_csv(fh, "position", (self.N - s_vals) // 2, s_vals,
-                              self.positions, self.probabilities)
+                              self.positions, self.probabilities, self.lo, self.hi)
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,11 +111,13 @@ def scaled_law(N: int, params: ModelParams, eta: float, u: float) -> ScaledLaw:
     if eta < 0:
         raise ValueError(f"scaling exponent eta must be >= 0, got {eta}")
     law = exact.monomer_law(N, params)
-    pos = (law.s_values - N * u) / N**eta
-    return ScaledLaw(
-        N=N, params=params, eta=eta, u=u,
-        positions=pos[::-1].copy(), probabilities=law.probabilities[::-1].copy(),
-    )
+    size = len(law.probabilities)
+    lo, hi = size - law.hi, size - law.lo  # increasing S is decreasing k
+    s = N - 2 * np.arange(law.hi - 1, law.lo - 1, -1)
+    probs = np.zeros(size)
+    probs[lo:hi] = law.probabilities[law.lo:law.hi][::-1]
+    return ScaledLaw(N=N, params=params, eta=eta, u=u,
+                     positions=(s - N * u) / N**eta, probabilities=probs, lo=lo)
 
 
 # --------------------------------------------------------------------------
@@ -126,8 +148,6 @@ class Gaussian:
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=np.float64) - self.mean) / math.sqrt(2.0 * self.variance)
-        from scipy.special import erf
-
         return 0.5 * (1.0 + erf(z))
 
 
@@ -154,66 +174,65 @@ class TwoPointMixture:
 class Quartic:
     """Symmetric quartic-exponential law with density C exp(lambda_c x^4 / 24).
 
-    The CDF is served from a cached cumulative table built with per-segment
-    Gauss-Legendre integration (exact to roundoff for this analytic density),
-    plus a partial-segment completion for off-node arguments.
+    With s = -lambda_c / 24 the CDF is 1/2 + sign(x) P(1/4, s x^4) / 2, P the
+    regularized lower incomplete gamma function, and C = 1/(2 Gamma(5/4) s^(-1/4)).
     """
-
-    _SEGMENTS = 2048
-    _GL_ORDER = 16
 
     def __init__(self, lambda_c: float):
         if lambda_c >= 0:
             raise ValueError(f"quartic law requires lambda_c < 0, got {lambda_c}")
         self.lambda_c = float(lambda_c)
         self.scale = -self.lambda_c / 24.0  # density ~ exp(-scale * x^4)
-        # half-range where the density has dropped e^-80 below its peak
-        half = (80.0 / self.scale) ** 0.25
-        self._edges = np.linspace(0.0, half, self._SEGMENTS + 1)
-        nodes, weights = gauss_legendre(self._GL_ORDER)
-        mid = 0.5 * (self._edges[:-1] + self._edges[1:])
-        hw = 0.5 * (self._edges[1] - self._edges[0])
-        x = mid[:, None] + hw * nodes[None, :]
-        seg = hw * (np.exp(-self.scale * x**4) @ weights)
-        self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self.half_mass_unnormalized = float(self._cum[-1])
-        self.normalization = 1.0 / (2.0 * self.half_mass_unnormalized)
+        self.normalization = 1.0 / (2.0 * gamma(1.25) * self.scale**-0.25)
 
     @property
     def variance(self) -> float:
-        from scipy.special import gamma
-
         return math.sqrt(24.0 / -self.lambda_c) * gamma(0.75) / gamma(0.25)
 
     def density(self, x):
         xx = np.asarray(x, dtype=np.float64)
         return self.normalization * np.exp(-self.scale * xx**4)
 
-    def _half_integral(self, r):
-        """integral of exp(-scale x^4) from 0 to r (vectorized, r >= 0)."""
-        rr = np.minimum(np.asarray(r, dtype=np.float64), self._edges[-1])
-        idx = np.searchsorted(self._edges, rr, side="right") - 1
-        idx = np.clip(idx, 0, self._SEGMENTS - 1)
-        lo = self._edges[idx]
-        nodes, weights = gauss_legendre(self._GL_ORDER)
-        hw = 0.5 * (rr - lo)
-        x = (lo + hw)[..., None] + hw[..., None] * nodes
-        partial = hw * (np.exp(-self.scale * x**4) @ weights)
-        return self._cum[idx] + partial
-
     def cdf(self, x):
         xx = np.asarray(x, dtype=np.float64)
-        half = self._half_integral(np.abs(xx)) * self.normalization
-        out = np.where(xx >= 0.0, 0.5 + half, 0.5 - half)
+        out = 0.5 + 0.5 * np.sign(xx) * gammainc(0.25, self.scale * xx**4)
         return float(out) if np.ndim(x) == 0 else out
+
+
+def _mass_below(scaled: ScaledLaw, x: float, side: str) -> float:
+    """P(position < x) (side "left") or P(position <= x) (side "right"),
+    summed over the full-support prefix so that the pairwise summation sees
+    the same layout as a mask over every atom."""
+    pos = scaled.window_positions
+    j = scaled.lo + int(np.searchsorted(pos, x, side))
+    if j == scaled.hi and j < len(scaled.probabilities):
+        j = int(np.searchsorted(scaled.positions, x, side))
+    return float(np.sum(scaled.probabilities[:j]))
 
 
 def ks_distance(scaled: ScaledLaw, law) -> float:
     """Exact Kolmogorov-Smirnov distance between a discrete scaled law and a
     limiting law: the supremum is attained at a jump point of either CDF, so
-    left and right limits are compared at all such points."""
-    pos = scaled.positions
-    left, right = scaled.cdf_left_right()
+    left and right limits are compared at all such points.
+
+    Outside the window the atoms form two runs of zero probability on which
+    the discrete CDF is constant (0 below; above, the window's total, and 1 at
+    the last atom); every limit CDF is monotone, so the supremum over a run is
+    reached at its end atoms, and only those are evaluated."""
+    lo, hi = scaled.lo, scaled.hi
+    last = len(scaled.probabilities) - 1
+    p = scaled.probabilities[lo:hi]
+    right = np.cumsum(p)
+    if hi > last:
+        right[-1] = 1.0
+    left = right - p
+    ends = np.array(sorted({i for i in (0, lo - 1, hi, last - 1, last)
+                            if 0 <= i < lo or hi <= i <= last}), dtype=np.int64)
+    flat = np.where(ends < lo, 0.0, right[-1])
+    flat[ends == last] = 1.0
+    pos = np.concatenate([scaled.window_positions, scaled._positions_at(ends)])
+    right = np.concatenate([right, flat])
+    left = np.concatenate([left, flat])
     lim_at = np.asarray(law.cdf(pos), dtype=np.float64)
     law_atoms = np.asarray(getattr(law, "atoms", ()), dtype=np.float64)
     if law_atoms.size:
@@ -221,10 +240,9 @@ def ks_distance(scaled: ScaledLaw, law) -> float:
         lim_left = np.asarray(law.cdf(pos - np.spacing(np.abs(pos) + 1.0)))
         d_extra = []
         for a in law_atoms:
-            below = float(np.sum(scaled.probabilities[pos < a]))
-            at_or_below = float(np.sum(scaled.probabilities[pos <= a]))
-            d_extra.append(abs(below - float(law.cdf(a - np.spacing(abs(a) + 1.0)))))
-            d_extra.append(abs(at_or_below - float(law.cdf(a))))
+            d_extra.append(abs(_mass_below(scaled, a, "left")
+                               - float(law.cdf(a - np.spacing(abs(a) + 1.0)))))
+            d_extra.append(abs(_mass_below(scaled, a, "right") - float(law.cdf(a))))
         d = max(
             float(np.max(np.abs(right - lim_at))),
             float(np.max(np.abs(left - lim_left))),
@@ -295,5 +313,12 @@ def coexistence_masses(N: int, point: phase.GammaPoint) -> tuple[float, float]:
         )
     cut = wells[0].m
     law = exact.monomer_law(N, params)
-    mass1 = float(np.sum(law.probabilities[law.densities < cut]))
+    # the atoms below the cut are the k >= j; summed over the full-support
+    # suffix, as a mask over every atom would be
+    dens = (N - 2 * np.arange(law.lo, law.hi)) / N
+    if dens[0] < cut and law.lo > 0:
+        j = int(np.count_nonzero(law.densities >= cut))
+    else:
+        j = law.lo + int(np.count_nonzero(dens >= cut))
+    mass1 = float(np.sum(law.probabilities[j:]))
     return mass1, 1.0 - mass1

@@ -33,9 +33,9 @@ _MAX_DOUBLINGS = 12
 _REL_TOL = 1e-12
 # peaked_components: contributions below exp(-TAIL_DROP) of the peak are
 # discarded (well under every tolerance used here); the probe window of
-# _N_PROBE points grows at most _MAX_EXPAND times
+# N_PROBE points grows at most _MAX_EXPAND times
 TAIL_DROP = 80.0
-_N_PROBE = 2001
+N_PROBE = 2001
 _MAX_EXPAND = 40
 
 
@@ -115,7 +115,7 @@ def peaked_components(log_f, lo: float, hi: float, drop: float = TAIL_DROP):
     peak region, not the whole decay range.
     """
     for _ in range(_MAX_EXPAND):
-        xs = np.linspace(lo, hi, _N_PROBE)
+        xs = np.linspace(lo, hi, N_PROBE)
         vals = np.asarray(log_f(xs), dtype=np.float64)
         vmax = float(np.max(vals))
         if not math.isfinite(vmax):
@@ -135,9 +135,9 @@ def peaked_components(log_f, lo: float, hi: float, drop: float = TAIL_DROP):
         start = idx[0]
         for j, i in enumerate(idx):
             if j and i != idx[j - 1] + 1:
-                pieces.append((xs[max(start - 1, 0)], xs[min(idx[j - 1] + 1, _N_PROBE - 1)]))
+                pieces.append((xs[max(start - 1, 0)], xs[min(idx[j - 1] + 1, N_PROBE - 1)]))
                 start = i
-        pieces.append((xs[max(start - 1, 0)], xs[min(idx[-1] + 1, _N_PROBE - 1)]))
+        pieces.append((xs[max(start - 1, 0)], xs[min(idx[-1] + 1, N_PROBE - 1)]))
         return pieces
     raise IntegrationDomainError(
         f"super-level set still touches the window boundary after "

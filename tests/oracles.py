@@ -2,11 +2,16 @@
 
 Everything here is deliberately written against the definitions, not against
 the library's formulas: matchings are enumerated as explicit edge sets, and
-partition functions are summed term by term in plain floats.
+partition functions are summed term by term in plain floats.  The one
+exception, ``full_support_law``, is the monomer law evaluated on every atom,
+the reference for the windowed law.
 """
 
 import itertools
 import math
+
+import numpy as np
+from scipy.special import gammaln, logsumexp
 
 
 def all_matchings(n):
@@ -51,6 +56,20 @@ def brute_monomer_distribution(n, h, J):
         weights[s] = weights.get(s, 0.0) + w
     z = sum(weights.values())
     return {s: w / z for s, w in weights.items()}
+
+
+def full_support_law(n, h, J):
+    """(log weights, log Z, probabilities) of the monomer law over all
+    n//2 + 1 atoms k: log-gamma matching counts, one logsumexp and one
+    normalizing sum over the whole support, with no window."""
+    k = np.arange(n // 2 + 1)
+    m = (n - 2.0 * k) / n
+    log_w = (gammaln(n + 1.0) - gammaln(n - 2.0 * k + 1.0) - k * math.log(2.0)
+             - gammaln(k + 1.0) - k * math.log(n) + n * ((h - J) * m + J * m * m))
+    log_z = float(logsumexp(log_w))
+    probs = np.exp(log_w - log_z)
+    probs /= probs.sum()
+    return log_w, log_z, probs
 
 
 def fixed_point_density(h, J, m0=0.5, sweeps=500):

@@ -169,6 +169,16 @@ class TestLaplaceCommand:
         assert n == "10"
         assert abs(float(ratio) - math.exp(float(quad_val) - float(asym))) < 1e-12
 
+    @pytest.mark.parametrize("h", ["25", "30"])
+    def test_large_field_maximizer_is_interior(self, capsys, h):
+        # xhat = e^{-h} g(h) is about 1e-11 and 1e-13: far below an absolute
+        # 1e-9 margin, yet well inside the window [xhat/4, xhat + 1]
+        code, out, err = run_cli(capsys, "laplace", "--N", "5,50", "--h", h)
+        assert code == EXIT_OK, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["5", "50"]
+        assert all(abs(float(r[3]) - 1.0) < 1e-12 for r in rows)
+
     def test_malformed_N_list_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "laplace", "--N", "10,xyz")
         assert code == EXIT_USAGE

@@ -4,6 +4,9 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from imd import exact
+from imd import exact, phase
 from imd.cli import EXIT_OK, main
 from imd.exact import (
     SmoothedDensity,
@@ -28,9 +31,14 @@ from imd.exact import (
 )
 from imd.limits import ScaledLaw, scaled_law
 from imd.phase import classify
-from imd.thermo import ModelParams, g, g_derivative, p0
+from imd.thermo import ModelParams, consistency_roots, g, g_derivative, p0
 
-from oracles import brute_monomer_distribution, brute_partition, dimer_count_histogram
+from oracles import (
+    brute_monomer_distribution,
+    brute_partition,
+    dimer_count_histogram,
+    full_support_law,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -183,6 +191,88 @@ def atom_columns(draw, first_cells):
     return n, np.array(first), np.array(probs)
 
 
+def atom_log_weight(n, h, J, k):
+    """log w_k of one atom, from the definition."""
+    m = (n - 2 * k) / n
+    return matching_count_log(n, k) - k * math.log(n) + n * ((h - J) * m + J * m * m)
+
+
+class TestWindow:
+    """The law is evaluated only on the window of atoms that carry
+    probability; everything it reports must be what the full support gives."""
+
+    @given(st.floats(0.0, 7.0), st.floats(-30.0, 30.0), st.floats(0.0, 1e3))
+    @example(7.0, -0.4958743234743996, 5.0)  # gamma(5): two wells, one narrow
+    @example(7.0, -0.4999962732210501, 12.0)  # gamma(12): wells at both edges
+    @example(4.0, -30.0, 0.0)
+    @example(5.0, 30.0, 1e3)
+    def test_window_over_cli_domain(self, log_n, h, J):
+        n = int(round(10.0**log_n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = monomer_law(n, ModelParams(h, J))
+        p = law.probabilities
+        assert len(p) == n // 2 + 1
+        assert abs(p.sum() - 1.0) < 1e-12
+        assert math.isfinite(law.log_Z)
+        assert np.all(p[:law.lo] == 0.0) and np.all(p[law.hi:] == 0.0)
+        # the atoms next to the window, and the atoms at the limiting
+        # stationary densities (the wells), lie inside it or have probability 0
+        wells = [round(n * (1.0 - m) / 2.0) for m in consistency_roots(ModelParams(h, J))]
+        for k in [law.lo - 1, law.hi] + [min(k, n // 2) for k in wells]:
+            if 0 <= k <= n // 2 and not law.lo <= k < law.hi:
+                assert math.exp(atom_log_weight(n, h, J, k) - law.log_Z) == 0.0
+        if n <= 10**5:
+            log_w, log_z, probs = full_support_law(n, h, J)
+            assert law.log_Z == log_z
+            assert np.array_equal(p, probs)
+            assert np.array_equal(law.log_weights, log_w)
+
+    @pytest.mark.parametrize("h", [-0.5546472198954087, -0.5543472198954087])
+    def test_log_Z_near_zero_pressure(self, h):
+        # log Z is about -1.7 and -1.2 here, so the last bits of the sum
+        # inside logsumexp reach it: over the window alone, with no zeros
+        # around it, log Z moves by one ulp
+        log_w, log_z, probs = full_support_law(4002, h, 0.0)
+        law = monomer_law(4002, ModelParams(h, 0.0))
+        assert law.lo > 0
+        assert law.log_Z == log_z
+        assert np.array_equal(law.probabilities, probs)
+
+    def test_window_is_small_away_from_coexistence(self):
+        law = monomer_law(10**7, ModelParams(0.0, 0.0))
+        assert law.hi - law.lo < 80000
+
+    def test_both_wells_are_kept_at_coexistence(self):
+        # at gamma(8) each phase holds about half the mass, one of them in the
+        # last 0.1 % of the support: the window must span both
+        point = phase.trace_gamma([8.0])[0]
+        n = 10**6
+        law = monomer_law(n, ModelParams(point.h, 8.0))
+        log_w, log_z, probs = full_support_law(n, point.h, 8.0)
+        assert law.log_Z == log_z
+        assert np.array_equal(law.probabilities, probs)
+        assert 0.3 < probs[: n // 4].sum() < 0.7
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_law_at_1e8_in_bounded_memory(self):
+        # the peak RSS of the fresh process's own memory map (VmHWM): its
+        # ru_maxrss would start from the RSS of the process that forked it
+        code = (
+            "from imd.exact import monomer_law\n"
+            "from imd.thermo import ModelParams\n"
+            "law = monomer_law(10**8, ModelParams(0.0, 0.0))\n"
+            "print(law.probabilities.sum() - 1.0)\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(status.split()[0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True).stdout.split()
+        assert abs(float(out[0])) < 1e-12
+        assert int(out[1]) < 200 * 1024  # kB
+
+
 class TestAtomCsv:
     @given(atom_columns(float_cells))
     @example((31, np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])))
@@ -317,6 +407,24 @@ class TestMgf:
             assert mgf(N, params, eta, u, 0.0) == 1.0
             val = mgf(N, params, eta, u, t)
         assert abs(val / linear - 1.0) < 1e-10
+
+    def test_tilt_lifts_atoms_outside_the_window(self):
+        # at h = -5 the window holds k >= 4705 of 0..5000; the largest tilt
+        # that does not overflow (eta = u = 0) moves the peak to k = 4620,
+        # where the probabilities underflowed: the direct sum must still see
+        # those atoms through their log weights
+        N, h = 10**4, -5.0
+        law = monomer_law(N, ModelParams(h, 0.0))
+        log_w, log_z, _ = full_support_law(N, h, 0.0)
+        s = N - 2.0 * np.arange(N // 2 + 1)
+        t = 2.4638571
+        log_ref = logsumexp(log_w + t * s) - log_z
+        assert 700.0 < log_ref < math.log(np.finfo(float).max)
+        assert law.lo > int(np.argmax(log_w + t * s))
+        val = mgf_direct(N, ModelParams(h, 0.0), 0.0, 0.0, t)
+        assert abs(val / math.exp(log_ref) - 1.0) < 1e-12
+        with pytest.raises(OverflowError):
+            mgf_direct(N, ModelParams(h, 0.0), 0.0, 0.0, 2.47)
 
     def test_overflow_is_reported(self):
         with pytest.raises(OverflowError):

@@ -1,5 +1,6 @@
 """Tests for scaled laws, limiting distributions and convergence metrics."""
 
+import dataclasses
 import io
 import math
 
@@ -23,6 +24,8 @@ from imd.limits import (
     scaled_law,
 )
 from imd.thermo import ModelParams, g, g_derivative
+
+from oracles import full_support_law
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +113,22 @@ class TestLimitLaws:
         oracle = 0.5 * (1.0 + np.sign(xs) * gammainc(0.25, law.scale * xs**4))
         assert np.max(np.abs(law.cdf(xs) - oracle)) < 1e-12
 
+    def test_quartic_cdf_against_40_digit_quadrature(self, critical):
+        # independent of the incomplete gamma function: the density integrated
+        # by mpmath at 40 digits and normalized by its own total
+        mpmath = pytest.importorskip("mpmath")
+        law = Quartic(critical.lambda_c)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(law.scale)
+
+            def density(x):
+                return mpmath.exp(-s * x**4)
+
+            total = mpmath.quad(density, [-mpmath.inf, 0, mpmath.inf])
+            for x in np.linspace(-4.0, 4.0, 41):
+                ref = mpmath.quad(density, [-mpmath.inf, 0, mpmath.mpf(x)]) / total
+                assert abs(law.cdf(float(x)) - float(ref)) <= 1e-15, x
+
     def test_quartic_variance_closed_form(self, critical):
         law = Quartic(critical.lambda_c)
         by_quadrature = quad(lambda x: x * x * law.density(x), -4.0, 4.0, epsabs=1e-14)[0]
@@ -152,6 +171,108 @@ class TestKsDistance:
         law = scaled_law(10**4, params, 0.5, m_star)
         d = ks_distance(law, Gaussian(0.0, phase.clt_variance(params)))
         assert d < 0.05
+
+
+def full_support_scaled(n, params, eta, u):
+    """Positions and probabilities of every atom, in increasing order."""
+    _, _, probs = full_support_law(n, params.h, params.J)
+    s = n - 2 * np.arange(n // 2 + 1)
+    return ((s - n * u) / n**eta)[::-1].copy(), probs[::-1].copy()
+
+
+def full_support_ks(pos, probs, law):
+    """KS distance over every atom: CDF limits at each one, and a mask over
+    the whole support for the masses below a limit law's atoms."""
+    right = np.cumsum(probs)
+    right[-1] = 1.0
+    left = right - probs
+    lim_at = np.asarray(law.cdf(pos), dtype=np.float64)
+    atoms = getattr(law, "atoms", ())
+    if not atoms:
+        return min(max(float(np.max(np.abs(right - lim_at))),
+                       float(np.max(np.abs(left - lim_at)))), 1.0)
+    lim_left = np.asarray(law.cdf(pos - np.spacing(np.abs(pos) + 1.0)))
+    d = [float(np.max(np.abs(right - lim_at))), float(np.max(np.abs(left - lim_left)))]
+    for a in atoms:
+        d.append(abs(float(np.sum(probs[pos < a]))
+                     - float(law.cdf(a - np.spacing(abs(a) + 1.0)))))
+        d.append(abs(float(np.sum(probs[pos <= a])) - float(law.cdf(a))))
+    return min(max(d), 1.0)
+
+
+def ladders(critical, gamma_at_2):
+    """(params, eta, u, limit law) of the four convergence studies."""
+    unique = ModelParams(0.2, 0.5)
+    return {
+        "clt_pure": (ModelParams(0.0, 0.0), 0.5, g(0.0), Gaussian(0.0, g_derivative(0.0, 1))),
+        "clt_unique": (unique, 0.5, phase.classify(unique).maximizers[0],
+                       Gaussian(0.0, phase.clt_variance(unique))),
+        "critical_quartic": (ModelParams(critical.h_c, critical.J_c), 0.75, critical.m_c,
+                             Quartic(critical.lambda_c)),
+        "coexistence_mixture": (ModelParams(gamma_at_2.h, gamma_at_2.J), 1.0, 0.0,
+                                TwoPointMixture(gamma_at_2.rho1, gamma_at_2.m1,
+                                                gamma_at_2.rho2, gamma_at_2.m2)),
+    }
+
+
+class TestWindowedKs:
+    """ks_distance reads only the window and the end atoms of the two
+    zero-probability runs beside it; it must give the full-support bits."""
+
+    @pytest.mark.parametrize("name", ["clt_pure", "clt_unique", "critical_quartic",
+                                      "coexistence_mixture"])
+    def test_study_ladders(self, critical, gamma_at_2, name):
+        params, eta, u, law = ladders(critical, gamma_at_2)[name]
+        for n in (100, 1000, 10**4, 10**5):
+            scaled = scaled_law(n, params, eta, u)
+            pos, probs = full_support_scaled(n, params, eta, u)
+            assert np.array_equal(scaled.positions, pos)
+            assert np.array_equal(scaled.probabilities, probs)
+            assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
+
+    @pytest.mark.parametrize("h,J", [(0.0, 0.0), (0.2, 0.5)])
+    def test_lln(self, h, J):
+        # at these sizes the mass below the limit atom decides the distance,
+        # and summing it without the zeros below the window moves its last bit
+        params = ModelParams(h, J)
+        law = PointMass(phase.classify(params).maximizers[0])
+        for n in (4002, 12345, 10**6):
+            scaled = scaled_law(n, params, 1.0, 0.0)
+            pos, probs = full_support_scaled(n, params, 1.0, 0.0)
+            assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
+        assert scaled.hi - scaled.lo < 30000
+
+    @pytest.mark.parametrize("law", [
+        Gaussian(0.2, 1e-4), Gaussian(-0.2, 1e-4), Gaussian(0.0, 100.0),
+        Gaussian(1e9, 1.0), Gaussian(-1e9, 1.0),
+        PointMass(0.0), PointMass(1.0), PointMass(0.6), PointMass(0.7), PointMass(0.9),
+        TwoPointMixture(0.3, 0.1, 0.7, 0.9), TwoPointMixture(0.5, 0.6, 0.5, 0.65),
+    ])
+    @pytest.mark.parametrize("n", [4002, 10**4, 10**5])
+    def test_limit_laws_away_from_the_window(self, law, n):
+        # limit atoms outside the window (at N = 1e4 the mass below 0.9 has
+        # its full-support bits only with the zeros above the window), and
+        # limit CDFs whose distance is decided on a zero-probability run (at
+        # N = 1e4 the window's total is 1 - 4.4e-16, so against
+        # Gaussian(1e9, 1) the last atom's 1 decides)
+        params = ModelParams(0.0, 0.0)
+        scaled = scaled_law(n, params, 1.0, 0.0)
+        assert 0 < scaled.lo and scaled.hi < len(scaled.probabilities)
+        pos, probs = full_support_scaled(n, params, 1.0, 0.0)
+        assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.02, -0.02])
+    def test_coexistence_masses(self, gamma_at_2, shift):
+        # shifted off the curve, one well lies more than 750 below the other
+        # at N = 1e5 and leaves the window, so the cut lies outside it
+        point = dataclasses.replace(gamma_at_2, h=gamma_at_2.h + shift)
+        params = ModelParams(point.h, point.J)
+        cut = [p.m for p in phase.solve_consistency(params) if not p.is_maximum][0]
+        for n in (10**4, 10**5):
+            _, _, probs = full_support_law(n, params.h, params.J)
+            dens = (n - 2 * np.arange(n // 2 + 1)) / n
+            mass1 = float(np.sum(probs[dens < cut]))
+            assert coexistence_masses(n, point) == (mass1, 1.0 - mass1)
 
 
 class TestConvergenceStudy:
