@@ -14,7 +14,6 @@ integers makes ``main`` return 64.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -40,44 +39,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _text(text: str):
+    """A writer of a finished text."""
+    return lambda fh: fh.write(text)
 
 
-def _table_text(args, to_json, write_csv) -> str:
-    """JSON of to_json() under --format json, else the CSV from write_csv(fh)."""
-    if args.fmt == "json":
-        return _json_text(to_json())
-    buf = io.StringIO()
-    write_csv(buf)
-    return buf.getvalue()
+def _json(obj):
+    return _text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-# Each command returns its artifact and its exit code; main writes the artifact.
+def _table(args, to_json, write_csv):
+    """The writer of to_json()'s JSON under --format json, else write_csv."""
+    return _json(to_json()) if args.fmt == "json" else write_csv
 
 
-def _cmd_phase(args) -> tuple[str, int]:
+# Each command does its computing and returns a writer of its artifact, which
+# main calls with the open output, and its exit code: domain errors surface
+# before the output is opened, and a CSV writer streams to it.
+
+
+def _cmd_phase(args):
     report = phase.classify(ModelParams(args.h, args.J))
     payload = {"h": args.h, "J": args.J} | report.to_json_dict()
-    return _json_text(payload), EXIT_OK
+    return _json(payload), EXIT_OK
 
 
-def _cmd_critical(args) -> tuple[str, int]:
+def _cmd_critical(args):
     cp = phase.find_critical_point()
-    return _json_text(cp.to_json_dict()), EXIT_OK
+    return _json(cp.to_json_dict()), EXIT_OK
 
 
-def _cmd_gamma(args) -> tuple[str, int]:
+def _cmd_gamma(args):
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     J_values = np.linspace(args.jmin, args.jmax, args.steps)
     points = phase.trace_gamma([float(j) for j in J_values])
-    text = _table_text(args, lambda: phase.gamma_points_to_json(points),
-                       lambda fh: phase.gamma_points_to_csv(points, fh))
-    return text, EXIT_OK
+    write = _table(args, lambda: phase.gamma_points_to_json(points),
+                   lambda fh: phase.gamma_points_to_csv(points, fh))
+    return write, EXIT_OK
 
 
-def _cmd_dist(args) -> tuple[str, int]:
+def _cmd_dist(args):
     params = ModelParams(args.h, args.J)
     if args.eta is None and args.u is None:
         law = exact.monomer_law(args.N, params)
@@ -85,10 +87,10 @@ def _cmd_dist(args) -> tuple[str, int]:
         eta = args.eta if args.eta is not None else 0.0
         u = args.u if args.u is not None else 0.0
         law = limits.scaled_law(args.N, params, eta, u)
-    return _table_text(args, law.to_json_dict, law.write_csv), EXIT_OK
+    return _table(args, law.to_json_dict, law.write_csv), EXIT_OK
 
 
-def _cmd_laplace(args) -> tuple[str, int]:
+def _cmd_laplace(args):
     if not args.N:
         raise ValueError("laplace requires --N")
     lines = ["N,log_quadrature,log_asymptote,ratio"]
@@ -104,10 +106,10 @@ def _cmd_laplace(args) -> tuple[str, int]:
                 ]
             )
         )
-    return "\n".join(lines) + "\n", EXIT_OK
+    return _text("\n".join(lines) + "\n"), EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args):
     results = verification.run_suite(args.suite)
     lines = []
     for res in results:
@@ -117,7 +119,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     lines.append(
         f"suite {args.suite!r}: {len(results) - n_fail}/{len(results)} criteria passed"
     )
-    return "\n".join(lines) + "\n", EXIT_OK if n_fail == 0 else EXIT_VERIFY
+    return _text("\n".join(lines) + "\n"), EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
 def _build_parser() -> _Parser:
@@ -181,16 +183,16 @@ def main(argv=None) -> int:
             print(f"imd: --{name} must be finite, got {value}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        text, code = args.run(args)
+        write, code = args.run(args)
     except (ValueError, OverflowError) as err:
         print(f"imd: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return code
     try:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as err:
         print(f"imd: cannot write output: {err}", file=sys.stderr)
         return EXIT_IO

@@ -18,7 +18,11 @@ package's tail finder, ``quadrature.peaked_components``, on the continuous
 (gammaln) log weight, and evaluates gammaln, exp and the normalization only
 inside it: O(sqrt(N)) atoms away from coexistence.  The full-support arrays
 of ``MonomerLaw`` keep one entry per atom and are evaluated outside the window
-only when read.
+only when read.  ``log_partition_pure`` evaluates each field's window in
+the same way, found on the atoms since the J = 0 weights are log-concave in k.
+The atom CSV writer streams its rows to the output in chunks of _CSV_ROWS,
+evaluating the columns outside the window chunk by chunk, so writing a law
+takes O(_CSV_ROWS) memory beyond its probabilities.
 """
 
 from __future__ import annotations
@@ -88,10 +92,16 @@ class MonomerLaw:
         self.hi = lo + len(log_weights)
         self._full_log_weights = log_weights if len(log_weights) == len(probabilities) else None
 
+    def _log_weights_at(self, k):
+        """Log weights of the atoms with dimer counts k."""
+        if self._full_log_weights is not None:
+            return self._full_log_weights[k]
+        return _log_weights(self.N, self.params, k)
+
     @property
     def log_weights(self):
         if self._full_log_weights is None:
-            self._full_log_weights = _log_weights(self.N, self.params, self.k_values)
+            self._full_log_weights = self._log_weights_at(self.k_values)
         return self._full_log_weights
 
     @property
@@ -118,8 +128,10 @@ class MonomerLaw:
         return float(np.dot(self.probabilities[self.lo:self.hi], s**order))
 
     def write_csv(self, fh) -> None:
-        _write_atom_csv(fh, "log_weight", self.k_values, self.s_values,
-                        self.log_weights, self.probabilities, self.lo, self.hi)
+        def atoms(k):
+            return k, self.N - 2 * k, self._log_weights_at(k)
+
+        _write_atom_csv(fh, "log_weight", atoms, self.probabilities, self.lo, self.hi)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,22 +146,40 @@ class MonomerLaw:
         }
 
 
-def _write_atom_csv(fh, value_name: str, k, s, values, probabilities, lo, hi) -> None:
+# rows per formatted chunk in _write_atom_csv
+_CSV_ROWS = 1 << 14
+
+
+def _write_atom_csv(fh, value_name: str, atoms, probabilities, lo, hi) -> None:
     """Write one atom per row as ``k,S,<value_name>,probability``.
 
-    Integers are written in full and floats with 17 significant digits
+    ``atoms(i)`` gives the k, S and value columns of the atoms with indices
+    i.  Integers are written in full and floats with 17 significant digits
     (``%.17g``, which round-trips every double), rows end in ``\\r\\n``: the
-    same bytes as ``csv.writer`` with ``format(x, ".17g")`` cells.  Formatting
-    Python scalars from ``.tolist()`` with one ``%`` per row avoids a csv
-    writer call and four NumPy scalar conversions per atom.  Rows outside
-    [lo, hi) have probability 0, written as the constant ``0``.
+    same bytes as ``csv.writer`` with ``format(x, ".17g")`` cells.  Rows
+    outside [lo, hi) have probability 0, written as the constant ``0``.
+
+    The rows go out in chunks of _CSV_ROWS: the chunk's columns are built,
+    converted with ``.tolist()``, interleaved through an object array and
+    formatted with one ``%`` on the chunk's repeated row format, then written
+    to fh.  Memory stays O(_CSV_ROWS) beyond the probabilities whatever the
+    number of atoms, and there is no csv writer call or NumPy scalar
+    conversion per atom.
     """
     n = len(probabilities)
     zero, row = "%d,%d,%.17g,0\r\n", "%d,%d,%.17g,%.17g\r\n"
     fh.write(f"k,S,{value_name},probability\r\n")
     for a, b, fmt in ((0, lo, zero), (lo, hi, row), (hi, n, zero)):
-        columns = (k, s, values, probabilities)[:4 if fmt is row else 3]
-        fh.write("".join([fmt % cells for cells in zip(*[c[a:b].tolist() for c in columns])]))
+        for c in range(a, b, _CSV_ROWS):
+            d = min(b, c + _CSV_ROWS)
+            columns = atoms(np.arange(c, d))
+            if fmt is row:
+                columns += (probabilities[c:d],)
+            width = len(columns)
+            cells = np.empty(width * (d - c), dtype=object)
+            for j, column in enumerate(columns):
+                cells[j::width] = column.tolist()
+            fh.write((fmt * (d - c)) % tuple(cells.tolist()))
 
 
 def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:
@@ -266,7 +296,8 @@ def pressure(N: int, params: ModelParams) -> float:
     return log_partition(N, params) / N
 
 
-# (field, atom) cells per block in log_partition_pure: 256 KB per temporary
+# (field or point, atom) cells per block in log_partition_pure and
+# SmoothedDensity.log_mixture: 256 KB per temporary
 _CELLS = 1 << 15
 
 
@@ -278,7 +309,14 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     one reused buffer, so the temporaries take O(_CELLS) memory whatever the
     number of fields (one row of N//2 + 1 cells when that exceeds _CELLS) and
     are not handed back to the allocator block by block; each field's result
-    is bitwise the same as from a single fields x atoms broadcast."""
+    is bitwise the same as from a single fields x atoms broadcast.
+
+    Beyond N_PROBE atoms, a block writes its log weights, and takes their
+    maximum, multiplicity and exp, only on the union of its fields' windows
+    (_pure_windows) and holds 0 elsewhere, which is what exp gives there; the
+    row sums still run over the whole row, so NumPy's pairwise summation sees
+    the full-support layout, as in monomer_law.  A block with a field whose
+    peak log weight is not finite takes the full rows."""
     hs = np.atleast_1d(np.asarray(fields, dtype=np.float64))
     k = np.arange(N // 2 + 1)
     base = matching_count_log(N, k) - k * math.log(N)
@@ -286,26 +324,75 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     rows = max(1, _CELLS // len(k))
     out = np.empty(len(hs))
     block = np.empty((min(rows, len(hs)), len(k)))
+    windowed = len(k) > N_PROBE
+    if windowed:
+        lo, hi, peak = _pure_windows(base, s, hs)
     for i in range(0, len(hs), rows):
         a = block[:min(rows, len(hs) - i)]
-        np.multiply(hs[i:i + rows, None], s, out=a)
-        a += base
-        out[i:i + rows] = _logsumexp_rows(a)
+        if windowed and np.isfinite(peak[i:i + rows]).all():
+            a0, b0 = lo[i:i + rows].min(), hi[i:i + rows].max()
+            a[:, :a0] = 0.0
+            a[:, b0:] = 0.0
+        else:
+            a0, b0 = 0, len(k)
+        w = a[:, a0:b0]
+        np.multiply(hs[i:i + rows, None], s[a0:b0], out=w)
+        w += base[a0:b0]
+        out[i:i + rows] = _logsumexp_rows(a, a0, b0)
     return float(out[0]) if np.ndim(fields) == 0 else out
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def _pure_windows(base, s, hs):
+    """For every field h: [lo, hi), the atoms whose log weight base + h s is
+    at least its value at the peak atom k* minus _WINDOW_DROP, and that peak
+    value.  Every other atom lies more than _WINDOW_DROP below the row's
+    maximum, so its exp underflows to 0.
+
+    Exact on the atoms for log-concave weights, which these are at J = 0: the
+    increments of base fall in k, since C(N, k+1)/C(N, k)/N
+    = (N-2k)(N-2k-1)/(2(k+1)N) does, and those of base + h s lie 2h below
+    them.  k* is the number of increments above 2h (a searchsorted), the log
+    weight rises up to k* and falls after it, and a bisection on each side
+    finds where it crosses the threshold, evaluating base + h s at the atoms
+    with the same floating-point operations as the block."""
+    n = len(base)
+    top = np.searchsorted(-np.diff(base), -2.0 * hs)
+    peak = hs * s[top] + base[top]
+    floor = peak - _WINDOW_DROP
+
+    def first(a, b, below):
+        """The first atom in [a, b) whose log weight is below the floor
+        (below=True) or not below it (below=False); b if there is none."""
+        while True:
+            active = a < b
+            if not active.any():
+                return a
+            mid = (a + b) // 2
+            j = np.minimum(mid, n - 1)
+            hit = ((hs * s[j] + base[j]) < floor) == below
+            b = np.where(active & hit, mid, b)
+            a = np.where(active & ~hit, mid + 1, a)
+
+    return first(np.zeros_like(top), top, False), first(top + 1, np.full_like(top, n), True), peak
+
+
+def _logsumexp_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """scipy's logsumexp(a, axis=1), bit for bit, computed in a's storage.
-    scipy's second, direct pass only replaces results that are not finite,
-    which needs a non-finite row maximum: such a block goes to scipy."""
-    a_max = a.max(axis=1, keepdims=True)
+
+    Only the columns [lo, hi) hold values; the others hold 0, the exp of
+    values that underflow against their row's maximum (a window is passed
+    only for rows with a finite maximum).  scipy's second, direct pass only
+    replaces results that are not finite, which needs a non-finite row
+    maximum: such a block, always passed whole, goes to scipy."""
+    w = a[:, lo:hi]
+    a_max = w.max(axis=1, keepdims=True)
     if not np.isfinite(a_max).all():
         return logsumexp(a, axis=1)
-    at_max = a == a_max
+    at_max = w == a_max
     m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
-    a -= a_max
-    np.exp(a, out=a)
-    a[at_max] = 0.0
+    w -= a_max
+    np.exp(w, out=w)
+    w[at_max] = 0.0
     return _log_total(a.sum(axis=1, keepdims=True), m, a_max)[:, 0]
 
 
@@ -417,13 +504,19 @@ class SmoothedDensity:
 
     # -- mixture route -----------------------------------------------------
     def log_mixture(self, x):
+        """log of the mixture density at x, in blocks of
+        max(1, _CELLS // len(component_means)) points: scipy's logsumexp
+        reduces each point's row on its own, so the blocks give the bits of
+        one points x components broadcast in O(_CELLS) memory."""
         xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        z = xx[:, None] - self.component_means[None, :]
-        expo = -(z * z) / (2.0 * self.component_var)
         log_p = self.law.log_weights - self.law.log_Z
-        out = logsumexp(
-            log_p[None, :] + expo, axis=1
-        ) - 0.5 * math.log(2.0 * math.pi * self.component_var)
+        rows = max(1, _CELLS // len(self.component_means))
+        out = np.empty(len(xx))
+        for i in range(0, len(xx), rows):
+            z = xx[i:i + rows, None] - self.component_means[None, :]
+            expo = -(z * z) / (2.0 * self.component_var)
+            out[i:i + rows] = logsumexp(log_p[None, :] + expo, axis=1)
+        out -= 0.5 * math.log(2.0 * math.pi * self.component_var)
         return out[0] if np.ndim(x) == 0 else out
 
     def mixture(self, x):

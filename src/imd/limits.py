@@ -90,9 +90,12 @@ class ScaledLaw:
                             (self.window_positions - mu) ** 2))
 
     def write_csv(self, fh) -> None:
-        s_vals = np.rint(self.positions * self.N**self.eta + self.N * self.u).astype(int)
-        exact._write_atom_csv(fh, "position", (self.N - s_vals) // 2, s_vals,
-                              self.positions, self.probabilities, self.lo, self.hi)
+        def atoms(i):
+            pos = self._positions_at(i)
+            s = np.rint(pos * self.N**self.eta + self.N * self.u).astype(int)
+            return (self.N - s) // 2, s, pos
+
+        exact._write_atom_csv(fh, "position", atoms, self.probabilities, self.lo, self.hi)
 
     def to_json_dict(self) -> dict:
         return {

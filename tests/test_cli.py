@@ -8,14 +8,16 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imd import phase
 from imd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from imd.exact import monomer_law
 from imd.limits import scaled_law
-from imd.thermo import ModelParams
+from imd.thermo import ModelParams, g
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +136,52 @@ class TestDistCommand:
     def test_invalid_params_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "dist", "--N", "4", "--h", "0", "--J", "-1")
         assert code == EXIT_DOMAIN
+
+    def test_domain_error_creates_no_output(self, tmp_path, capsys):
+        # the law is computed before the output is opened
+        target = tmp_path / "f"
+        code, out, err = run_cli(capsys, "dist", "--N", "0", "--h", "0", "--J", "0",
+                                 "--output", str(target))
+        assert code == EXIT_DOMAIN
+        assert "system size must be positive" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--eta", "0.5", "--u", "0.3"], ["--format", "json"]],
+                             ids=["csv", "scaled-csv", "json"])
+    def test_stdout_bytes_match_output_file(self, tmp_path, extra):
+        argv = [sys.executable, "-m", "imd.cli", "dist", "--N", "1000", "--h", "0.2",
+                "--J", "1.5", *extra]
+        target = tmp_path / "law.out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        shown = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+        subprocess.run([*argv, "--output", str(target)], env=env, check=True)
+        assert shown == target.read_bytes()
+        assert len(shown) > 10000
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_csv_streams_in_bounded_memory(self, tmp_path, scaled):
+        # 1e6 atoms, 37 MB of CSV: the rows go out chunk by chunk, so the
+        # process holds little more than the law's probabilities.  Peak RSS as
+        # VmHWM of the fresh process, as in test_exact
+        target = tmp_path / "f.csv"
+        argv = ["dist", "--N", "2000000", "--h", "0", "--J", "0", "--output", str(target)]
+        if scaled:
+            argv += ["--eta", "0.5", "--u", repr(float(g(0.0)))]
+        code = (
+            "import sys\n"
+            "from imd.cli import main\n"
+            "print(main(sys.argv[1:]))\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(status.split()[0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, env=env, check=True).stdout.split()
+        assert int(out[0]) == EXIT_OK
+        with open(target, "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + 1000001
+        assert int(out[1]) < 160 * 1024  # kB
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_json_bytes_match_element_wise_route(self, capsys, scaled):
@@ -262,6 +310,31 @@ class TestNumericFlags:
                 code = exc.code
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+class TestNearCritical:
+    """J just above J_c and h within 1e-12..1e-1 of h_c: each command answers
+    or names the guard band or the unresolved two-maxima window."""
+
+    @given(st.floats(-12.0, -1.0), st.floats(-12.0, -1.0), st.sampled_from([-1.0, 1.0]))
+    def test_answer_or_named_domain_error(self, log_dj, log_dh, sign):
+        cp = phase.find_critical_point()
+        J, h = cp.J_c + 10.0**log_dj, cp.h_c + sign * 10.0**log_dh
+        for argv in (["phase", f"--h={h!r}", f"--J={J!r}"],
+                     ["gamma", f"--jmin={J!r}", f"--jmax={J!r}", "--steps", "1"],
+                     ["dist", "--N", "5000", f"--h={h!r}", f"--J={J!r}", "--eta", "0.75",
+                      f"--u={cp.m_c!r}"]):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_DOMAIN), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+            if code == EXIT_DOMAIN:
+                assert ("cannot separate" in err.getvalue()
+                        or "no two-maxima window resolved" in err.getvalue()), (argv, err.getvalue())
 
 
 class TestVerifyCommand:

@@ -197,6 +197,17 @@ def atom_log_weight(n, h, J, k):
     return matching_count_log(n, k) - k * math.log(n) + n * ((h - J) * m + J * m * m)
 
 
+def chunk_windows():
+    """(support size, lo, hi) around the first chunk boundary of the atom CSV
+    writer: windows that start, end and straddle it, and the whole support."""
+    rows = exact._CSV_ROWS
+    cases = set()
+    for size in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        for lo, hi in ((rows, rows + 7), (rows - 7, rows), (rows - 3, rows + 3), (0, size)):
+            cases.add((size, min(lo, size), min(hi, size)))
+    return sorted(cases)
+
+
 class TestWindow:
     """The law is evaluated only on the window of atoms that carry
     probability; everything it reports must be what the full support gives."""
@@ -308,6 +319,24 @@ class TestAtomCsv:
         # newline="" on the output file keeps the \r\n row endings
         assert path.read_bytes() == expected.encode("ascii")
 
+    @pytest.mark.parametrize("size, lo, hi", chunk_windows())
+    def test_windowed_laws_across_chunk_boundaries(self, size, lo, hi):
+        # the columns outside the window are evaluated chunk by chunk; the
+        # references read the full-support log weights and positions
+        rng = np.random.default_rng(size + lo)
+        probs = np.zeros(size)
+        probs[lo:hi] = rng.uniform(0.0, 1.0, hi - lo)
+        n, params = 2 * (size - 1), ModelParams(0.2, 1.5)
+        law = exact.MonomerLaw(N=n, params=params, log_weights=exact._log_weights(
+                                   n, params, np.arange(lo, hi)),
+                               log_Z=0.0, probabilities=probs, lo=lo)
+        assert written_csv(law) == csv_writer_monomer_law(law)
+        n, eta, u = n + 1, 0.5, 0.3
+        positions = (n % 2 + 2 * np.arange(lo, hi) - n * u) / n**eta
+        scaled = ScaledLaw(N=n, params=params, eta=eta, u=u, positions=positions,
+                           probabilities=probs, lo=lo)
+        assert written_csv(scaled) == csv_writer_scaled_law(scaled)
+
 
 def broadcast_log_partition_pure(N, fields):
     """Reference: the one-shot fields x atoms broadcast that log_partition_pure
@@ -319,20 +348,51 @@ def broadcast_log_partition_pure(N, fields):
     return logsumexp(base[None, :] + hs[:, None] * s, axis=1)
 
 
+# fields far outside |h| <= 30 and non-finite ones, which take the full rows
+SPECIAL_FIELDS = np.array([-800.0, 800.0, np.inf, -np.inf, np.nan])
+
+
 class TestLogPartitionPureBlocks:
-    @pytest.mark.parametrize("N", [2, 51, 10**4])
+    @pytest.mark.parametrize("N", [2, 51, 4002, 10**4, 10**5])
     @pytest.mark.parametrize("count", [
         lambda rows: 1, lambda rows: rows - 1, lambda rows: rows,
         lambda rows: rows + 1, lambda rows: 2001,
     ], ids=["1", "rows-1", "rows", "rows+1", "2001"])
     def test_bitwise_equal_to_broadcast(self, N, count):
-        # rows: the number of fields log_partition_pure puts in one block
+        # rows: the number of fields log_partition_pure puts in one block;
+        # beyond N_PROBE atoms each block works on its fields' windows
         n_fields = count(max(1, exact._CELLS // (N // 2 + 1)))
-        fields = np.random.default_rng(n_fields).uniform(-5.0, 5.0, n_fields)
-        got = log_partition_pure(N, fields)
-        ref = broadcast_log_partition_pure(N, fields)
+        fields = np.random.default_rng(n_fields).uniform(-30.0, 30.0, n_fields)
+        spots = np.arange(n_fields)[1::max(1, n_fields // len(SPECIAL_FIELDS))]
+        spots = spots[:len(SPECIAL_FIELDS)]
+        fields[spots] = SPECIAL_FIELDS[:len(spots)]
+        # +-inf times the S = 0 atom of an even N is nan on both routes
+        with np.errstate(invalid="ignore"):
+            got = log_partition_pure(N, fields)
+            # the broadcast a few fields at a time: scipy's logsumexp reduces
+            # each row on its own, and 2001 x 50001 cells would take 0.8 GB
+            ref = np.concatenate([broadcast_log_partition_pure(N, fields[i:i + 64])
+                                  for i in range(0, max(1, n_fields), 64)])
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("N", [4002, 4003, 12345, 10**5])
+    def test_windows_hold_every_atom_that_survives_exp(self, N):
+        # every atom outside a field's window lies more than _WINDOW_DROP
+        # below the row's maximum, and the window's end atoms do not
+        k = np.arange(N // 2 + 1)
+        base = matching_count_log(N, k) - k * math.log(N)
+        s = N - 2.0 * k
+        fields = np.concatenate([np.random.default_rng(N).uniform(-30.0, 30.0, 200),
+                                 [-800.0, -30.0, -1e-9, 0.0, 1e-9, 30.0, 800.0]])
+        lo, hi, peak = exact._pure_windows(base, s, fields)
+        for h, a, b, top in zip(fields, lo, hi, peak):
+            row = h * s + base
+            assert top == row.max()
+            inside = np.zeros(len(k), dtype=bool)
+            inside[a:b] = True
+            assert np.all(row[~inside] < top - exact._WINDOW_DROP)
+            assert row[a] >= top - exact._WINDOW_DROP <= row[b - 1]
 
     @pytest.mark.parametrize("N", [2, 51, 10**4])
     def test_scalar_field_returns_float(self, N):
@@ -523,6 +583,42 @@ class TestSmoothedDensity:
     def test_requires_positive_coupling(self):
         with pytest.raises(ValueError):
             SmoothedDensity(10, ModelParams(0.0, 0.0))
+
+    @pytest.mark.parametrize("N", [20, 10**4])
+    @pytest.mark.parametrize("count", [
+        lambda rows: 1, lambda rows: rows - 1, lambda rows: rows,
+        lambda rows: rows + 1, lambda rows: 201,
+    ], ids=["1", "rows-1", "rows", "rows+1", "201"])
+    def test_log_mixture_blocks_match_one_broadcast(self, N, count):
+        sd = SmoothedDensity(N, ModelParams(0.0, 1.0), eta=0.5, u=0.6)
+        # rows: the number of points log_mixture puts in one block
+        n_points = count(max(1, exact._CELLS // len(sd.component_means)))
+        xs = np.linspace(-8.0, 6.0, n_points)
+        z = xs[:, None] - sd.component_means[None, :]
+        expo = -(z * z) / (2.0 * sd.component_var)
+        log_p = sd.law.log_weights - sd.law.log_Z
+        ref = (logsumexp(log_p[None, :] + expo, axis=1)
+               - 0.5 * math.log(2.0 * math.pi * sd.component_var))
+        got = sd.log_mixture(xs)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_normalizer_at_1e5_in_bounded_memory(self):
+        # log_partition_pure takes one row of 50001 atoms per field at this N;
+        # peak RSS as VmHWM, as in test_law_at_1e8_in_bounded_memory
+        code = (
+            "from imd.exact import SmoothedDensity\n"
+            "from imd.thermo import ModelParams\n"
+            "print(SmoothedDensity(10**5, ModelParams(0.0, 1.0)).log_normalizer)\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(status.split()[0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True).stdout.split()
+        assert math.isfinite(float(out[0]))
+        assert int(out[1]) < 200 * 1024  # kB
 
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_underflowing_atoms_at_large_n(self, eta):
