@@ -16,6 +16,14 @@ curvature.  For Psi_N the maximizer satisfies xhat^2 + e^h xhat - 1 = 0, the
 peak height is p0(h) and the curvature is g(h) - 2, which ties the quadrature,
 the combinatorial partition function and the closed-form thermodynamics into
 one consistency loop.
+
+Psi_N changes sign once, at x = -e^h, and |Psi_N| has one maximum on each
+side: at xhat, and at the other root -1/xhat of the same quadratic.  The
+quadrature integrates the two lobes as separate pieces, the left one with
+sign (-1)^N.  The Laplace asymptote is the right lobe's: the left lobe's
+share of the integral, e^{N (peak- - peak+)}, vanishes as N grows.  For odd
+N at very negative h the lobes nearly cancel, and the quadrature raises
+IntegrationDomainError rather than return digits it does not have.
 """
 
 from __future__ import annotations
@@ -26,10 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 from .exact import log_partition_pure
-from .quadrature import IntegrationDomainError, peaked_components, signed_log_integral
+from .quadrature import (TAIL_DROP, IntegrationDomainError, peaked_components,
+                         signed_log_integral)
 from .thermo import ModelParams, g, p0, tilde_p
 
 __all__ = [
@@ -50,16 +58,18 @@ class LaplaceConditionError(ValueError):
 
 @dataclass(frozen=True)
 class IntegrandFamily:
-    """Family psi_n with log|psi_n| and sign supplied as vectorized callables.
+    """Family psi_n with log|psi_n| supplied as a vectorized callable.
 
     ``window`` is a compact interval known to contain the maximizer of
-    log psi_n, on which psi_n > 0.  Analytic derivatives of log psi_n are
-    optional; finite differences are used when they are absent.
+    log psi_n, on which psi_n > 0.  Without a ``cut``, psi_n > 0 everywhere.
+    A family with a ``cut`` is Psi's: psi_n > 0 right of the cut, psi_n < 0
+    left of it.  Analytic derivatives of log psi_n are optional; finite
+    differences are used when they are absent.
     """
 
     log_abs: Callable[[int, np.ndarray], np.ndarray]
     window: tuple[float, float]
-    sign: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    cut: float | None = None
     dlog: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     d2log: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
@@ -73,9 +83,6 @@ def psi_family(u: float) -> IntegrandFamily:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(x + a)) - x * x / 2.0
 
-    def sign(n, x):
-        return np.sign(x + a)
-
     def dlog(n, x):
         return 1.0 / (x + a) - x
 
@@ -85,37 +92,43 @@ def psi_family(u: float) -> IntegrandFamily:
     # the maximizer xhat = e^{-u} g(u) lies well inside this window
     xhat = math.exp(-u) * g(u)
     window = (xhat / 4.0, xhat + 1.0)
-    return IntegrandFamily(log_abs=log_abs, window=window, sign=sign, dlog=dlog, d2log=d2log)
+    return IntegrandFamily(log_abs=log_abs, window=window, cut=-a, dlog=dlog, d2log=d2log)
+
+
+# odd n: the lobes converge to 1e-12 relative each, so I+ - I- carries the
+# 1e-8 that criterion 3 gates only while it is at least 1e-4 of I+ + I-
+_CANCELLATION = 1e-4
 
 
 def _integration_pieces(family: IntegrandFamily, n: int):
-    """Integration domain for psi_n^n: the span of the region where n log|psi_n|
-    lies within quadrature.TAIL_DROP of its peak, split at sign changes."""
+    """Integration domain for psi_n^n as (a, b, sign) pieces: on each side of
+    the cut, the span where n log|psi_n| lies within quadrature.TAIL_DROP of
+    that side's peak, clipped at the cut.
 
-    def nlog(x):
-        return n * np.asarray(family.log_abs(n, x), dtype=np.float64)
+    Psi's lobes peak at the roots x+ = 1/t and x- = -t of x^2 + a x - 1 = 0,
+    t = (a + sqrt(a^2 + 4))/2, with heights -log|x| - x^2/2 since
+    x (x + a) = 1.  The right lobe comes first; the left lobe, of sign
+    (-1)^n, is left out when its peak is TAIL_DROP below the right one's.
+    """
 
-    a, b = family.window
-    pieces = peaked_components(nlog, a, b)
-    lo, hi = pieces[0][0], pieces[-1][1]
+    cut = -math.inf if family.cut is None else family.cut
 
-    if family.sign is None:
-        return [(lo, hi)]
-    probe = np.linspace(lo, hi, 4097)
-    s = np.asarray(family.sign(n, probe), dtype=np.float64)
-    flips = np.flatnonzero(np.diff(np.sign(s + 0.5)) != 0)  # treat 0 as negative side
-    cuts = [lo]
-    for j in flips:
-        left, right = probe[j], probe[j + 1]
-        for _ in range(60):  # bisect the flip point
-            mid = 0.5 * (left + right)
-            if family.sign(n, np.asarray([mid]))[0] == s[j]:
-                left = mid
-            else:
-                right = mid
-        cuts.append(0.5 * (left + right))
-    cuts.append(hi)
-    return list(zip(cuts[:-1], cuts[1:]))
+    def span(lo, hi, side):
+        def nlog(x):  # -inf off this side of the cut
+            vals = n * np.asarray(family.log_abs(n, x), dtype=np.float64)
+            return np.where(side * (x - cut) > 0, vals, -np.inf)
+
+        pieces = peaked_components(nlog, lo, hi)
+        lo, hi = pieces[0][0], pieces[-1][1]
+        return (max(lo, cut), hi) if side > 0 else (lo, min(hi, cut))
+
+    pieces = [(*span(*family.window, 1), 1.0)]
+    if family.cut is not None:
+        t = (-cut + math.hypot(cut, 2.0)) / 2.0
+        gap = 2.0 * math.log(t) + (t * t - 1.0 / (t * t)) / 2.0  # peak+ - peak-
+        if n * gap <= TAIL_DROP:
+            pieces.append((*span(-t - 1.0, cut, -1), (-1.0) ** n))
+    return pieces
 
 
 def _check_size(n: int) -> None:
@@ -124,28 +137,26 @@ def _check_size(n: int) -> None:
 
 
 def quad_log_integral(family: IntegrandFamily, n: int) -> float:
-    """log of integral psi_n(x)^n dx by signed, shifted-log quadrature;
-    ValueError for n < 1."""
+    """log of integral psi_n(x)^n dx by shifted-log quadrature, one piece per
+    lobe; ValueError for n < 1, IntegrationDomainError when the lobes cancel
+    to below _CANCELLATION of their sum."""
     _check_size(n)
-    pieces = _integration_pieces(family, n)
-    logs, signs = [], []
-    for a, b in pieces:
-        la, sg = signed_log_integral(
-            lambda x: n * np.asarray(family.log_abs(n, x), dtype=np.float64),
-            a,
-            b,
-            sign_f=(None if family.sign is None
-                    else (lambda x: np.asarray(family.sign(n, x), dtype=np.float64) ** n)),
-        )
-        if math.isfinite(la):
-            logs.append(la)
-            signs.append(sg)
-    if not logs:
+
+    def nlog(x):
+        return n * np.asarray(family.log_abs(n, x), dtype=np.float64)
+
+    lobes = [(signed_log_integral(nlog, a, b)[0], sign)
+             for a, b, sign in _integration_pieces(family, n)]
+    top = max(la for la, _ in lobes)
+    if not math.isfinite(top):
         raise IntegrationDomainError("integrand vanished on the whole domain")
-    total_log, total_sign = logsumexp(logs, b=signs, return_sign=True)
-    if total_sign <= 0:
-        raise IntegrationDomainError("integral of psi_n^n is not positive")
-    return float(total_log)
+    net = sum(sign * math.exp(la - top) for la, sign in lobes)
+    gross = sum(math.exp(la - top) for la, _ in lobes)
+    if net < _CANCELLATION * gross:
+        raise IntegrationDomainError(
+            f"the two lobes of psi_n^n cancel to {net / gross:.2g} of their sum "
+            f"(N={n}): the quadrature cannot resolve the difference")
+    return top + math.log(net)
 
 
 def gaussian_rep_log_partition(N: int, h: float) -> float:

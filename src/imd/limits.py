@@ -91,9 +91,7 @@ class ScaledLaw:
 
     def write_csv(self, fh) -> None:
         def atoms(i):
-            pos = self._positions_at(i)
-            s = np.rint(pos * self.N**self.eta + self.N * self.u).astype(int)
-            return (self.N - s) // 2, s, pos
+            return self.N // 2 - i, self.N % 2 + 2 * i, self._positions_at(i)
 
         exact._write_atom_csv(fh, "position", atoms, self.probabilities, self.lo, self.hi)
 

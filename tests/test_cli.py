@@ -11,11 +11,11 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imd import phase
 from imd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from imd.exact import monomer_law
+from imd.exact import log_partition_pure, monomer_law
 from imd.limits import scaled_law
 from imd.thermo import ModelParams, g
 
@@ -231,6 +231,14 @@ class TestLaplaceCommand:
         code, _, _ = run_cli(capsys, "laplace", "--N", "10,xyz")
         assert code == EXIT_USAGE
 
+    def test_cancelling_lobes_are_domain_error(self, capsys):
+        # odd N at very negative h: Psi's two lobes cancel to about 1e-13
+        code, out, err = run_cli(capsys, "laplace", "--N", "1", "--h", "-30")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "cancel" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n", ["-3", "0"])
     def test_non_positive_size_is_domain_error(self, capsys, n):
         code, out, err = run_cli(capsys, "laplace", f"--N={n}")
@@ -298,6 +306,8 @@ numeric_argv = st.one_of(
 class TestNumericFlags:
     @settings(max_examples=200)
     @given(numeric_argv)
+    @example(("laplace", ("N", "101"), ("h", -4.0)))  # left lobe outside the right's domain
+    @example(("laplace", ("N", "100"), ("h", -6.0)))
     def test_every_value_gets_an_exit_code(self, drawn):
         # --flag=value, so that argparse reads "-1e-05" as a value, not a flag
         command, *flags = drawn
@@ -310,6 +320,14 @@ class TestNumericFlags:
                 code = exc.code
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if command == "laplace" and code == EXIT_OK:
+            # every row is the Gaussian representation of log Z0_N(h)
+            h = dict(flags)["h"]
+            for row in out.getvalue().splitlines()[1:]:
+                n, log_quad = row.split(",")[:2]
+                gap = (float(log_quad) + 0.5 * math.log(int(n) / (2.0 * math.pi))
+                       - log_partition_pure(int(n), h))
+                assert abs(gap) < 1e-8, (argv, row)
 
 
 class TestNearCritical:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from imd.exact import log_partition_pure
 from imd.laplace import (
@@ -16,6 +17,7 @@ from imd.laplace import (
     pure_asymptote_ratio,
     quad_log_integral,
 )
+from imd.quadrature import IntegrationDomainError
 from imd.thermo import ModelParams, g, p0
 
 from oracles import fixed_point_density
@@ -39,6 +41,22 @@ class TestQuadLogIntegral:
         val = 0.5 * math.log(4.0 / (2.0 * math.pi)) + quad_log_integral(psi_family(0.0), 4)
         assert abs(math.exp(val) - 2.6875) < 1e-9 * 2.6875
 
+    def test_matches_scipy_on_signed_integrand(self):
+        # (x + 0.1)^3 e^{-3 x^2 / 2}: genuinely signed, both lobes comparable
+        def integrand(x):
+            return (x + 0.1) ** 3 * math.exp(-1.5 * x * x)
+
+        ref = quad(integrand, -10, 10, epsabs=1e-14)[0]
+        val = quad_log_integral(psi_family(math.log(0.1)), 3)
+        assert ref > 0.0
+        assert abs(math.exp(val) - ref) < 1e-13
+
+    def test_cancelling_lobes_are_domain_error(self):
+        # at a = e^-30 the lobes of the odd integrand cancel to about 1e-13
+        # of their sum, far below what the lobes' quadrature resolves
+        with pytest.raises(IntegrationDomainError, match="cancel"):
+            quad_log_integral(psi_family(-30.0), 1)
+
 
 class TestGaussianRepresentation:
     @pytest.mark.parametrize("N", [2, 4, 10, 50, 100, 101])
@@ -49,6 +67,14 @@ class TestGaussianRepresentation:
 
     def test_two_sites_closed_form(self):
         assert abs(gaussian_rep_log_partition(2, 0.0) - math.log(1.5)) < 1e-12
+
+    @pytest.mark.parametrize("N", [100, 101, 1000, 1001])
+    @pytest.mark.parametrize("h", [-8.0, -5.0])
+    def test_left_lobe_is_counted(self, N, h):
+        # the left lobe, below x = -e^h, carries weight comparable to the
+        # right one here; a domain grown from the right lobe alone misses it
+        diff = abs(gaussian_rep_log_partition(N, h) - log_partition_pure(N, h))
+        assert diff < 1e-8, f"N={N}, h={h}: diff={diff:.2e}"
 
     def test_odd_N_sign_handling(self):
         # for odd N the integrand is negative left of x = -e^h; the signed

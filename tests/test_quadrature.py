@@ -4,14 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from imd.quadrature import (
     IntegrationDomainError,
-    PrecisionWarning,
     log_integral,
     peaked_components,
-    signed_log_integral,
 )
 
 
@@ -29,30 +26,6 @@ class TestLogIntegral:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             log_integral(lambda x: -x * x, 1.0, 1.0)
-
-
-class TestSignedIntegral:
-    def test_matches_scipy_on_signed_integrand(self):
-        # (x + 0.1)^3 e^{-3 x^2 / 2}: genuinely signed, both lobes comparable
-        def integrand(x):
-            return (x + 0.1) ** 3 * math.exp(-1.5 * x * x)
-
-        ref = quad(integrand, -10, 10, epsabs=1e-14)[0]
-        log_abs, sign = signed_log_integral(
-            lambda x: 3.0 * (np.log(np.abs(x + 0.1)) - x * x / 2.0),
-            -10.0,
-            10.0,
-            sign_f=lambda x: np.sign(x + 0.1) ** 3,
-        )
-        assert sign == math.copysign(1.0, ref)
-        assert abs(sign * math.exp(log_abs) - ref) < 1e-13
-
-    def test_cancellation_warns(self):
-        # odd integrand: exact cancellation between the two lobes
-        with pytest.warns(PrecisionWarning):
-            signed_log_integral(
-                lambda x: -x * x / 2.0, -8.0, 8.0, sign_f=lambda x: np.sign(x)
-            )
 
 
 class TestWindowTools:
