@@ -16,10 +16,13 @@ more than 750 below the largest has probability exactly 0 in double precision
 (exp underflows below -745.2).  ``monomer_law`` finds that window with the
 package's tail finder, ``quadrature.peaked_components``, on the continuous
 (gammaln) log weight, and evaluates gammaln, exp and the normalization only
-inside it: O(sqrt(N)) atoms away from coexistence.  The full-support arrays
-of ``MonomerLaw`` keep one entry per atom and are evaluated outside the window
-only when read.  ``log_partition_pure`` evaluates each field's window in
-the same way, found on the atoms since the J = 0 weights are log-concave in k.
+inside it: O(sqrt(N)) atoms away from coexistence.  At coexistence the
+window is one interval per phase: two intervals around the valley between
+the phases, whose atoms lie more than 750 below both peaks, or one when the
+two meet.  The full-support arrays of ``MonomerLaw`` keep one entry per atom
+and are evaluated outside the window, the valley included, only when read.
+``log_partition_pure`` evaluates each field's window in the same way, found
+on the atoms since the J = 0 weights are log-concave in k.
 The atom CSV writer streams its rows to the output in chunks of _CSV_ROWS,
 evaluating the columns outside the window chunk by chunk, so writing a law
 takes O(_CSV_ROWS) memory beyond its probabilities.
@@ -73,23 +76,28 @@ def matching_count_log(N: int, k) -> float:
 class MonomerLaw:
     """Exact law of the monomer count S_N = N - 2k under the Gibbs measure.
 
-    Probability sits on the window of dimer counts lo <= k < hi, whose log
-    weights are ``window_log_weights``.  ``probabilities`` and ``log_weights``
-    hold one entry per atom k = 0..N//2: the first is zero outside the window,
-    the second is evaluated there on first read.  The constructor takes the
-    window's log weights, every atom's probability and lo; given every atom's
-    log weight (lo = 0), the window is the whole support.
+    Probability sits on the window of dimer counts lo <= k < hi, less the
+    ``valley`` [a, b) when that is not None: at coexistence the window is two
+    intervals, [lo, a) and [b, hi), and the atoms between them have
+    probability 0.  ``window_log_weights`` are the log weights of the window's
+    atoms, in increasing k, the valley's left out.  ``probabilities`` and
+    ``log_weights`` hold one entry per atom k = 0..N//2: the first is zero
+    outside the window, the second is evaluated there (the valley included)
+    on first read.  The constructor takes the window's log weights, every
+    atom's probability, lo and the valley; given every atom's log weight
+    (lo = 0, no valley), the window is the whole support.
     """
 
     def __init__(self, N: int, params: ModelParams, log_weights, log_Z: float,
-                 probabilities, lo: int = 0):
+                 probabilities, lo: int = 0, valley: tuple[int, int] | None = None):
         self.N = N
         self.params = params
         self.log_Z = log_Z
         self.probabilities = probabilities
         self.window_log_weights = log_weights
         self.lo = lo
-        self.hi = lo + len(log_weights)
+        self.valley = valley
+        self.hi = lo + len(log_weights) + (0 if valley is None else valley[1] - valley[0])
         self._full_log_weights = log_weights if len(log_weights) == len(probabilities) else None
 
     def _log_weights_at(self, k):
@@ -227,19 +235,21 @@ def _valley(N: int, params: ModelParams) -> float | None:
     return brentq(d1, k1, k2)
 
 
-def _window(N: int, params: ModelParams) -> tuple[int, int]:
-    """[lo, hi): the dimer counts whose log weight may lie within
-    _WINDOW_DROP of the largest; every other atom's probability is 0.
+def _window(N: int, params: ModelParams) -> list[tuple[int, int]]:
+    """The disjoint, increasing intervals [lo, hi) of dimer counts whose log
+    weight may lie within _WINDOW_DROP of the largest, one or two; every other
+    atom's probability is 0.
 
     The log weight is split at its valley into unimodal sides, and on each
     side peaked_components returns grid points below its grid peak minus the
     drop on both flanks of the peak, so every atom beyond them is lower still.
     A side whose atoms all lie more than the drop below the other's is left
-    out.  Up to N_PROBE atoms the window is the whole support.
+    out; two kept sides give two intervals around the valley, or one when
+    they touch.  Up to N_PROBE atoms the window is the whole support.
     """
     size = N // 2 + 1
     if size <= N_PROBE:
-        return 0, size
+        return [(0, size)]
     valley = _valley(N, params)
     sides = [(0.0, N / 2.0)] if valley is None else [(0.0, valley), (valley, N / 2.0)]
     windows = []
@@ -255,35 +265,41 @@ def _window(N: int, params: ModelParams) -> tuple[int, int]:
         hi = min(size, math.ceil(pieces[-1][1]) + 1)
         windows.append((lo, hi, float(np.max(_log_weights(N, params, np.arange(lo, hi))))))
     top = max(w[2] for w in windows)
-    kept = [w for w in windows if w[2] > top - _WINDOW_DROP]
-    return kept[0][0], kept[-1][1]
+    kept = [w[:2] for w in windows if w[2] > top - _WINDOW_DROP]
+    if len(kept) == 2 and kept[0][1] >= kept[1][0]:
+        kept = [(kept[0][0], kept[1][1])]
+    return kept
 
 
 def monomer_law(N: int, params: ModelParams) -> MonomerLaw:
     """Construct the exact monomer-count law for system size N.
 
     log Z is scipy's logsumexp formula (_log_total) with its sum run over a
-    full-support array that is zero outside the window, as is the
-    normalizing sum of the probabilities: NumPy's pairwise summation then
-    sees the same layout as on the full support, so every bit is the same as
-    there while only the window's pages are written.
+    full-support array that is zero outside the window's one or two
+    intervals, as is the normalizing sum of the probabilities: NumPy's
+    pairwise summation then sees the same layout as on the full support, so
+    every bit is the same as there while only the window's pages are written.
     """
     if N < 1:
         raise ValueError(f"system size must be positive, got N={N}")
-    lo, hi = _window(N, params)
-    log_w = _log_weights(N, params, np.arange(lo, hi))
-    w_max = np.max(log_w)
-    at_max = log_w == w_max
-    count = np.float64(np.count_nonzero(at_max))
+    windows = _window(N, params)
+    log_ws = [_log_weights(N, params, np.arange(c, d)) for c, d in windows]
+    w_max = max(np.max(lw) for lw in log_ws)
+    count = np.float64(sum(np.count_nonzero(lw == w_max) for lw in log_ws))
     probs = np.zeros(N // 2 + 1)
-    window = probs[lo:hi]
-    np.exp(log_w - w_max, out=window)
-    window[at_max] = 0.0
+    parts = [(probs[c:d], lw) for (c, d), lw in zip(windows, log_ws)]
+    for part, lw in parts:
+        np.exp(lw - w_max, out=part)
+        part[lw == w_max] = 0.0
     log_Z = float(_log_total(probs.sum(), count, w_max))
-    np.exp(log_w - log_Z, out=window)
-    window /= probs.sum()
-    return MonomerLaw(N=N, params=params, log_weights=log_w, log_Z=log_Z,
-                      probabilities=probs, lo=lo)
+    for part, lw in parts:
+        np.exp(lw - log_Z, out=part)
+    total = probs.sum()
+    for part, _ in parts:
+        part /= total
+    valley = (windows[0][1], windows[1][0]) if len(windows) == 2 else None
+    return MonomerLaw(N=N, params=params, log_weights=np.concatenate(log_ws), log_Z=log_Z,
+                      probabilities=probs, lo=windows[0][0], valley=valley)
 
 
 def log_partition(N: int, params: ModelParams) -> float:
@@ -318,13 +334,12 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     the full-support layout, as in monomer_law.  A block with a field whose
     peak log weight is not finite takes the full rows."""
     hs = np.atleast_1d(np.asarray(fields, dtype=np.float64))
-    k = np.arange(N // 2 + 1)
-    base = matching_count_log(N, k) - k * math.log(N)
-    s = N - 2.0 * k
-    rows = max(1, _CELLS // len(k))
+    base, s = _pure_atoms(N)
+    n = len(s)
+    rows = max(1, _CELLS // n)
     out = np.empty(len(hs))
-    block = np.empty((min(rows, len(hs)), len(k)))
-    windowed = len(k) > N_PROBE
+    block = np.empty((min(rows, len(hs)), n))
+    windowed = n > N_PROBE
     if windowed:
         lo, hi, peak = _pure_windows(base, s, hs)
     for i in range(0, len(hs), rows):
@@ -334,12 +349,19 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
             a[:, :a0] = 0.0
             a[:, b0:] = 0.0
         else:
-            a0, b0 = 0, len(k)
+            a0, b0 = 0, n
         w = a[:, a0:b0]
         np.multiply(hs[i:i + rows, None], s[a0:b0], out=w)
         w += base[a0:b0]
         out[i:i + rows] = _logsumexp_rows(a, a0, b0)
     return float(out[0]) if np.ndim(fields) == 0 else out
+
+
+def _pure_atoms(N: int):
+    """base = log C(N, k) - k log N and s = N - 2k at every atom k: the J = 0
+    log weight at field h is base + h s."""
+    k = np.arange(N // 2 + 1)
+    return matching_count_log(N, k) - k * math.log(N), N - 2.0 * k
 
 
 def _pure_windows(base, s, hs):
@@ -356,8 +378,7 @@ def _pure_windows(base, s, hs):
     finds where it crosses the threshold, evaluating base + h s at the atoms
     with the same floating-point operations as the block."""
     n = len(base)
-    top = np.searchsorted(-np.diff(base), -2.0 * hs)
-    peak = hs * s[top] + base[top]
+    top, peak = _pure_peaks(base, s, hs)
     floor = peak - _WINDOW_DROP
 
     def first(a, b, below):
@@ -374,6 +395,13 @@ def _pure_windows(base, s, hs):
             a = np.where(active & ~hit, mid + 1, a)
 
     return first(np.zeros_like(top), top, False), first(top + 1, np.full_like(top, n), True), peak
+
+
+def _pure_peaks(base, s, hs):
+    """The peak atom k* of base + h s for every field h (the number of its
+    increments above 2h), and the value there, by the block's operations."""
+    top = np.searchsorted(-np.diff(base), -2.0 * hs)
+    return top, hs * s[top] + base[top]
 
 
 def _logsumexp_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -505,17 +533,25 @@ class SmoothedDensity:
     # -- mixture route -----------------------------------------------------
     def log_mixture(self, x):
         """log of the mixture density at x, in blocks of
-        max(1, _CELLS // len(component_means)) points: scipy's logsumexp
-        reduces each point's row on its own, so the blocks give the bits of
-        one points x components broadcast in O(_CELLS) memory."""
+        max(1, _CELLS // len(component_means)) points built in one reused
+        buffer and reduced by _logsumexp_rows: scipy's logsumexp reduces each
+        point's row on its own, so the blocks give the bits of one points x
+        components broadcast in O(_CELLS) memory."""
         xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
         log_p = self.law.log_weights - self.law.log_Z
-        rows = max(1, _CELLS // len(self.component_means))
+        n = len(self.component_means)
+        rows = max(1, _CELLS // n)
         out = np.empty(len(xx))
+        block = np.empty((min(rows, len(xx)), n))
         for i in range(0, len(xx), rows):
-            z = xx[i:i + rows, None] - self.component_means[None, :]
-            expo = -(z * z) / (2.0 * self.component_var)
-            out[i:i + rows] = logsumexp(log_p[None, :] + expo, axis=1)
+            # -(x - mean)^2 / (2 var) + log p, the operations in that order
+            a = block[:min(rows, len(xx) - i)]
+            np.subtract(xx[i:i + rows, None], self.component_means, out=a)
+            np.multiply(a, a, out=a)
+            np.negative(a, out=a)
+            a /= 2.0 * self.component_var
+            a += log_p
+            out[i:i + rows] = _logsumexp_rows(a, 0, n)
         out -= 0.5 * math.log(2.0 * math.pi * self.component_var)
         return out[0] if np.ndim(x) == 0 else out
 
@@ -533,7 +569,16 @@ class SmoothedDensity:
     def log_normalizer(self) -> float:
         """log C_N with C_N^{-1} = integral of exp(N F_N(x/N^eta + u)) dx."""
         if self._log_norm is None:
-            pieces = peaked_components(self._n_log_shape, -1.0, 2.0)
+            # the probe's bound: log Z0_N(h) is at most the peak log weight
+            # at h plus log(N//2 + 1); the 1 added covers the rounding
+            base, s = _pure_atoms(self.N)
+            slack = math.log(len(s)) + 1.0
+
+            def upper(y):
+                fields = 2.0 * self.params.J * y + self.params.h - self.params.J
+                return -self.N * self.params.J * y * y + (_pure_peaks(base, s, fields)[1] + slack)
+
+            pieces = peaked_components(self._n_log_shape, -1.0, 2.0, upper=upper)
             if not pieces:
                 raise ValueError("normalization failed: no density mass located")
             log_int_y = logsumexp([log_integral(self._n_log_shape, a, b) for a, b in pieces])

@@ -29,6 +29,7 @@ IntegrationDomainError rather than return digits it does not have.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -74,9 +75,18 @@ class IntegrandFamily:
     d2log: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
 
+# e^u and e^{-u} are doubles only for |u| below log(DBL_MAX) = 709.78...
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def psi_family(u: float) -> IntegrandFamily:
     """The monomer-dimer family Psi_n(x) = (x + a) e^{-x^2/2} with a = exp(u),
-    the same for every n."""
+    the same for every n; ValueError unless |u| < log(DBL_MAX)."""
+    if not abs(u) < _LOG_MAX:
+        raise ValueError(
+            f"field h={u!r} is outside the representable range |h| < "
+            f"{_LOG_MAX:.6g} (log of the largest double): exp(h) or exp(-h) "
+            f"overflows")
     a = math.exp(u)
 
     def log_abs(n, x):
@@ -87,7 +97,10 @@ def psi_family(u: float) -> IntegrandFamily:
         return 1.0 / (x + a) - x
 
     def d2log(n, x):
-        return -1.0 / (x + a) ** 2 - 1.0
+        # (x + a)^2 overflows to inf from u of about 355: the value is then
+        # its limit -1
+        with np.errstate(over="ignore"):
+            return -1.0 / (x + a) ** 2 - 1.0
 
     # the maximizer xhat = e^{-u} g(u) lies well inside this window
     xhat = math.exp(-u) * g(u)

@@ -49,16 +49,18 @@ class ScaledLaw:
     """Atoms of (S_N - N u)/N^eta in increasing order, with the exact Gibbs
     probabilities.
 
-    Probability sits on the window of atoms lo <= i < hi, at
-    ``window_positions``.  ``positions`` and ``probabilities`` hold every atom
-    of the support: the second is zero outside the window, the first is
-    evaluated there on first read.  The constructor takes the window's
-    positions, every atom's probability and lo; given every atom's position
-    (lo = 0), the window is the whole support.
+    Probability sits on the atoms lo <= i < hi, at ``window_positions``,
+    less the ``valley`` [a, b) of zero-probability atoms between the two
+    phases when that is not None.  ``positions`` and ``probabilities`` hold
+    every atom of the support: the second is zero outside [lo, hi), the first
+    is evaluated there on first read.  The constructor takes the positions of
+    [lo, hi), every atom's probability, lo and the valley; given every atom's
+    position (lo = 0), [lo, hi) is the whole support.
     """
 
     def __init__(self, N: int, params: ModelParams, eta: float, u: float,
-                 positions, probabilities, lo: int = 0):
+                 positions, probabilities, lo: int = 0,
+                 valley: tuple[int, int] | None = None):
         self.N = N
         self.params = params
         self.eta = eta
@@ -67,6 +69,7 @@ class ScaledLaw:
         self.window_positions = positions
         self.lo = lo
         self.hi = lo + len(positions)
+        self.valley = valley
         self._positions = positions if len(positions) == len(probabilities) else None
 
     def _positions_at(self, i):
@@ -117,8 +120,10 @@ def scaled_law(N: int, params: ModelParams, eta: float, u: float) -> ScaledLaw:
     s = N - 2 * np.arange(law.hi - 1, law.lo - 1, -1)
     probs = np.zeros(size)
     probs[lo:hi] = law.probabilities[law.lo:law.hi][::-1]
+    valley = None if law.valley is None else (size - law.valley[1], size - law.valley[0])
     return ScaledLaw(N=N, params=params, eta=eta, u=u,
-                     positions=(s - N * u) / N**eta, probabilities=probs, lo=lo)
+                     positions=(s - N * u) / N**eta, probabilities=probs, lo=lo,
+                     valley=valley)
 
 
 # --------------------------------------------------------------------------
@@ -216,9 +221,10 @@ def ks_distance(scaled: ScaledLaw, law) -> float:
     limiting law: the supremum is attained at a jump point of either CDF, so
     left and right limits are compared at all such points.
 
-    Outside the window the atoms form two runs of zero probability on which
+    Outside [lo, hi) the atoms form two runs of zero probability on which
     the discrete CDF is constant (0 below; above, the window's total, and 1 at
-    the last atom); every limit CDF is monotone, so the supremum over a run is
+    the last atom), and the valley between two phases is a third (the mass
+    below it); every limit CDF is monotone, so the supremum over a run is
     reached at its end atoms, and only those are evaluated."""
     lo, hi = scaled.lo, scaled.hi
     last = len(scaled.probabilities) - 1
@@ -227,11 +233,17 @@ def ks_distance(scaled: ScaledLaw, law) -> float:
     if hi > last:
         right[-1] = 1.0
     left = right - p
+    pos = scaled.window_positions
+    if scaled.valley is not None:
+        # the cumulative sums are flat across the valley: keep its end atoms
+        a, b = scaled.valley[0] - lo, scaled.valley[1] - lo
+        keep = np.r_[:a + 1, b - 1:hi - lo]
+        right, left, pos = right[keep], left[keep], pos[keep]
     ends = np.array(sorted({i for i in (0, lo - 1, hi, last - 1, last)
                             if 0 <= i < lo or hi <= i <= last}), dtype=np.int64)
     flat = np.where(ends < lo, 0.0, right[-1])
     flat[ends == last] = 1.0
-    pos = np.concatenate([scaled.window_positions, scaled._positions_at(ends)])
+    pos = np.concatenate([pos, scaled._positions_at(ends)])
     right = np.concatenate([right, flat])
     left = np.concatenate([left, flat])
     lim_at = np.asarray(law.cdf(pos), dtype=np.float64)

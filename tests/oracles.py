@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the definitions, not against
 the library's formulas: matchings are enumerated as explicit edge sets, and
-partition functions are summed term by term in plain floats.  The one
-exception, ``full_support_law``, is the monomer law evaluated on every atom,
-the reference for the windowed law.
+partition functions are summed term by term in plain floats.  The
+exceptions, ``full_support_law``, ``full_support_scaled`` and
+``full_support_ks``, are the monomer law, its scaled atoms and the KS
+distance evaluated on every atom: the references for the windowed law.
 """
 
 import itertools
@@ -70,6 +71,42 @@ def full_support_law(n, h, J):
     probs = np.exp(log_w - log_z)
     probs /= probs.sum()
     return log_w, log_z, probs
+
+
+def full_support_scaled(n, params, eta, u):
+    """Positions and probabilities of every atom, in increasing order."""
+    _, _, probs = full_support_law(n, params.h, params.J)
+    s = n - 2 * np.arange(n // 2 + 1)
+    return ((s - n * u) / n**eta)[::-1].copy(), probs[::-1].copy()
+
+
+def full_support_ks(pos, probs, law):
+    """KS distance over every atom: CDF limits at each one, and a mask over
+    the whole support for the masses below a limit law's atoms."""
+    right = np.cumsum(probs)
+    right[-1] = 1.0
+    left = right - probs
+    lim_at = np.asarray(law.cdf(pos), dtype=np.float64)
+    atoms = getattr(law, "atoms", ())
+    if not atoms:
+        return min(max(float(np.max(np.abs(right - lim_at))),
+                       float(np.max(np.abs(left - lim_at)))), 1.0)
+    lim_left = np.asarray(law.cdf(pos - np.spacing(np.abs(pos) + 1.0)))
+    d = [float(np.max(np.abs(right - lim_at))), float(np.max(np.abs(left - lim_left)))]
+    for a in atoms:
+        d.append(abs(float(np.sum(probs[pos < a]))
+                     - float(law.cdf(a - np.spacing(abs(a) + 1.0)))))
+        d.append(abs(float(np.sum(probs[pos <= a])) - float(law.cdf(a))))
+    return min(max(d), 1.0)
+
+
+def full_support_masses(n, params, cut):
+    """The two basin masses, the first summed over a mask of every atom
+    whose density lies below the cut."""
+    _, _, probs = full_support_law(n, params.h, params.J)
+    dens = (n - 2 * np.arange(n // 2 + 1)) / n
+    mass1 = float(np.sum(probs[dens < cut]))
+    return mass1, 1.0 - mass1
 
 
 def fixed_point_density(h, J, m0=0.5, sweeps=500):

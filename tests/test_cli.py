@@ -239,6 +239,26 @@ class TestLaplaceCommand:
         assert "cancel" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("h", ["355", "-355", "700", "-700", "709", "-709", "710",
+                                   "-710", "745", "-745", "800", "-800", "1e300", "-1e300"])
+    def test_extreme_fields_answer_or_name_the_range(self, h):
+        # e^h and e^-h are doubles only for |h| < log(DBL_MAX) = 709.78; from
+        # |h| of about 355, (x + e^h)^2 in the curvature overflows to inf
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["laplace", "--N", "1,2,10", f"--h={h}"])
+        assert code in (EXIT_OK, EXIT_DOMAIN), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if abs(float(h)) >= 710:
+            assert code == EXIT_DOMAIN
+            assert f"field h={float(h)!r} is outside the representable range" in err.getvalue()
+        elif float(h) > 0:
+            assert code == EXIT_OK, err.getvalue()
+            assert len(out.getvalue().splitlines()) == 4
+
     @pytest.mark.parametrize("n", ["-3", "0"])
     def test_non_positive_size_is_domain_error(self, capsys, n):
         code, out, err = run_cli(capsys, "laplace", f"--N={n}")

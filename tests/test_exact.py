@@ -31,6 +31,7 @@ from imd.exact import (
 )
 from imd.limits import ScaledLaw, scaled_law
 from imd.phase import classify
+from imd.quadrature import TAIL_DROP
 from imd.thermo import ModelParams, consistency_roots, g, g_derivative, p0
 
 from oracles import (
@@ -279,6 +280,78 @@ class TestWindow:
                              text=True, env=env, check=True).stdout.split()
         assert abs(float(out[0])) < 1e-12
         assert int(out[1]) < 200 * 1024  # kB
+
+
+@pytest.fixture(scope="module")
+def gamma_points():
+    """The coexistence points at J = 2, 5 and 8, keyed by J."""
+    return {p.J: p for p in phase.trace_gamma([2.0, 5.0, 8.0])}
+
+
+class TestTwoIntervalWindow:
+    """At coexistence the window is one interval per phase, with the valley
+    between them left unevaluated; everything the law reports must still be
+    what the full support gives."""
+
+    def test_gamma_2_at_1e6(self, gamma_points):
+        n, point = 10**6, gamma_points[2.0]
+        params = ModelParams(point.h, 2.0)
+        law = monomer_law(n, params)
+        log_w, log_z, probs = full_support_law(n, point.h, 2.0)
+        assert law.valley is not None
+        assert law.lo < law.valley[0] < law.valley[1] < law.hi
+        assert len(law.window_log_weights) <= 40000
+        assert law.hi - law.lo > 400000  # the hull the window no longer evaluates
+        assert law.log_Z == log_z
+        assert np.array_equal(law.probabilities, probs)
+        assert np.all(probs[law.valley[0]:law.valley[1]] == 0.0)
+        assert written_csv(law) == csv_writer_monomer_law(law)
+        assert np.array_equal(law.log_weights, log_w)
+        scaled = scaled_law(n, params, 1.0, 0.0)
+        assert written_csv(scaled) == csv_writer_scaled_law(scaled)
+
+    @pytest.mark.parametrize("J", [5.0, 8.0])
+    def test_wells_at_the_edges_at_1e6(self, gamma_points, J):
+        # the hull is (nearly) the whole support, the window a few thousand
+        # atoms: the log weights of the valley are evaluated on read, not
+        # taken from the window (they would read -inf, or be missing)
+        n, point = 10**6, gamma_points[J]
+        law = monomer_law(n, ModelParams(point.h, J))
+        log_w, log_z, probs = full_support_law(n, point.h, J)
+        assert law.valley is not None
+        assert len(law.window_log_weights) < 5000
+        assert law.log_Z == log_z
+        assert np.array_equal(law.probabilities, probs)
+        assert np.array_equal(law.log_weights, log_w)
+        assert written_csv(law) == csv_writer_monomer_law(law)
+
+    def test_side_windows_that_touch_merge(self, gamma_points):
+        # at N = 1e4 the barrier between the phases lies within the drop, so
+        # the two sides' windows meet and make one interval over both wells
+        n, point = 10**4, gamma_points[2.0]
+        params = ModelParams(point.h, 2.0)
+        assert exact._valley(n, params) is not None
+        windows = exact._window(n, params)
+        assert len(windows) == 1
+        law = monomer_law(n, params)
+        assert law.valley is None
+        assert len(law.window_log_weights) == law.hi - law.lo
+        wells = [round(n * (1.0 - m) / 2.0) for m in (point.m1, point.m2)]
+        assert all(law.lo <= k < law.hi for k in wells)
+        log_w, log_z, probs = full_support_law(n, point.h, 2.0)
+        assert law.log_Z == log_z
+        assert np.array_equal(law.probabilities, probs)
+        assert np.array_equal(law.log_weights, log_w)
+
+    def test_mgf_reads_the_valley(self, gamma_points):
+        # mgf_direct sums the full-support log weights: a tilt of the law
+        # must see the valley's atoms
+        n, point = 10**6, gamma_points[8.0]
+        params = ModelParams(point.h, 8.0)
+        log_w, log_z, _ = full_support_law(n, point.h, 8.0)
+        s = n - 2 * np.arange(n // 2 + 1)
+        ref = math.exp(float(logsumexp(log_w + 0.3 * s / n)) - log_z)
+        assert mgf_direct(n, params, 1.0, 0.0, 0.3) == ref
 
 
 class TestAtomCsv:
@@ -592,6 +665,9 @@ class TestSmoothedDensity:
         # rows: the number of points log_mixture puts in one block
         n_points = count(max(1, exact._CELLS // len(sd.component_means)))
         xs = np.linspace(-8.0, 6.0, n_points)
+        # far tails, where every component's exponent is large and negative
+        lo, hi = sd.component_means.min(), sd.component_means.max()
+        xs[::5] = np.linspace(lo - 50.0, hi + 50.0, len(xs[::5]))
         z = xs[:, None] - sd.component_means[None, :]
         expo = -(z * z) / (2.0 * sd.component_var)
         log_p = sd.law.log_weights - sd.law.log_Z
@@ -600,6 +676,43 @@ class TestSmoothedDensity:
         got = sd.log_mixture(xs)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("hJ", ["0, 1", "0.3, 0.5", "gamma(2), 2"])
+    @pytest.mark.parametrize("N", [4, 20, 100, 1000, 4003, 10**4])
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_bounded_probe_keeps_every_bit(self, monkeypatch, gamma_points, hJ, N, eta):
+        # log_normalizer's probe skips the points whose upper bound cannot
+        # reach the super-level set; the pieces and the normalizer must be
+        # those of the probe that evaluates every point
+        h, J = {"0, 1": (0.0, 1.0), "0.3, 0.5": (0.3, 0.5),
+                "gamma(2), 2": (gamma_points[2.0].h, 2.0)}[hJ]
+        real = exact.peaked_components
+        runs = {}
+
+        def spy(key, bounded):
+            def probe(log_f, lo, hi, drop=TAIL_DROP, upper=None):
+                if upper is None:  # monomer_law's window, beyond N_PROBE atoms
+                    return real(log_f, lo, hi, drop)
+                points = []
+
+                def counted(x):
+                    points.append(len(x))
+                    return log_f(x)
+
+                pieces = real(counted, lo, hi, drop, upper=upper if bounded else None)
+                runs[key] = pieces, sum(points)
+                return pieces
+            return probe
+
+        normalizers = {}
+        for bounded in (True, False):
+            monkeypatch.setattr(exact, "peaked_components", spy(bounded, bounded))
+            sd = SmoothedDensity(N, ModelParams(h, J), eta=eta, u=0.5)
+            normalizers[bounded] = sd.log_normalizer
+        assert runs[True][0] == runs[False][0]
+        assert normalizers[True].hex() == normalizers[False].hex()
+        if N == 10**4:  # 1 + 177, 1 + 202 and 1 + 249 points here
+            assert runs[True][1] <= 250 < runs[False][1]
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     def test_normalizer_at_1e5_in_bounded_memory(self):

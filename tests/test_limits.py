@@ -25,7 +25,7 @@ from imd.limits import (
 )
 from imd.thermo import ModelParams, g, g_derivative
 
-from oracles import full_support_law
+from oracles import full_support_ks, full_support_masses, full_support_scaled
 
 
 @pytest.fixture(scope="module")
@@ -173,33 +173,6 @@ class TestKsDistance:
         assert d < 0.05
 
 
-def full_support_scaled(n, params, eta, u):
-    """Positions and probabilities of every atom, in increasing order."""
-    _, _, probs = full_support_law(n, params.h, params.J)
-    s = n - 2 * np.arange(n // 2 + 1)
-    return ((s - n * u) / n**eta)[::-1].copy(), probs[::-1].copy()
-
-
-def full_support_ks(pos, probs, law):
-    """KS distance over every atom: CDF limits at each one, and a mask over
-    the whole support for the masses below a limit law's atoms."""
-    right = np.cumsum(probs)
-    right[-1] = 1.0
-    left = right - probs
-    lim_at = np.asarray(law.cdf(pos), dtype=np.float64)
-    atoms = getattr(law, "atoms", ())
-    if not atoms:
-        return min(max(float(np.max(np.abs(right - lim_at))),
-                       float(np.max(np.abs(left - lim_at)))), 1.0)
-    lim_left = np.asarray(law.cdf(pos - np.spacing(np.abs(pos) + 1.0)))
-    d = [float(np.max(np.abs(right - lim_at))), float(np.max(np.abs(left - lim_left)))]
-    for a in atoms:
-        d.append(abs(float(np.sum(probs[pos < a]))
-                     - float(law.cdf(a - np.spacing(abs(a) + 1.0)))))
-        d.append(abs(float(np.sum(probs[pos <= a])) - float(law.cdf(a))))
-    return min(max(d), 1.0)
-
-
 def ladders(critical, gamma_at_2):
     """(params, eta, u, limit law) of the four convergence studies."""
     unique = ModelParams(0.2, 0.5)
@@ -261,6 +234,25 @@ class TestWindowedKs:
         pos, probs = full_support_scaled(n, params, 1.0, 0.0)
         assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
 
+    def test_coexistence_with_a_valley_at_1e6(self, critical, gamma_at_2):
+        # the window is two intervals; the valley between them is a third
+        # zero-probability run, read at its end atoms
+        params, eta, u, law = ladders(critical, gamma_at_2)["coexistence_mixture"]
+        n = 10**6
+        scaled = scaled_law(n, params, eta, u)
+        assert scaled.valley is not None
+        assert scaled.lo < scaled.valley[0] < scaled.valley[1] < scaled.hi
+        pos, probs = full_support_scaled(n, params, eta, u)
+        assert np.array_equal(scaled.probabilities, probs)
+        assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
+        # limit laws whose distance is decided inside the valley
+        mid = pos[(scaled.valley[0] + scaled.valley[1]) // 2]
+        for other in (PointMass(mid), Gaussian(mid, 1e-6), Gaussian(mid, 1e-2),
+                      TwoPointMixture(0.5, gamma_at_2.m1, 0.5, mid)):
+            assert ks_distance(scaled, other) == full_support_ks(pos, probs, other)
+        cut = [p.m for p in phase.solve_consistency(params) if not p.is_maximum][0]
+        assert coexistence_masses(n, gamma_at_2) == full_support_masses(n, params, cut)
+
     @pytest.mark.parametrize("shift", [0.0, 0.02, -0.02])
     def test_coexistence_masses(self, gamma_at_2, shift):
         # shifted off the curve, one well lies more than 750 below the other
@@ -269,10 +261,7 @@ class TestWindowedKs:
         params = ModelParams(point.h, point.J)
         cut = [p.m for p in phase.solve_consistency(params) if not p.is_maximum][0]
         for n in (10**4, 10**5):
-            _, _, probs = full_support_law(n, params.h, params.J)
-            dens = (n - 2 * np.arange(n // 2 + 1)) / n
-            mass1 = float(np.sum(probs[dens < cut]))
-            assert coexistence_masses(n, point) == (mass1, 1.0 - mass1)
+            assert coexistence_masses(n, point) == full_support_masses(n, params, cut)
 
 
 class TestConvergenceStudy:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from imd.quadrature import (
+    N_PROBE,
     IntegrationDomainError,
     log_integral,
     peaked_components,
@@ -58,3 +59,58 @@ class TestWindowTools:
         assert len(pieces) == 1
         lo, hi = pieces[0]
         assert lo < 30.0 - 8.0 and hi > 30.0 + 8.0
+
+
+class TestBoundedProbe:
+    """peaked_components with an upper bound evaluates log_f only where the
+    bound can reach the super-level set, and returns the same pieces."""
+
+    @staticmethod
+    def counted(log_f):
+        calls = []
+
+        def wrapped(x):
+            calls.append(len(x))
+            return log_f(x)
+
+        return wrapped, calls
+
+    @pytest.mark.parametrize("log_f, lo, hi, drop", [
+        # two wells, the right one lower: pieces around both
+        (lambda x: np.maximum(-200.0 * (x - 1.0) ** 2, -200.0 * (x + 1.0) ** 2 - 30.0),
+         -2.0, 2.0, 60.0),
+        # the peak far outside the first window: the window expands
+        (lambda x: -0.5 * (x - 30.0) ** 2, -1.0, 1.0, 40.0),
+    ], ids=["bimodal", "expanding"])
+    def test_same_pieces_with_and_without_bound(self, log_f, lo, hi, drop):
+        def upper(x):
+            # a loose bound, NaN (no bound known) at every seventh point
+            out = log_f(x) + 3.0 + np.abs(np.sin(x))
+            out[::7] = np.nan
+            return out
+
+        plain = peaked_components(log_f, lo, hi, drop)
+        f, calls = self.counted(log_f)
+        bounded = peaked_components(f, lo, hi, drop, upper=upper)
+        assert bounded == plain
+        assert sum(calls) < len(calls) // 2 * N_PROBE  # most points skipped
+
+    def test_bound_at_the_value_keeps_the_cut(self):
+        # a bound equal to log_f: the points at exactly vmax - drop stay out
+        def log_f(x):
+            return -np.abs(x)
+
+        plain = peaked_components(log_f, -100.0, 100.0, drop=50.0)
+        assert peaked_components(log_f, -100.0, 100.0, drop=50.0, upper=log_f) == plain
+
+    def test_all_nan_bound_probes_every_point(self):
+        f, calls = self.counted(lambda x: -x * x)
+        pieces = peaked_components(f, -10.0, 10.0, drop=20.0,
+                                   upper=lambda x: np.full(len(x), np.nan))
+        assert pieces == peaked_components(lambda x: -x * x, -10.0, 10.0, drop=20.0)
+        assert sum(calls) == N_PROBE
+
+    def test_non_finite_values_still_raise(self):
+        with pytest.raises(IntegrationDomainError, match="no finite values"):
+            peaked_components(lambda x: np.full(len(x), np.nan), -1.0, 1.0,
+                              upper=lambda x: np.zeros(len(x)))
