@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .thermo import _ROOT_GRID, ModelParams, consistency_roots, g, g_derivative, tilde_p
+from .thermo import ModelParams, _spinodal, consistency_roots, g, g_derivative, tilde_p
 
 __all__ = [
     "NearDegenerateError",
@@ -183,12 +183,18 @@ def classify(params: ModelParams) -> PhaseReport:
             f"of equal height at {params}: cannot separate unique from coexistence",
             candidates=("unique", "coexistence"),
         )
+    if len(contenders) > 2:
+        # just above J_c all three stationary points are flat enough to pass
+        # as quartic maxima, and their heights agree to far below the band
+        raise NearDegenerateError(
+            f"{len(contenders)} stationary points of equal height within the "
+            f"curvature band at {params}: cannot separate coexistence from critical",
+            candidates=("coexistence", "critical"),
+        )
     if len(contenders) == 2:
         m1, m2 = sorted(p.m for p in contenders)
         return PhaseReport(kind="coexistence", maximizers=(m1, m2),
                            stationary_points=tuple(points))
-    if len(contenders) != 1:
-        raise ValueError(f"unexpected maximizer structure at {params}")
     top = contenders[0]
     lam = top.second_derivative
     # |lambda| is compared both absolutely and against its natural scale 2J,
@@ -221,16 +227,11 @@ def classify(params: ModelParams) -> PhaseReport:
                        stationary_points=tuple(points))
 
 
-def _inflection_field() -> float:
-    """The field x_c where g'' = 0, at which g' is largest."""
-    return brentq(lambda x: g_derivative(x, 2), -3.0, 3.0, xtol=1e-15)
-
-
 def find_critical_point() -> CriticalPoint:
     """Solve the merge conditions numerically: the curvature of the pure
     density vanishes (g'' = 0) at the critical field, the coupling is fixed by
     2 J g'(x_c) = 1, and h_c follows from the consistency equation."""
-    x_c = _inflection_field()
+    x_c = brentq(lambda x: g_derivative(x, 2), -3.0, 3.0, xtol=1e-15)
     m_c = float(g(x_c))
     J_c = 1.0 / (2.0 * float(g_derivative(x_c, 1)))
     h_c = x_c - (2.0 * m_c - 1.0) * J_c
@@ -239,39 +240,29 @@ def find_critical_point() -> CriticalPoint:
 
 
 def _two_maxima(params: ModelParams):
-    """The two outer local maxima, or None when ptilde is single-welled."""
-    points = solve_consistency(params)
-    maxima = [p for p in points if p.second_derivative < 0.0]
-    if len(maxima) != 2:
-        return None
-    lo, hi = sorted(maxima, key=lambda p: p.m)
-    return lo, hi
+    """The two outer local maxima as (m, ptilde''(m)) in increasing m, or
+    None when ptilde is single-welled.  Only the curvature is evaluated."""
+    maxima = [(m, d2) for m in consistency_roots(params)
+              if (d2 := tilde_p(m, params, 2)) < 0.0]
+    return maxima if len(maxima) == 2 else None
 
 
 def _height_gap(params: ModelParams):
     pair = _two_maxima(params)
     if pair is None:
         return None
-    lo, hi = pair
-    return hi.value - lo.value
+    (m1, _), (m2, _) = pair
+    return tilde_p(m2, params) - tilde_p(m1, params)
 
 
 def _spinodal_window(J: float) -> tuple[float, float]:
     """The fields between which ptilde has two local maxima, for J > J_c.
 
     A stationary point at pure-model field x sits at h = x - (2g(x) - 1)J,
-    which decreases in x exactly where 2J g'(x) > 1.  The two roots of
-    2J g'(x) = 1 straddle the inflection field, and the window runs between
-    the fields at those roots.
+    which decreases in x exactly where 2J g'(x) > 1.  The window runs between
+    the fields at the two spinodal points, where 2J g'(x) = 1.
     """
-    x_c = _inflection_field()
-
-    def excess(x):
-        return 2.0 * J * g_derivative(x, 1) - 1.0
-
-    roots = (brentq(excess, x_c - 40.0, x_c, xtol=1e-15),
-             brentq(excess, x_c, x_c + 40.0, xtol=1e-15))
-    h_lo, h_hi = sorted(x - (2.0 * g(x) - 1.0) * J for x in roots)
+    h_lo, h_hi = sorted(x - (2.0 * m - 1.0) * J for x, m in _spinodal(J))
     return h_lo, h_hi
 
 
@@ -298,8 +289,8 @@ def _equal_height_field(J: float, h_center: float, width: float) -> float:
             if _height_gap(ModelParams(found, J)) is None:
                 raise ValueError(
                     f"no two-maxima window resolved at J={J}: the window "
-                    f"[{h_lo:.17g}, {h_hi:.17g}] is too narrow for the "
-                    f"{len(_ROOT_GRID)}-point consistency grid (J is too close to J_c)"
+                    f"[{h_lo:.17g}, {h_hi:.17g}] is too narrow for double "
+                    f"precision (J is too close to J_c)"
                 )
         h_center = found
         gap0 = _height_gap(ModelParams(h_center, J))
@@ -328,13 +319,20 @@ def _equal_height_field(J: float, h_center: float, width: float) -> float:
     other = grow(direction)
     g_other = _height_gap(ModelParams(other, J))
     if g_other is None or g_other * gap0 > 0.0:
-        raise ValueError(f"failed to bracket the equal-height field at J={J}")
+        raise ValueError(
+            f"failed to bracket the equal-height field at J={J}: the height gap of "
+            f"the two maxima keeps one sign across the window, and double precision "
+            f"cannot separate the heights (J is too close to J_c)"
+        )
     lo, hi = sorted((h_center, other))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         gap = _height_gap(ModelParams(mid, J))
         if gap is None:
-            raise ValueError(f"two-maxima window collapsed during bisection at J={J}")
+            raise ValueError(
+                f"no two-maxima window resolved at J={J}: the window collapsed during "
+                f"bisection, below double precision (J is too close to J_c)"
+            )
         if abs(gap) < 1e-15 or hi - lo < 1e-15:
             return mid
         if gap > 0.0:
@@ -352,12 +350,11 @@ def phase_weight(lam: float, m: float) -> float:
 
 
 def _gamma_point(J: float, h: float) -> GammaPoint:
-    lo, hi = _two_maxima(ModelParams(h, J))
-    b1 = phase_weight(lo.second_derivative, lo.m)
-    b2 = phase_weight(hi.second_derivative, hi.m)
+    (m1, lambda1), (m2, lambda2) = _two_maxima(ModelParams(h, J))
+    b1 = phase_weight(lambda1, m1)
+    b2 = phase_weight(lambda2, m2)
     rho1 = b1 / (b1 + b2)
-    return GammaPoint(J=J, h=h, m1=lo.m, m2=hi.m,
-                      lambda1=lo.second_derivative, lambda2=hi.second_derivative,
+    return GammaPoint(J=J, h=h, m1=m1, m2=m2, lambda1=lambda1, lambda2=lambda2,
                       rho1=rho1, rho2=1.0 - rho1)
 
 

@@ -16,13 +16,16 @@ variational problem
 
 whose maximizers solve the consistency equation m = g((2m-1)J + h).
 consistency_roots is the one solver of that equation; the pressure here and
-the phase classification in imd.phase are both built on its roots.  The
+the phase classification in imd.phase are both built on its roots.  Its scan
+is also cut where the residual turns, so no two roots share a cell.  The
 same limit is reproduced by the large-deviation route
 
     p(h, J) = sup_m [ (h - J) m + J m^2 - rate_function(m) ],
 
-with the entropy-like rate of the weighted configuration counts.  Everything
-here is a pure function of (h, J, m); no state, safe to call from anywhere.
+with the entropy-like rate of the weighted configuration counts, for a whole
+batch of (h, J) in one blocked array pass and a vectorized golden-section
+polish that share no code with the consistency route.  Everything here is a
+pure function of (h, J, m); no state, safe to call from anywhere.
 
 Each function has two routes.  A real scalar (``float``, which includes
 ``np.float64``) takes the scalar route: plain comparisons check that it is
@@ -33,10 +36,12 @@ finders call these functions one float at a time, so the scalar route
 spares them the array overhead.  Each formula is written once, in a helper
 that both routes share, and the routes must give the same bits: a scalar
 gives exactly what a 0-d array gives.  The rule that keeps this true is
-same ufuncs, same order, no ``math.*`` transcendentals.  ``math.exp`` and
+same operations, same order, no ``math.*`` transcendentals.  ``math.exp`` and
 ``math.log1p`` round differently from ``np.exp`` and ``np.log1p`` on a
-fraction of inputs.  For the same reason integer powers of a scalar stay
-scalar ``**`` (C ``pow``), which ``np.power`` on an array does not match.
+fraction of inputs.  ``math.sqrt`` is allowed: like ``np.sqrt`` it is
+correctly rounded, so ``g``'s scalar route runs on Python floats with
+``np.exp`` as its only ufunc.  For the same reason integer powers of a scalar
+stay scalar ``**`` (C ``pow``), which ``np.power`` on an array does not match.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 __all__ = [
     "ModelParams",
@@ -115,13 +120,14 @@ def _scalar_like(x, val):
 _G_BRANCH = -350.0
 
 
-def _g_rational(h):
-    return 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * h)))
+def _g_rational(e, sqrt):
+    """g from e = e^{-2h}."""
+    return 2.0 / (1.0 + sqrt(1.0 + 4.0 * e))
 
 
-def _g_deep(h):
-    eh = np.exp(h)
-    return eh * (np.sqrt(eh * eh + 4.0) - eh) / 2.0
+def _g_deep(eh, sqrt):
+    """g from eh = e^h."""
+    return eh * (sqrt(eh * eh + 4.0) - eh) / 2.0
 
 
 def g(h):
@@ -136,9 +142,11 @@ def g(h):
     """
     a = _checked(h, "h")
     if isinstance(a, float):
-        return float(_g_rational(a) if a > _G_BRANCH else _g_deep(a))
-    val = np.where(a > _G_BRANCH, _g_rational(np.maximum(a, _G_BRANCH)),
-                   _g_deep(np.minimum(a, _G_BRANCH)))
+        if a > _G_BRANCH:
+            return _g_rational(float(np.exp(-2.0 * a)), math.sqrt)
+        return _g_deep(float(np.exp(a)), math.sqrt)
+    val = np.where(a > _G_BRANCH, _g_rational(np.exp(-2.0 * np.maximum(a, _G_BRANCH)), np.sqrt),
+                   _g_deep(np.exp(np.minimum(a, _G_BRANCH)), np.sqrt))
     return _scalar_like(h, val)
 
 
@@ -253,40 +261,72 @@ def printed_rate_offset():
     return -p0(0.0)
 
 
+# rate route: the objective is sampled on a fixed grid, scanned in row
+# blocks and polished by golden-section search; a bracket spans at most two
+# grid cells, and _GOLDEN_STEPS shrink that below _GOLDEN_XATOL
+_RATE_GRID = np.linspace(0.0, 1.0, 1001)
+_RATE_BLOCK = 32
+_GOLDEN_XATOL = 1e-13
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = math.ceil(math.log(_GOLDEN_XATOL / (2.0 * _RATE_GRID[1])) / math.log(_INV_PHI))
+
+
 def _local_maximum_brackets(v, grid):
-    """(lo, hi) around every grid sample no lower than its neighbours,
-    interior samples first, then the two end cells when they qualify."""
-    inner = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])) + 1
-    brackets = [(grid[i - 1], grid[i + 1]) for i in inner]
-    if v[0] >= v[1]:
-        brackets.append((grid[0], grid[1]))
-    if v[-1] >= v[-2]:
-        brackets.append((grid[-2], grid[-1]))
-    return brackets
+    """(row, lo, hi) around every sample of the 2-D array v that is no lower
+    than its neighbours in its row: interior samples first, row by row, then
+    the left and the right end cells of the rows where they qualify."""
+    rows, inner = np.nonzero((v[:, 1:-1] >= v[:, :-2]) & (v[:, 1:-1] >= v[:, 2:]))
+    left = np.flatnonzero(v[:, 0] >= v[:, 1])
+    right = np.flatnonzero(v[:, -1] >= v[:, -2])
+    row = np.concatenate([rows, left, right])
+    lo = np.concatenate([grid[inner], np.full(left.size, grid[0]), np.full(right.size, grid[-2])])
+    hi = np.concatenate([grid[inner + 2], np.full(left.size, grid[1]),
+                         np.full(right.size, grid[-1])])
+    return row, lo, hi
 
 
-def _refine_local_maxima(fun, grid_vals, grid):
-    """Brent-polish every local maximum of fun sampled on grid, including
-    maximizers hiding between the last grid cell and the domain boundary."""
-    candidates = [grid_vals[0], grid_vals[-1]]
-    for lo, hi in _local_maximum_brackets(grid_vals, grid):
-        res = minimize_scalar(
-            lambda m: -fun(m), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-13},
-        )
-        candidates.append(-res.fun)
-    return max(candidates)
+def _golden_maxima(f, lo, hi):
+    """Golden-section search on every bracket [lo, hi] at once, for a
+    function f evaluated elementwise; the best value found in each."""
+    a, b = lo, hi
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        left = fc >= fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    return np.maximum(fc, fd)
 
 
 # consistency scan: bracketing grid and Newton stopping residual
 _ROOT_GRID = np.linspace(0.0, 1.0, 401)
 _ROOT_TOL = 1e-13
+# the roots (3 +- 2 sqrt 2)/4 of the spinodal discriminant 16J^2 - 24J + 1
+_J_C = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
+_J_C_LOW = 1.0 / (16.0 * _J_C)
+
+
+def _spinodal(J: float) -> tuple[tuple[float, float], ...]:
+    """((x-, m-), (x+, m+)): the fields where 2J g'(x) = 1, the only turns of
+    the residual m - g((2m-1)J + h), and m = g(x); empty below J_c.  With
+    g' = 2g(1-g)/(2-g) the condition reads 4J m^2 - (4J+1) m + 2 = 0, and
+    g^2 = e^{2x}(1-g) gives x = log(m^2/(1-m))/2."""
+    if J < _J_C:
+        return ()
+    m_hi = (4.0 * J + 1.0 + 4.0 * math.sqrt((J - _J_C) * (J - _J_C_LOW))) / (8.0 * J)
+    m_lo = 1.0 / (2.0 * J * m_hi)  # the product of the two roots is 1/(2J)
+    return tuple((0.5 * math.log(m * m / (1.0 - m)), m) for m in (m_lo, m_hi))
 
 
 def consistency_roots(params: ModelParams) -> list[float]:
     """All solutions of m = g((2m-1)J + h) in [0, 1], in increasing order.
 
-    The residual m - g((2m-1)J + h) is scanned on a 401-point grid; every
+    The residual m - g((2m-1)J + h) is scanned on a 401-point grid, cut
+    also at the spinodal densities where the residual is stationary, so it
+    is monotone on every cell and each root shows as a sign change.  Every
     sign change is solved by brentq and polished by Newton to residual
     < 1e-13, and polish results closer than 1e-9 are merged.  At J = 0 the
     equation reads m = g(h).
@@ -297,7 +337,8 @@ def consistency_roots(params: ModelParams) -> list[float]:
     def residual(m):
         return m - g(params.effective_field(m))
 
-    grid = _ROOT_GRID
+    cuts = [(x - params.h) / (2.0 * params.J) + 0.5 for x, _ in _spinodal(params.J)]
+    grid = np.sort(np.concatenate([_ROOT_GRID, [c for c in cuts if 0.0 < c < 1.0]]))
     res = residual(grid)
     roots = [float(m) for m in grid[res == 0.0]]
     for i in np.flatnonzero(res[:-1] * res[1:] < 0.0):
@@ -306,8 +347,10 @@ def consistency_roots(params: ModelParams) -> list[float]:
     for m in roots:
         for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
             r = float(residual(m))
+            if abs(r) < _ROOT_TOL:
+                break
             d = 1.0 - 2.0 * params.J * float(g_derivative(params.effective_field(m), 1))
-            if d == 0.0 or abs(r) < _ROOT_TOL:
+            if d == 0.0:
                 break
             m = min(max(m - r / d, 0.0), 1.0)
         polished.append(m)
@@ -330,14 +373,34 @@ def variational_pressure(params: ModelParams) -> float:
     return float(max(tilde_p(m, params) for m in (0.0, 1.0, *consistency_roots(params))))
 
 
-def variational_pressure_via_rate(params: ModelParams) -> float:
+def variational_pressure_via_rate(params):
     """Same limit by the large-deviation route sup_m (f(m) - I(m)) with
-    f(m) = (h - J) m + J m^2; an independent cross-check of the sup."""
-    h, J = params.h, params.J
+    f(m) = (h - J) m + J m^2; an independent cross-check of the sup.
 
-    def objective(m):
+    Takes one ModelParams (a float comes back) or a sequence of them (an
+    array of their sups).  I is sampled once on a fixed 1001-point grid, the
+    objectives are scanned for local maxima in blocks of at most 32 rows, and
+    every bracket of the call is polished by one golden-section search to
+    1e-13 in m; the endpoints m = 0, 1 are candidates too.  Each row's sup is
+    computed elementwise, so it does not depend on the other rows.
+    """
+    single = isinstance(params, ModelParams)
+    plist = [params] if single else list(params)
+    h = np.array([p.h for p in plist], dtype=np.float64)
+    J = np.array([p.J for p in plist], dtype=np.float64)
+
+    def objective(h, J, m):
         return (h - J) * m + J * m * m - rate_function(m)
 
-    grid = np.linspace(0.0, 1.0, 1001)
-    vals = np.asarray(objective(grid))
-    return float(_refine_local_maxima(objective, vals, grid))
+    sup = np.empty(len(plist))
+    brackets = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
+    for start in range(0, len(plist), _RATE_BLOCK):
+        block = slice(start, start + _RATE_BLOCK)
+        v = objective(h[block, None], J[block, None], _RATE_GRID)
+        sup[block] = np.maximum(v[:, 0], v[:, -1])
+        row, lo, hi = _local_maximum_brackets(v, _RATE_GRID)
+        brackets.append((row + start, lo, hi))
+    row, lo, hi = map(np.concatenate, zip(*brackets))
+    hr, Jr = h[row], J[row]
+    np.maximum.at(sup, row, _golden_maxima(lambda m: objective(hr, Jr, m), lo, hi))
+    return float(sup[0]) if single else sup

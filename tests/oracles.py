@@ -11,7 +11,9 @@ distance evaluated on every atom: the references for the windowed law.
 import itertools
 import math
 
+import mpmath
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
 
@@ -122,3 +124,77 @@ def fixed_point_density(h, J, m0=0.5, sweeps=500):
         target = g_ref((2.0 * m - 1.0) * J + h)
         m = 0.5 * m + 0.5 * target
     return m
+
+
+def _reference_g(h):
+    """g as the consistency solver below evaluated it: the rationalized form
+    above h = -350, the printed difference below, one 0-d or n-d array route."""
+    a = np.asarray(h, dtype=np.float64)
+    rational = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * np.maximum(a, -350.0))))
+    eh = np.exp(np.minimum(a, -350.0))
+    return np.where(a > -350.0, rational, eh * (np.sqrt(eh * eh + 4.0) - eh) / 2.0)
+
+
+def reference_consistency_roots(h, J):
+    """A frozen copy of the consistency solver before the scan was cut at
+    the spinodal densities: the 401-point scan, brentq on every sign change,
+    then Newton to residual < 1e-13 with g' evaluated on every step, and
+    polish results closer than 1e-9 merged.  The pin for the roots' bits."""
+    if J == 0.0:
+        return [float(_reference_g(h))]
+
+    def residual(m):
+        return m - _reference_g((2.0 * m - 1.0) * J + h)
+
+    grid = np.linspace(0.0, 1.0, 401)
+    res = residual(grid)
+    roots = [float(m) for m in grid[res == 0.0]]
+    for i in np.flatnonzero(res[:-1] * res[1:] < 0.0):
+        roots.append(float(brentq(lambda m: float(residual(m)), grid[i], grid[i + 1],
+                                  xtol=1e-15)))
+    polished = []
+    for m in roots:
+        for _ in range(6):
+            r = float(residual(m))
+            gg = float(_reference_g((2.0 * m - 1.0) * J + h))
+            d = 1.0 - 2.0 * J * (2.0 * gg * (1.0 - gg) / (2.0 - gg))
+            if d == 0.0 or abs(r) < 1e-13:
+                break
+            m = min(max(m - r / d, 0.0), 1.0)
+        polished.append(m)
+    polished.sort()
+    out = []
+    for m in polished:
+        if not out or m - out[-1] > 1e-9:
+            out.append(m)
+    return out
+
+
+def stationary_count_mp(h, J, dps=30):
+    """(roots, maxima): how many solutions m = g((2m-1)J + h) has in [0, 1]
+    and how many of them are maxima of ptilde, at dps digits.
+
+    The residual R(m) = m - g((2m-1)J + h) turns only where
+    4J m^2 - (4J+1) m + 2 = 0 holds for g, so it is monotone between the two
+    spinodal densities and each piece holds a root iff R changes sign on it.
+    R rises on the outer pieces, whose roots are the maxima (ptilde' = -2J R).
+    """
+    with mpmath.workdps(dps):
+        h, J = mpmath.mpf(h), mpmath.mpf(J)
+
+        def residual(m):
+            e = mpmath.exp((2 * m - 1) * J + h)
+            return m - e * (mpmath.sqrt(e * e + 4) - e) / 2
+
+        if J <= (3 + 2 * mpmath.sqrt(2)) / 4:
+            return 1, 1  # below J_c the residual increases on all of [0, 1]
+        cuts = []
+        for sign in (-1, 1):
+            g = (4 * J + 1 + sign * mpmath.sqrt((4 * J + 1) ** 2 - 32 * J)) / (8 * J)
+            x = mpmath.log(g * g / (1 - g)) / 2
+            cuts.append((x - h) / (2 * J) + mpmath.mpf(1) / 2)
+        if not 0 < cuts[0] < cuts[1] < 1:
+            return 1, 1  # a turn outside [0, 1]: R(0) < 0 < R(1) leaves one root
+        signs = [mpmath.sign(residual(m)) for m in (mpmath.mpf(0), *cuts, mpmath.mpf(1))]
+        pieces = [a != b for a, b in zip(signs, signs[1:])]
+        return sum(pieces), pieces[0] + pieces[2]

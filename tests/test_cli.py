@@ -19,6 +19,8 @@ from imd.exact import log_partition_pure, monomer_law
 from imd.limits import scaled_law
 from imd.thermo import ModelParams, g
 
+from oracles import stationary_count_mp
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -33,6 +35,15 @@ class TestPhaseCommand:
         payload = json.loads(out)
         assert payload["kind"] == "unique"
         assert abs(payload["maximizers"][0] - 0.618034) < 1e-6
+
+    def test_three_roots_inside_one_grid_cell(self, capsys):
+        # J - J_c = 1e-6, h in the middle of the two-maxima window
+        code, out, _ = run_cli(capsys, "phase", "--h", "-0.34411337480261517",
+                               "--J", "1.4571077811865474")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["kind"] == "coexistence"
+        assert len(payload["maximizers"]) == 2 and len(payload["stationary_points"]) == 3
 
     def test_near_degenerate_is_domain_error(self, capsys):
         # 2e-10 above gamma(2): inside the guard band around equal heights
@@ -355,6 +366,10 @@ class TestNearCritical:
     or names the guard band or the unresolved two-maxima window."""
 
     @given(st.floats(-12.0, -1.0), st.floats(-12.0, -1.0), st.sampled_from([-1.0, 1.0]))
+    # inside the two-maxima window at J - J_c = 1e-6: three stationary points
+    @example(-6.0, math.log10(0.34411337480261517 - 0.34411320322979877), -1.0)
+    # a bisection field inside the window at J - J_c = 8.3e-11 shows one maximum
+    @example(-10.083393777805131, -1.0, -1.0)
     def test_answer_or_named_domain_error(self, log_dj, log_dh, sign):
         cp = phase.find_critical_point()
         J, h = cp.J_c + 10.0**log_dj, cp.h_c + sign * 10.0**log_dh
@@ -373,6 +388,12 @@ class TestNearCritical:
             if code == EXIT_DOMAIN:
                 assert ("cannot separate" in err.getvalue()
                         or "no two-maxima window resolved" in err.getvalue()), (argv, err.getvalue())
+            elif argv[0] == "phase":
+                # every stationary point, and every maximum, that 30 digits see
+                points = json.loads(out.getvalue())["stationary_points"]
+                roots, maxima = stationary_count_mp(h, J)
+                assert len(points) == roots, (argv, points)
+                assert sum(p["is_maximum"] for p in points) == maxima, (argv, points)
 
 
 class TestVerifyCommand:

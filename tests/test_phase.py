@@ -1,6 +1,7 @@
 """Tests for the phase diagram: consistency equation, classification, the
 coexistence curve and its limit-law parameters."""
 
+import hashlib
 import io
 import math
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from imd import phase
 from imd.cli import EXIT_DOMAIN, EXIT_OK, main
 from imd.phase import (
     CriticalPoint,
@@ -28,6 +30,22 @@ from imd.phase import (
 from imd.thermo import ModelParams, g, g_derivative, tilde_p
 
 from oracles import fixed_point_density
+
+# criterion 9's grid and its coexistence fields, float.hex-pinned
+CRITERION_9_GRID = [1.5, 1.6, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0,
+                    40.0, 50.0]
+CRITERION_9_H = [
+    "-0x1.67b6654698f76p-2", "-0x1.77696f661f660p-2", "-0x1.91c2311980906p-2",
+    "-0x1.a6b99a4a248adp-2", "-0x1.cad477cc92ce8p-2", "-0x1.e01b3cf0fb2b5p-2",
+    "-0x1.f46c75ddefb1ap-2", "-0x1.fbc67a88fea3fp-2", "-0x1.ff6eae8c6e705p-2",
+    "-0x1.fff8c7b36979ep-2", "-0x1.fffff38c746b6p-2", "-0x1.ffffffea85c22p-2",
+    "-0x1.ffffffffffbfcp-2", "-0x1.0000000000004p-1", "-0x1.0000000000004p-1",
+]
+# sha256 of every field of those 15 points, float.hex, comma-joined
+CRITERION_9_DIGEST = "f29a9e00ae8dddf4dd765cb9a175c41d2beaa58bed638ce1dd2f824504a0bddc"
+# J - J_c = 1e-6 with h in the middle of the two-maxima window: the three
+# stationary points share one cell of the 401-point grid
+NARROW_WINDOW = (-0.34411337480261517, 1.4571077811865474)
 
 M_C = 2.0 - math.sqrt(2.0)
 J_C = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
@@ -116,6 +134,22 @@ class TestClassify:
             classify(ModelParams(critical.h_c + 3e-12, critical.J_c))
         assert set(err.value.candidates) == {"unique", "critical"}
 
+    def test_three_roots_inside_one_grid_cell(self):
+        # heights equal to 1.7e-16: coexistence by the classification's own rule
+        report = classify(ModelParams(*NARROW_WINDOW))
+        assert report.kind == "coexistence"
+        m1, m2 = report.maximizers
+        assert 0.58507 < m1 < 0.58508 and 0.58649 < m2 < 0.58650
+        assert [p.is_maximum for p in report.stationary_points] == [True, False, True]
+
+    def test_flat_cluster_above_j_c_is_near_degenerate(self, critical):
+        # at J - J_c = 1e-9 all three stationary points pass as quartic maxima
+        J = critical.J_c + 1e-9
+        lo, hi = phase._spinodal_window(J)
+        with pytest.raises(NearDegenerateError) as err:
+            classify(ModelParams(0.5 * (lo + hi), J))
+        assert set(err.value.candidates) == {"coexistence", "critical"}
+
     def test_tiny_coupling_is_not_critical(self):
         # lambda ~ -2J ~ -2e-9 is numerically tiny but not a critical point
         report = classify(ModelParams(0.0, 1e-9))
@@ -159,6 +193,29 @@ class TestTraceGamma:
         assert abs(gamma_at_2.h - (-0.4128173930886404)) < 1e-10
         assert gamma_at_2.m1 < M_C < gamma_at_2.m2
 
+    def test_gamma_2_keeps_its_bits(self, gamma_at_2):
+        # the KS references of the benchmark were computed at these bits
+        assert gamma_at_2.h.hex() == "-0x1.a6b99a4a248aap-2"
+
+    def test_criterion_9_grid_keeps_its_bits(self):
+        points = trace_gamma(CRITERION_9_GRID)
+        assert [p.h.hex() for p in points] == CRITERION_9_H
+        every = ",".join(v.hex() for p in points for v in vars(p).values())
+        assert hashlib.sha256(every.encode()).hexdigest() == CRITERION_9_DIGEST
+
+    def test_bisection_evaluates_only_value_and_curvature(self, monkeypatch):
+        # each bisection step needs ptilde'' at the roots and ptilde at the
+        # two maxima; the third and fourth derivatives are never evaluated
+        orders = []
+
+        def counted(m, params, order=0):
+            orders.append(order)
+            return tilde_p(m, params, order)
+
+        monkeypatch.setattr(phase, "tilde_p", counted)
+        trace_gamma([2.0])
+        assert orders and set(orders) == {0, 2}
+
     def test_curve_endpoint_merges_into_critical_density(self, critical):
         J_values = [critical.J_c + d for d in (0.1, 0.05, 0.02, 0.01)]
         points = trace_gamma(J_values)
@@ -185,13 +242,27 @@ class TestTraceGamma:
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
     def test_unresolved_window_is_domain_error(self, critical, capsys):
-        # at J_c + 1e-6 the two maxima sit closer than the consistency grid
-        # resolves: a documented domain error naming that limit, exit 1
-        with pytest.raises(ValueError, match="401-point consistency grid"):
-            trace_gamma([critical.J_c + 1e-6])
-        jmin = repr(critical.J_c + 1e-6)
+        # at J_c + 1e-12 the two-maxima window is one ulp of h wide, and at
+        # J_c + 1e-10 the height gap stays below double resolution across it:
+        # documented domain errors naming that limit, exit 1
+        with pytest.raises(ValueError, match="no two-maxima window resolved.*double precision"):
+            trace_gamma([critical.J_c + 1e-12])
+        with pytest.raises(ValueError, match="double precision cannot separate the heights"):
+            trace_gamma([critical.J_c + 1e-10])
+        jmin = repr(critical.J_c + 1e-12)
         assert main(["gamma", "--jmin", jmin, "--jmax", "2", "--steps", "2"]) == EXIT_DOMAIN
-        assert "401-point consistency grid" in capsys.readouterr().err
+        assert "no two-maxima window resolved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dJ", [1e-6, 1e-8])
+    def test_spinodal_cuts_resolve_the_window(self, critical, dJ):
+        # the three stationary points sit inside one cell of the 401-point
+        # grid here; the scan cut at the spinodal densities finds all three
+        p = trace_gamma([critical.J_c + dJ])[0]
+        report = classify(ModelParams(p.h, p.J))
+        assert report.kind == "coexistence"
+        assert len(report.stationary_points) == 3
+        law = 2.0 * math.sqrt(12.0 / -LAMBDA_C)
+        assert abs((p.m2 - p.m1) / math.sqrt(dJ) / law - 1.0) < 1e-3
 
     def test_below_critical_coupling_rejected(self):
         with pytest.raises(ValueError, match="critical coupling"):

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from imd import thermo
+from imd.phase import trace_gamma
 from imd.thermo import (
     ModelParams,
+    _golden_maxima,
     _local_maximum_brackets,
     consistency_roots,
     g,
@@ -115,6 +118,13 @@ class TestPureDensity:
         vec = f(np.array(xs))
         slack = rtol * np.max(np.abs(vec))  # near a zero of g''' the rounding is not relative
         np.testing.assert_allclose(vec, [f(x) for x in xs], rtol=rtol, atol=slack)
+
+    def test_scalar_g_matches_its_array_route_on_seeded_fields(self):
+        # the scalar route runs on Python floats with np.exp and math.sqrt;
+        # it must give the bits of the array route on both branches
+        hs = np.random.default_rng(5).uniform(-800.0, 40.0, 20000)
+        vec = np.asarray(g(hs))
+        assert [g(float(h)).hex() for h in hs] == [float(v).hex() for v in vec]
 
     @pytest.mark.parametrize("f,xs,rtol", ROUTE_CASES)
     def test_scalar_route_rejects_bad_input(self, f, xs, rtol):
@@ -303,6 +313,41 @@ class TestConsistencyRoots:
         assert len(roots) == 3
         assert roots[0] < 1e-6 and 0.4 < roots[1] < 0.6 and roots[2] > 1.0 - 1e-6
 
+    def test_bits_match_the_reference_solver(self):
+        # the coexistence curve and every KS reference rest on these bits
+        from oracles import reference_consistency_roots
+
+        rng = np.random.default_rng(2015)
+        draws = list(zip(rng.uniform(-3.0, 3.0, 4000), rng.uniform(0.0, 10.0, 4000)))
+        gamma = [(p.h, p.J) for p in trace_gamma(
+            [1.46, 1.5, 1.6, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0,
+             40.0, 50.0])]
+        for h, J in draws + gamma:
+            roots = consistency_roots(ModelParams(float(h), float(J)))
+            ref = reference_consistency_roots(float(h), float(J))
+            assert [m.hex() for m in roots] == [m.hex() for m in ref], (h, J)
+
+    def test_settled_roots_take_no_newton_step(self, monkeypatch):
+        # brentq leaves every root at (-0.41, 2) below the Newton tolerance,
+        # so g' is never evaluated
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return g_derivative(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "g_derivative", counted)
+        assert len(consistency_roots(ModelParams(-0.41, 2.0))) == 3
+        assert calls == []
+
+    def test_spinodal_densities_solve_the_quadratic(self):
+        # 2J g'(x) = 1 at both spinodal fields, and g(x) is the density given
+        for J in (1.4571067811865476, 1.5, 2.0, 10.0, 1e3):
+            for x, m in thermo._spinodal(J):
+                assert abs(2.0 * J * g_derivative(x, 1) - 1.0) < 1e-12
+                assert abs(g(x) - m) < 1e-15
+        assert thermo._spinodal(1.457) == ()
+
 
 def _loop_brackets(v, grid):
     """Reference for the bracket scan: the per-sample loop it replaced."""
@@ -319,6 +364,12 @@ def _loop_brackets(v, grid):
     return brackets
 
 
+def _row_brackets(v, grid):
+    """The row-wise bracket scan of a 2-D array, as one (lo, hi) list per row."""
+    row, lo, hi = _local_maximum_brackets(v, grid)
+    return [[(a, b) for r, a, b in zip(row, lo, hi) if r == k] for k in range(len(v))]
+
+
 class TestLocalMaximumBrackets:
     @pytest.mark.parametrize("values", [
         [0.0, 1.0, 1.0, 1.0, 0.0],            # plateau: every equal sample brackets
@@ -329,22 +380,78 @@ class TestLocalMaximumBrackets:
         [1.0, 1.0],                           # two samples, no interior
     ], ids=["plateau", "flat", "edges", "decreasing", "end-plateau", "two"])
     def test_matches_loop_reference(self, values):
-        v = np.array(values)
-        grid = np.linspace(0.0, 1.0, len(v))
-        assert _local_maximum_brackets(v, grid) == _loop_brackets(v, grid)
+        v = np.array([values])
+        grid = np.linspace(0.0, 1.0, v.shape[1])
+        assert _row_brackets(v, grid) == [_loop_brackets(v[0], grid)]
 
     def test_ties_on_integer_samples(self):
+        # twenty rows scanned at once, each against its own loop
         rng = np.random.default_rng(3)
         grid = np.linspace(0.0, 1.0, 200)
-        for _ in range(20):
-            v = rng.integers(0, 3, grid.size).astype(float)
-            assert _local_maximum_brackets(v, grid) == _loop_brackets(v, grid)
+        v = rng.integers(0, 3, (20, grid.size)).astype(float)
+        assert _row_brackets(v, grid) == [_loop_brackets(row, grid) for row in v]
 
     def test_criterion_10_objectives(self):
-        # the objectives variational_pressure_via_rate scans in criterion 10
+        # the 441 objectives variational_pressure_via_rate scans in
+        # criterion 10, in the row blocks it scans them in
         grid = np.linspace(0.0, 1.0, 1001)
         rate = np.asarray(rate_function(grid))
-        for h in np.linspace(-1.0, 1.0, 21):
-            for J in np.linspace(0.0, 3.0, 21):
-                v = (h - J) * grid + J * grid * grid - rate
-                assert _local_maximum_brackets(v, grid) == _loop_brackets(v, grid)
+        hJ = np.array([(h, J) for h in np.linspace(-1.0, 1.0, 21)
+                       for J in np.linspace(0.0, 3.0, 21)])
+        block = thermo._RATE_BLOCK
+        for start in range(0, len(hJ), block):
+            h, J = hJ[start:start + block, :1], hJ[start:start + block, 1:]
+            v = (h - J) * grid + J * grid * grid - rate
+            assert _row_brackets(v, grid) == [_loop_brackets(row, grid) for row in v]
+
+
+def _seeded_params(seed, n):
+    """(h, J) with |h| <= 30 and J log-uniform up to 1e3, plus the corners."""
+    rng = np.random.default_rng(seed)
+    hs = rng.uniform(-30.0, 30.0, n)
+    Js = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    corners = [(h, J) for h in (-30.0, 0.0, 30.0) for J in (0.0, 1e3)]
+    return [ModelParams(float(h), float(J)) for h, J in zip(hs, Js)] + [
+        ModelParams(h, J) for h, J in corners]
+
+
+class TestRateRoute:
+    def test_batch_agrees_with_consistency_route(self):
+        grid = _seeded_params(17, 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sups = variational_pressure_via_rate(grid)
+            exact = [variational_pressure(p) for p in grid]
+        assert sups.shape == (len(grid),)
+        assert np.max(np.abs(sups - exact)) < 1e-10
+
+    @pytest.mark.parametrize("h,sup", [(30.0, 30.0), (0.0, 0.0), (-30.0, -0.5)])
+    def test_maxima_at_the_ends_take_the_end_values(self, h, sup):
+        # at J = 1e3 the maximizers lie within e^-1000 of m = 0 or 1, so the
+        # sup is the objective at that end, h at m = 1 and -I(0) at m = 0
+        assert variational_pressure_via_rate(ModelParams(h, 1e3)) == sup
+        assert variational_pressure(ModelParams(h, 1e3)) == sup
+
+    def test_single_call_is_its_row_of_a_batch(self):
+        grid = _seeded_params(23, 100)
+        sups = variational_pressure_via_rate(grid)
+        for params, sup in zip(grid, sups):
+            single = variational_pressure_via_rate(params)
+            assert type(single) is float
+            assert single.hex() == float(sup).hex()
+
+    def test_block_boundaries_do_not_matter(self):
+        # 70 rows span three blocks; any prefix gives the same sups
+        grid = _seeded_params(29, 64)
+        full = variational_pressure_via_rate(grid)
+        for n in (1, 31, 32, 33, 65):
+            part = variational_pressure_via_rate(grid[:n])
+            assert [float(x).hex() for x in part] == [float(x).hex() for x in full[:n]]
+
+    def test_golden_search_meets_xatol(self):
+        # a parabola with its top off-centre in brackets two grid cells wide:
+        # the search ends within 1e-13 of each top
+        tops = np.array([0.0013, 0.5, 0.9985])
+        lo, hi = tops - 0.0011, tops + 0.0009
+        best = _golden_maxima(lambda m: -((m - tops) ** 2), lo, hi)
+        assert np.all(-best < 1e-26)
