@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .thermo import ModelParams, _spinodal, consistency_roots, g, g_derivative, tilde_p
+from .thermo import (ModelParams, _maximum_roots, _spinodal, consistency_roots, g, g_derivative,
+                     tilde_p)
 
 __all__ = [
     "NearDegenerateError",
@@ -241,8 +242,9 @@ def find_critical_point() -> CriticalPoint:
 
 def _two_maxima(params: ModelParams):
     """The two outer local maxima as (m, ptilde''(m)) in increasing m, or
-    None when ptilde is single-welled.  Only the curvature is evaluated."""
-    maxima = [(m, d2) for m in consistency_roots(params)
+    None when ptilde is single-welled.  Only the curvature is evaluated, and
+    the middle root only where it could change the answer."""
+    maxima = [(m, d2) for m in _maximum_roots(params)
               if (d2 := tilde_p(m, params, 2)) < 0.0]
     return maxima if len(maxima) == 2 else None
 

@@ -16,9 +16,12 @@ variational problem
 
 whose maximizers solve the consistency equation m = g((2m-1)J + h).
 consistency_roots is the one solver of that equation; the pressure here and
-the phase classification in imd.phase are both built on its roots.  Its scan
-is also cut where the residual turns, so no two roots share a cell.  The
-same limit is reproduced by the large-deviation route
+the phase classification in imd.phase are both built on its roots.  It
+walks the residual m - g((2m-1)J + h) piece by piece: the closed-form
+spinodal densities cut [0, 1] into at most three pieces on which the
+residual is monotone, so the signs at a piece's ends tell whether it holds
+a root, and a bisection over grid nodes finds the cell that brentq solves.
+The same limit is reproduced by the large-deviation route
 
     p(h, J) = sup_m [ (h - J) m + J m^2 - rate_function(m) ],
 
@@ -46,6 +49,7 @@ stay scalar ``**`` (C ``pow``), which ``np.power`` on an array does not match.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -130,6 +134,14 @@ def _g_deep(eh, sqrt):
     return eh * (sqrt(eh * eh + 4.0) - eh) / 2.0
 
 
+def _g_scalar(a: float) -> float:
+    """g's scalar route on a finite float, unchecked: the root walks call it
+    directly."""
+    if a > _G_BRANCH:
+        return _g_rational(float(np.exp(-2.0 * a)), math.sqrt)
+    return _g_deep(float(np.exp(a)), math.sqrt)
+
+
 def g(h):
     """Limiting monomer density of the pure hard-core model, in (0, 1).
 
@@ -142,9 +154,7 @@ def g(h):
     """
     a = _checked(h, "h")
     if isinstance(a, float):
-        if a > _G_BRANCH:
-            return _g_rational(float(np.exp(-2.0 * a)), math.sqrt)
-        return _g_deep(float(np.exp(a)), math.sqrt)
+        return _g_scalar(a)
     val = np.where(a > _G_BRANCH, _g_rational(np.exp(-2.0 * np.maximum(a, _G_BRANCH)), np.sqrt),
                    _g_deep(np.exp(np.minimum(a, _G_BRANCH)), np.sqrt))
     return _scalar_like(h, val)
@@ -301,8 +311,9 @@ def _golden_maxima(f, lo, hi):
     return np.maximum(fc, fd)
 
 
-# consistency scan: bracketing grid and Newton stopping residual
-_ROOT_GRID = np.linspace(0.0, 1.0, 401)
+# consistency walk: the grid whose cells bracket the roots, and Newton's
+# stopping residual
+_ROOT_GRID = np.linspace(0.0, 1.0, 401).tolist()
 _ROOT_TOL = 1e-13
 # the roots (3 +- 2 sqrt 2)/4 of the spinodal discriminant 16J^2 - 24J + 1
 _J_C = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
@@ -321,35 +332,104 @@ def _spinodal(J: float) -> tuple[tuple[float, float], ...]:
     return tuple((0.5 * math.log(m * m / (1.0 - m)), m) for m in (m_lo, m_hi))
 
 
-def consistency_roots(params: ModelParams) -> list[float]:
-    """All solutions of m = g((2m-1)J + h) in [0, 1], in increasing order.
+def _rounding_bound(h: float, J: float) -> float:
+    """A bound on the rounding error of the computed residual: the field
+    (2m-1)J + h errs by at most 2^-53 (3J + |h|), g' <= 6 - 4 sqrt 2, and g
+    and the difference add a few ulps of 1."""
+    return 2.0**-52 * (3.0 + J + abs(h))
 
-    The residual m - g((2m-1)J + h) is scanned on a 401-point grid, cut
-    also at the spinodal densities where the residual is stationary, so it
-    is monotone on every cell and each root shows as a sign change.  Every
-    sign change is solved by brentq and polished by Newton to residual
-    < 1e-13, and polish results closer than 1e-9 are merged.  At J = 0 the
-    equation reads m = g(h).
+
+def _opposite(ra: float, rb: float) -> bool:
+    """Strictly opposite signs, compared rather than multiplied (a product
+    of two tiny residuals underflows to -0.0)."""
+    return ra < 0.0 < rb or rb < 0.0 < ra
+
+
+def _piece_roots(residual, a: float, b: float, ra: float, rb: float,
+                 noise: float) -> list[float]:
+    """The roots that a scan of every grid node in the monotone piece [a, b]
+    finds: nodes where the residual is 0 and cells whose ends have opposite
+    signs, each cell solved by brentq; zeros at a and b are left out.
+
+    Only near a root can rounding make the sampled residual anything but
+    monotone, and the rounding band around it is far narrower than a grid
+    cell.  So an end whose residual lies within noise of 0 is walked in node
+    by node, as a scan would see it, until the residual clears noise; past
+    that, and from an end that is clear already, the residual keeps one sign
+    up to the root, and a bisection over the grid nodes in between finds the
+    one cell (or node) where the sign changes.
     """
+    roots = []
+    lo = bisect.bisect_right(_ROOT_GRID, a) - 1  # the nodes strictly inside
+    hi = bisect.bisect_left(_ROOT_GRID, b)  # [a, b] are lo + 1 .. hi - 1
+    while abs(ra) <= noise and hi - lo > 1:
+        lo += 1
+        m, r = _ROOT_GRID[lo], residual(_ROOT_GRID[lo])
+        if r == 0.0:
+            roots.append(m)
+        elif _opposite(ra, r):
+            roots.append(float(brentq(residual, a, m, xtol=1e-15)))
+        a, ra = m, r
+    while abs(rb) <= noise and hi - lo > 1:
+        hi -= 1
+        m, r = _ROOT_GRID[hi], residual(_ROOT_GRID[hi])
+        if r == 0.0:
+            roots.append(m)
+        elif _opposite(r, rb):
+            roots.append(float(brentq(residual, m, b, xtol=1e-15)))
+        b, rb = m, r
+    if not _opposite(ra, rb):
+        return roots
+    a_negative = ra < 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        m = _ROOT_GRID[mid]
+        r = residual(m)
+        if r == 0.0:
+            return roots + [m]
+        if (r < 0.0) == a_negative:
+            lo, a = mid, m
+        else:
+            hi, b = mid, m
+    return roots + [float(brentq(residual, a, b, xtol=1e-15))]
+
+
+def _middle_bound(h: float, J: float) -> float:
+    """How far from zero both cut residuals must be for the middle piece to
+    leave the maxima alone; see _maximum_roots."""
+    eps = _rounding_bound(h, J)
+    return eps + 2.0 * (1.0 + J) * math.sqrt(eps) + 2e-9
+
+
+def _walk_roots(params: ModelParams, maxima_only: bool) -> list[float]:
+    """Roots of the consistency equation from the residual's monotone
+    pieces: all of them, or with maxima_only the two outer pieces' alone
+    where _maximum_roots shows that the middle piece cannot matter."""
     if params.J == 0.0:
         return [float(g(params.h))]
+    h, J = params.h, params.J
 
     def residual(m):
-        return m - g(params.effective_field(m))
+        return m - _g_scalar((2.0 * m - 1.0) * J + h)
 
-    cuts = [(x - params.h) / (2.0 * params.J) + 0.5 for x, _ in _spinodal(params.J)]
-    grid = np.sort(np.concatenate([_ROOT_GRID, [c for c in cuts if 0.0 < c < 1.0]]))
-    res = residual(grid)
-    roots = [float(m) for m in grid[res == 0.0]]
-    for i in np.flatnonzero(res[:-1] * res[1:] < 0.0):
-        roots.append(float(brentq(residual, grid[i], grid[i + 1], xtol=1e-15)))
+    cuts = [(x - h) / (2.0 * J) + 0.5 for x, _ in _spinodal(J)]
+    ends = [0.0, *(c for c in cuts if 0.0 < c < 1.0), 1.0]
+    r_ends = [residual(m) for m in ends]
+    noise = 2.0 * _rounding_bound(h, J)
+    pieces = range(len(ends) - 1)
+    if (maxima_only and len(ends) == 4
+            and min(abs(r_ends[1]), abs(r_ends[2])) > _middle_bound(h, J)):
+        pieces = (0, 2)
+    roots = [m for m, r in zip(ends, r_ends) if r == 0.0]
+    for k in pieces:
+        roots += _piece_roots(residual, ends[k], ends[k + 1], r_ends[k], r_ends[k + 1], noise)
     polished = []
     for m in roots:
         for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
-            r = float(residual(m))
+            r = residual(m)
             if abs(r) < _ROOT_TOL:
                 break
-            d = 1.0 - 2.0 * params.J * float(g_derivative(params.effective_field(m), 1))
+            d = 1.0 - 2.0 * J * float(g_derivative(params.effective_field(m), 1))
             if d == 0.0:
                 break
             m = min(max(m - r / d, 0.0), 1.0)
@@ -361,6 +441,50 @@ def consistency_roots(params: ModelParams) -> list[float]:
         if not out or m - out[-1] > 1e-9:
             out.append(m)
     return out
+
+
+def consistency_roots(params: ModelParams) -> list[float]:
+    """All solutions of m = g((2m-1)J + h) in [0, 1], in increasing order.
+
+    The residual r(m) = m - g((2m-1)J + h) turns only at the spinodal
+    densities, so the cuts c- < c+ that fall in (0, 1) split [0, 1] into at
+    most three pieces on which r is strictly monotone: [0, c-], [c-, c+] and
+    [c+, 1].  Each piece holds at most one root, and it holds one exactly
+    when r has opposite signs at its ends.  The signs are compared, never
+    multiplied, so a subnormal r(0) still counts.  On such a piece a
+    bisection over the nodes of the 401-point grid inside it finds the cell
+    where r changes sign; brentq solves it to xtol 1e-15 and Newton polishes
+    the result to residual < 1e-13.  A zero of r at a piece end or at a node
+    is a root as it stands, and roots closer than 1e-9 are merged.  An end
+    whose residual is within rounding noise of 0 is walked in node by node
+    (_piece_roots), so the roots are those of a sign scan over every node of
+    the grid cut at c- and c+, to the bit.  r is evaluated by g's scalar
+    route only: the piece ends, at most 9 nodes per bisection and brentq's
+    own points.  At J = 0 the equation reads m = g(h).
+    """
+    return _walk_roots(params, maxima_only=False)
+
+
+def _maximum_roots(params: ModelParams) -> list[float]:
+    """The consistency roots among which ptilde's local maxima lie: those of
+    the two outer pieces, where r rises (ptilde' = -2J r), or all roots
+    where the middle piece could change which roots pass as maxima.  The
+    roots with ptilde'' < 0 are the same as among consistency_roots.
+
+    Why the middle root m0 can be left out once both cut residuals exceed
+    _middle_bound: let rho be the smaller of the two and eps the rounding
+    bound of r.  On the outer pieces 0 < r' <= 1, so each outer root lies at
+    least rho - eps from its cut, with r' >= rho - eps there.  On the middle
+    piece |r'| rises from 0 at each cut towards the inflection of g, so
+    |r'(m0)| >= rho - eps.  A computed root is off by about eps / |r'|, which
+    moves r' by at most |r''| eps / |r'|, and |r''| = 4J^2 |g''| <= J^2.  So
+    rho >= eps + 2 (1 + J) sqrt(eps) + 2e-9 keeps r'(m0) < 0, that is
+    ptilde''(m0) > 0, by far more than its rounding, and keeps m0 more than
+    1e-9 from both outer roots, which the merge then leaves as they are.
+    Below the bound, or with fewer than two cuts in (0, 1), all three pieces
+    are solved.
+    """
+    return _walk_roots(params, maxima_only=True)
 
 
 def variational_pressure(params: ModelParams) -> float:

@@ -198,3 +198,54 @@ def stationary_count_mp(h, J, dps=30):
         signs = [mpmath.sign(residual(m)) for m in (mpmath.mpf(0), *cuts, mpmath.mpf(1))]
         pieces = [a != b for a, b in zip(signs, signs[1:])]
         return sum(pieces), pieces[0] + pieces[2]
+
+
+def cut_scan_consistency_roots(h, J):
+    """A frozen copy of the consistency solver that scanned the whole grid:
+    the 401-point grid cut at the spinodal densities, evaluated as one array,
+    brentq on every cell whose ends have residuals of opposite signs, then
+    Newton to residual < 1e-13 (g' only where the residual is above it) and
+    polish results closer than 1e-9 merged.  Its one change from that solver
+    is the sign test, which compares signs where the solver multiplied the
+    residuals (the product underflowed to -0.0 for a subnormal r(0)).  The
+    pin for the bits of the piecewise walk."""
+    if J == 0.0:
+        return [float(_reference_g(h))]
+
+    def residual(m):
+        return m - _reference_g((2.0 * m - 1.0) * J + h)
+
+    def g_prime(x):
+        gg = float(_reference_g(x))
+        return 2.0 * gg * (1.0 - gg) / (2.0 - gg)
+
+    cuts = []
+    if J >= (3.0 + 2.0 * math.sqrt(2.0)) / 4.0:
+        j_c = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
+        m_hi = (4.0 * J + 1.0 + 4.0 * math.sqrt((J - j_c) * (J - 1.0 / (16.0 * j_c)))) / (8.0 * J)
+        for m in (1.0 / (2.0 * J * m_hi), m_hi):
+            cuts.append((0.5 * math.log(m * m / (1.0 - m)) - h) / (2.0 * J) + 0.5)
+    grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 401), [c for c in cuts if 0.0 < c < 1.0]]))
+    res = residual(grid)
+    roots = [float(m) for m in grid[res == 0.0]]
+    change = ((res[:-1] < 0.0) & (res[1:] > 0.0)) | ((res[:-1] > 0.0) & (res[1:] < 0.0))
+    for i in np.flatnonzero(change):
+        roots.append(float(brentq(lambda m: float(residual(m)), grid[i], grid[i + 1],
+                                  xtol=1e-15)))
+    polished = []
+    for m in roots:
+        for _ in range(6):
+            r = float(residual(m))
+            if abs(r) < 1e-13:
+                break
+            d = 1.0 - 2.0 * J * g_prime((2.0 * m - 1.0) * J + h)
+            if d == 0.0:
+                break
+            m = min(max(m - r / d, 0.0), 1.0)
+        polished.append(m)
+    polished.sort()
+    out = []
+    for m in polished:
+        if not out or m - out[-1] > 1e-9:
+            out.append(m)
+    return out

@@ -45,6 +45,19 @@ class TestPhaseCommand:
         assert payload["kind"] == "coexistence"
         assert len(payload["maximizers"]) == 2 and len(payload["stationary_points"]) == 3
 
+    def test_root_near_zero_with_subnormal_residual(self, capsys):
+        # r(0) = -g(-740) is subnormal here; the maximizer is m = 0 with
+        # ptilde = -0.5, not m = 1 with -5, and 30 digits see three roots
+        code, out, _ = run_cli(capsys, "phase", "--h", "-5", "--J", "735")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["kind"] == "unique"
+        assert payload["maximizers"] == [0.0]
+        points = payload["stationary_points"]
+        assert abs(points[0]["value"] + 0.5) < 1e-12
+        maxima = sum(p["is_maximum"] for p in points)
+        assert (len(points), maxima) == stationary_count_mp(-5.0, 735.0) == (3, 2)
+
     def test_near_degenerate_is_domain_error(self, capsys):
         # 2e-10 above gamma(2): inside the guard band around equal heights
         code, _, err = run_cli(capsys, "phase", "--h", "-0.4128173928886404", "--J", "2")

@@ -216,6 +216,36 @@ class TestTraceGamma:
         trace_gamma([2.0])
         assert orders and set(orders) == {0, 2}
 
+    def test_bisection_step_runs_two_brentq_solves(self, monkeypatch):
+        # inside the window a bisection step solves the two outer pieces
+        # only: two brentq calls, none for the middle root
+        from imd import thermo
+
+        fields = []
+        height_gap = phase._height_gap
+
+        def recorded(params):
+            fields.append(params)
+            return height_gap(params)
+
+        monkeypatch.setattr(phase, "_height_gap", recorded)
+        trace_gamma([2.0])
+        monkeypatch.setattr(phase, "_height_gap", height_gap)
+        solves = []
+        brentq = thermo.brentq
+
+        def counted(*args, **kwargs):
+            solves.append(args[1:3])
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "brentq", counted)
+        steps = fields[-40:]  # the tail of the bisection, about 43 steps long
+        assert len({p.h for p in steps}) == len(steps)
+        for params in steps:
+            solves.clear()
+            assert phase._height_gap(params) is not None
+            assert len(solves) == 2, params
+
     def test_curve_endpoint_merges_into_critical_density(self, critical):
         J_values = [critical.J_c + d for d in (0.1, 0.05, 0.02, 0.01)]
         points = trace_gamma(J_values)

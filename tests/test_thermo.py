@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from imd import thermo
+from imd import phase, thermo
 from imd.phase import trace_gamma
 from imd.thermo import (
     ModelParams,
@@ -53,6 +53,21 @@ _ROUTES = (
     + [("rate_function", rate_function, DENSITIES, 0.0)]
 )
 ROUTE_CASES = [pytest.param(f, xs, rtol, id=name) for name, f, xs, rtol in _ROUTES]
+
+# (h, J) edge cases of the piecewise walk, each checked to be what it says:
+# at J = 1.5 the lower spinodal density is 1/2, so h = x- puts the cut on the
+# grid node 1/2 with r = 0 there; a few ulps off, r is 0 at a cut off the grid
+CUT_ON_GRID = (-0.34657359027997264, 1.5)
+ZERO_AT_CUT = (-0.34657359027997287, 1.5)
+ZERO_AT_UPPER_CUT = (-0.35615896377410955, 1.5)
+# g(h) = 1/2 exactly, so r(1/2) = 0 at every J: a zero at a grid node
+ZERO_AT_NODE_H = -0.34657359027997264
+EDGE_CASES = [CUT_ON_GRID, ZERO_AT_CUT, ZERO_AT_UPPER_CUT, (ZERO_AT_NODE_H, 1.0),
+              (ZERO_AT_NODE_H, 2.0), (ZERO_AT_NODE_H, 0.5), (-5.0, 735.0), (0.0, 740.0)]
+# J - J_c = 5.6e-7 at the lower edge of the two-maxima window: the middle
+# root merges with the tangent right one and keeps ptilde'' > 0, so there is
+# one maximum, though the right piece alone would show a second
+EDGE_MERGE = (-0.34411329917267997, 1.4571073390613543)
 
 
 class TestPureDensity:
@@ -339,6 +354,120 @@ class TestConsistencyRoots:
         monkeypatch.setattr(thermo, "g_derivative", counted)
         assert len(consistency_roots(ModelParams(-0.41, 2.0))) == 3
         assert calls == []
+
+    def test_walk_matches_the_cut_scan(self):
+        # the walk must find the very cells the whole-grid scan found, so
+        # every root keeps its bits; draws across the CLI's range, the
+        # verify range and J just above J_c around both window edges
+        from oracles import cut_scan_consistency_roots
+
+        rng = np.random.default_rng(2016)
+        wide = zip(rng.uniform(-30.0, 30.0, 1500), rng.uniform(0.0, 1e3, 1500))
+        narrow = zip(rng.uniform(-3.0, 3.0, 1500), rng.uniform(0.0, 10.0, 1500))
+        near = []
+        for dJ, side, offset in zip(10.0 ** rng.uniform(-9.0, -1.0, 1000),
+                                    rng.integers(0, 2, 1000), rng.uniform(-0.3, 0.3, 1000)):
+            J = thermo._J_C + dJ
+            lo, hi = phase._spinodal_window(J)
+            near.append(((lo, hi)[side] + offset * (hi - lo), J))
+        for h, J in [*wide, *narrow, *near, *EDGE_CASES]:
+            roots = consistency_roots(ModelParams(float(h), float(J)))
+            ref = cut_scan_consistency_roots(float(h), float(J))
+            assert [m.hex() for m in roots] == [m.hex() for m in ref], (h, J)
+
+    def test_edge_cases_are_what_they_claim(self):
+        # the preconditions of EDGE_CASES, so a change of g's bits cannot
+        # quietly turn them into ordinary draws
+        def residual(h, J, m):
+            return m - g((2.0 * m - 1.0) * J + h)
+
+        def cuts(h, J):
+            return [(x - h) / (2.0 * J) + 0.5 for x, _ in thermo._spinodal(J)]
+
+        grid = set(np.linspace(0.0, 1.0, 401).tolist())
+        assert cuts(*CUT_ON_GRID)[0] == 0.5 and residual(*CUT_ON_GRID, 0.5) == 0.0
+        c = cuts(*ZERO_AT_CUT)[0]
+        assert c not in grid and residual(*ZERO_AT_CUT, c) == 0.0
+        c = cuts(*ZERO_AT_UPPER_CUT)[1]
+        assert c not in grid and residual(*ZERO_AT_UPPER_CUT, c) == 0.0
+        for J in (0.5, 1.0, 2.0, 10.0):
+            assert residual(ZERO_AT_NODE_H, J, 0.5) == 0.0
+        assert thermo._spinodal(1.0) == ()
+
+    def test_no_root_lost_to_a_subnormal_residual(self):
+        # for h - J in about (-745, -738.5), r(0) = -g(h - J) is subnormal
+        # and a product of residuals underflowed to -0.0: the root at m = 0
+        # went missing.  Counts against 30 digits.
+        from imd.phase import solve_consistency
+        from oracles import stationary_count_mp
+
+        for h, J in ((-5.0, 735.0), (0.0, 740.0), (-30.0, 712.0)):
+            assert 0.0 < g(h - J) < 2.2e-308
+            points = solve_consistency(ModelParams(h, J))
+            roots, maxima = stationary_count_mp(h, J)
+            assert len(points) == roots == 3, (h, J)
+            assert sum(p.is_maximum for p in points) == maxima == 2, (h, J)
+            assert points[0].m < 1e-300
+
+    def test_scalar_walk_within_its_evaluation_count(self, monkeypatch):
+        # at (-0.41, 2) the walk evaluates r by g's scalar route only: 4
+        # piece ends, 24 grid nodes in three bisections and 17 points inside
+        # brentq, 45 in all (a whole-grid scan evaluated 403 at once)
+        fields = []
+
+        def counted(a):
+            fields.append(a)
+            return scalar(a)
+
+        def checked_g(h):
+            assert isinstance(h, float), type(h)
+            return g(h)
+
+        scalar = thermo._g_scalar
+        monkeypatch.setattr(thermo, "_g_scalar", counted)
+        monkeypatch.setattr(thermo, "g", checked_g)
+        assert len(consistency_roots(ModelParams(-0.41, 2.0))) == 3
+        assert all(type(a) is float for a in fields)
+        assert len(fields) <= 45
+
+    def test_maxima_walk_matches_the_all_roots_path(self, monkeypatch):
+        # the same (m, ptilde'') pairs, and None in the same cases, just
+        # inside and outside both window edges down to J - J_c = 1e-8, with
+        # every branch of the middle-piece guard taken
+        def all_roots_pair(params):
+            maxima = [(m, d2) for m in consistency_roots(params)
+                      if (d2 := tilde_p(m, params, 2)) < 0.0]
+            return maxima if len(maxima) == 2 else None
+
+        def branch(params):
+            h, J = params.h, params.J
+            cuts = [c for c in ((x - h) / (2.0 * J) + 0.5 for x, _ in thermo._spinodal(J))
+                    if 0.0 < c < 1.0]
+            if len(cuts) < 2:
+                return "fewer cuts"
+            rho = min(abs(c - g((2.0 * c - 1.0) * J + h)) for c in cuts)
+            return "outer" if rho > thermo._middle_bound(h, J) else "guarded"
+
+        rng = np.random.default_rng(2017)
+        draws = [ModelParams(*EDGE_MERGE), ModelParams(-0.41, 2.0), ModelParams(0.3, 1.0),
+                 ModelParams(0.0, 1e3), ModelParams(5.0, 3.0)]
+        for dJ in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 50.0):
+            J = thermo._J_C + dJ
+            lo, hi = phase._spinodal_window(J)
+            for edge in (lo, hi):
+                for rel in (0.0, *10.0 ** rng.uniform(-12.0, -1.0, 8)):
+                    for sign in (-1.0, 1.0):
+                        draws.append(ModelParams(float(edge + sign * rel * (hi - lo)), J))
+        seen = set()
+        for params in draws:
+            assert phase._two_maxima(params) == all_roots_pair(params), params
+            seen.add(branch(params))
+        assert seen == {"outer", "guarded", "fewer cuts"}
+        # without the guard the outer pieces alone give a pair at EDGE_MERGE
+        edge = ModelParams(*EDGE_MERGE)
+        assert branch(edge) == "guarded" and phase._two_maxima(edge) is None
+        monkeypatch.setattr(thermo, "_middle_bound", lambda h, J: -1.0)
+        assert phase._two_maxima(edge) is not None
 
     def test_spinodal_densities_solve_the_quadratic(self):
         # 2J g'(x) = 1 at both spinodal fields, and g(x) is the density given
