@@ -48,14 +48,10 @@ def _json(obj):
     return _text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _table(args, to_json, write_csv):
-    """The writer of to_json()'s JSON under --format json, else write_csv."""
-    return _json(to_json()) if args.fmt == "json" else write_csv
-
-
 # Each command does its computing and returns a writer of its artifact, which
 # main calls with the open output, and its exit code: domain errors surface
-# before the output is opened, and a CSV writer streams to it.
+# before the output is opened, and a CSV writer, or dist's JSON writer,
+# streams to it.
 
 
 def _cmd_phase(args):
@@ -74,9 +70,9 @@ def _cmd_gamma(args):
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     J_values = np.linspace(args.jmin, args.jmax, args.steps)
     points = phase.trace_gamma([float(j) for j in J_values])
-    write = _table(args, lambda: phase.gamma_points_to_json(points),
-                   lambda fh: phase.gamma_points_to_csv(points, fh))
-    return write, EXIT_OK
+    if args.fmt == "json":
+        return _json(phase.gamma_points_to_json(points)), EXIT_OK
+    return lambda fh: phase.gamma_points_to_csv(points, fh), EXIT_OK
 
 
 def _cmd_dist(args):
@@ -87,7 +83,7 @@ def _cmd_dist(args):
         eta = args.eta if args.eta is not None else 0.0
         u = args.u if args.u is not None else 0.0
         law = limits.scaled_law(args.N, params, eta, u)
-    return _table(args, law.to_json_dict, law.write_csv), EXIT_OK
+    return lambda fh: law.write(fh, args.fmt), EXIT_OK
 
 
 def _cmd_laplace(args):

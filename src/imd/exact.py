@@ -19,17 +19,22 @@ package's tail finder, ``quadrature.peaked_components``, on the continuous
 inside it: O(sqrt(N)) atoms away from coexistence.  At coexistence the
 window is one interval per phase: two intervals around the valley between
 the phases, whose atoms lie more than 750 below both peaks, or one when the
-two meet.  The full-support arrays of ``MonomerLaw`` keep one entry per atom
-and are evaluated outside the window, the valley included, only when read.
-``log_partition_pure`` evaluates each field's window in the same way, found
-on the atoms since the J = 0 weights are log-concave in k.
-The atom CSV writer streams its rows to the output in chunks of _CSV_ROWS,
-evaluating the columns outside the window chunk by chunk, so writing a law
-takes O(_CSV_ROWS) memory beyond its probabilities.
+two meet.  ``log_partition_pure`` evaluates each field's window in the same
+way, found on the atoms since the J = 0 weights are log-concave in k.
+
+One type, ``AtomLaw``, holds the law: its zero-padded probabilities, the
+window's intervals and a value column evaluated by atom index, the log
+weight here or the position of ``limits.scaled_law``, which reads the same
+atoms in increasing S through a reversed view.  Its one writer streams the
+atoms as CSV or JSON in chunks of _CSV_ROWS, evaluating the columns chunk
+by chunk, so writing a law takes O(_CSV_ROWS) memory beyond its
+probabilities.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 
 import numpy as np
@@ -40,7 +45,7 @@ from .quadrature import N_PROBE, log_integral, peaked_components
 from .thermo import ModelParams
 
 __all__ = [
-    "MonomerLaw",
+    "AtomLaw",
     "matching_count_log",
     "monomer_law",
     "log_partition",
@@ -73,121 +78,136 @@ def matching_count_log(N: int, k) -> float:
     return float(val) if np.ndim(k) == 0 else val
 
 
-class MonomerLaw:
-    """Exact law of the monomer count S_N = N - 2k under the Gibbs measure.
+# atoms per formatted chunk in AtomLaw.write
+_CSV_ROWS = 1 << 14
 
-    Probability sits on the window of dimer counts lo <= k < hi, less the
-    ``valley`` [a, b) when that is not None: at coexistence the window is two
-    intervals, [lo, a) and [b, hi), and the atoms between them have
-    probability 0.  ``window_log_weights`` are the log weights of the window's
-    atoms, in increasing k, the valley's left out.  ``probabilities`` and
-    ``log_weights`` hold one entry per atom k = 0..N//2: the first is zero
-    outside the window, the second is evaluated there (the valley included)
-    on first read.  The constructor takes the window's log weights, every
-    atom's probability, lo and the valley; given every atom's log weight
-    (lo = 0, no valley), the window is the whole support.
+
+class AtomLaw:
+    """Exact law of the monomer count S_N = N - 2k on its N//2 + 1 atoms.
+
+    The atoms are read by an index i: in increasing k (k = i) for the
+    monomer law, or in increasing S (k = N//2 - i) for a scaled law, one with
+    ``eta`` and ``u``.  ``probabilities`` holds every atom's probability in
+    that order, and is zero outside the ``windows``, one or two increasing
+    intervals [a, b) of indices; at coexistence the valley between two
+    intervals holds probability 0.  ``values_at(i)`` gives the value column
+    at indices i: the log weight of the monomer law, or the position
+    (S - N u)/N^eta of a scaled law.  ``values`` (``log_weights``,
+    ``positions``) evaluates it at every atom on first read.  Moments are
+    those of S for the monomer law and of the position for a scaled law, over
+    the hull of the windows.
     """
 
-    def __init__(self, N: int, params: ModelParams, log_weights, log_Z: float,
-                 probabilities, lo: int = 0, valley: tuple[int, int] | None = None):
+    def __init__(self, N: int, params: ModelParams, log_Z: float, probabilities,
+                 windows, values_at, eta: float | None = None, u: float | None = None):
         self.N = N
         self.params = params
         self.log_Z = log_Z
         self.probabilities = probabilities
-        self.window_log_weights = log_weights
-        self.lo = lo
-        self.valley = valley
-        self.hi = lo + len(log_weights) + (0 if valley is None else valley[1] - valley[0])
-        self._full_log_weights = log_weights if len(log_weights) == len(probabilities) else None
-
-    def _log_weights_at(self, k):
-        """Log weights of the atoms with dimer counts k."""
-        if self._full_log_weights is not None:
-            return self._full_log_weights[k]
-        return _log_weights(self.N, self.params, k)
+        self.windows = windows
+        self.values_at = values_at
+        self.eta = eta
+        self.u = u
+        self._values = None
 
     @property
-    def log_weights(self):
-        if self._full_log_weights is None:
-            self._full_log_weights = self._log_weights_at(self.k_values)
-        return self._full_log_weights
+    def values(self):
+        if self._values is None:
+            self._values = self.values_at(np.arange(len(self.probabilities)))
+        return self._values
+
+    log_weights = positions = values
+
+    def _k(self, i):
+        return i if self.eta is None else self.N // 2 - i
 
     @property
     def k_values(self):
-        return np.arange(self.N // 2 + 1)
+        return self._k(np.arange(len(self.probabilities)))
 
     @property
     def s_values(self):
-        """Support of S_N, decreasing in k (same parity as N)."""
+        """Support of S_N, in the law's order (same parity as N)."""
         return self.N - 2 * self.k_values
 
-    @property
-    def densities(self):
-        return self.s_values / self.N
+    def _hull(self):
+        """The probabilities over the hull of the windows, and S (the monomer
+        law) or the positions (a scaled law) there."""
+        lo, hi = self.windows[0][0], self.windows[-1][1]
+        i = np.arange(lo, hi)
+        return self.probabilities[lo:hi], self.N - 2 * i if self.eta is None else self.values_at(i)
 
-    def _window_s(self):
-        return self.N - 2 * np.arange(self.lo, self.hi)
-
-    def mean_s(self) -> float:
-        return float(np.dot(self.probabilities[self.lo:self.hi], self._window_s()))
+    def mean(self) -> float:
+        p, x = self._hull()
+        return float(np.dot(p, x))
 
     def central_moment(self, order: int) -> float:
-        s = self._window_s() - self.mean_s()
-        return float(np.dot(self.probabilities[self.lo:self.hi], s**order))
+        p, x = self._hull()
+        return float(np.dot(p, (x - self.mean()) ** order))
 
-    def write_csv(self, fh) -> None:
-        def atoms(k):
-            return k, self.N - 2 * k, self._log_weights_at(k)
+    def variance(self) -> float:
+        return self.central_moment(2)
 
-        _write_atom_csv(fh, "log_weight", atoms, self.probabilities, self.lo, self.hi)
+    def write(self, fh, fmt: str = "csv") -> None:
+        """Write the atoms to fh as CSV (fmt "csv") or JSON (fmt "json"), in
+        chunks of _CSV_ROWS atoms, so memory stays O(_CSV_ROWS) beyond the
+        probabilities whatever the number of atoms.
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "h": self.params.h,
-            "J": self.params.J,
-            "log_Z": self.log_Z,
-            "k": self.k_values.tolist(),
-            "S": self.s_values.tolist(),
-            "log_weight": self.log_weights.tolist(),
-            "probability": self.probabilities.tolist(),
-        }
+        CSV: one atom per row, ``k,S,<value name>,probability``.  Integers
+        are written in full and floats with 17 significant digits (``%.17g``,
+        which round-trips every double), rows end in ``\\r\\n``: the same
+        bytes as ``csv.writer`` with ``format(x, ".17g")`` cells.  Rows
+        outside the windows have probability 0, written as the constant
+        ``0``.  A chunk's columns are converted with ``.tolist()``,
+        interleaved through an object array and formatted with one ``%`` on
+        the chunk's repeated row format: no csv writer call or NumPy scalar
+        conversion per atom.
 
-
-# rows per formatted chunk in _write_atom_csv
-_CSV_ROWS = 1 << 14
-
-
-def _write_atom_csv(fh, value_name: str, atoms, probabilities, lo, hi) -> None:
-    """Write one atom per row as ``k,S,<value_name>,probability``.
-
-    ``atoms(i)`` gives the k, S and value columns of the atoms with indices
-    i.  Integers are written in full and floats with 17 significant digits
-    (``%.17g``, which round-trips every double), rows end in ``\\r\\n``: the
-    same bytes as ``csv.writer`` with ``format(x, ".17g")`` cells.  Rows
-    outside [lo, hi) have probability 0, written as the constant ``0``.
-
-    The rows go out in chunks of _CSV_ROWS: the chunk's columns are built,
-    converted with ``.tolist()``, interleaved through an object array and
-    formatted with one ``%`` on the chunk's repeated row format, then written
-    to fh.  Memory stays O(_CSV_ROWS) beyond the probabilities whatever the
-    number of atoms, and there is no csv writer call or NumPy scalar
-    conversion per atom.
-    """
-    n = len(probabilities)
-    zero, row = "%d,%d,%.17g,0\r\n", "%d,%d,%.17g,%.17g\r\n"
-    fh.write(f"k,S,{value_name},probability\r\n")
-    for a, b, fmt in ((0, lo, zero), (lo, hi, row), (hi, n, zero)):
-        for c in range(a, b, _CSV_ROWS):
-            d = min(b, c + _CSV_ROWS)
-            columns = atoms(np.arange(c, d))
-            if fmt is row:
-                columns += (probabilities[c:d],)
-            width = len(columns)
-            cells = np.empty(width * (d - c), dtype=object)
-            for j, column in enumerate(columns):
-                cells[j::width] = column.tolist()
-            fh.write((fmt * (d - c)) % tuple(cells.tolist()))
+        JSON: the bytes of ``json.dumps(payload, indent=2, sort_keys=True)
+        + "\\n"`` for the payload N, h, J, then log Z, k, S and the log
+        weights (the monomer law) or eta, u and the positions (a scaled law),
+        and the probabilities.  Keys go out sorted and each column chunk by
+        chunk through json's own encoder, so floats are their ``repr`` and
+        non-finite values read ``NaN``, ``Infinity`` and ``-Infinity``.
+        """
+        n = len(self.probabilities)
+        name = "log_weight" if self.eta is None else "position"
+        columns = {"k": self._k, "S": lambda i: self.N - 2 * self._k(i), name: self.values_at,
+                   "probability": self.probabilities.__getitem__}
+        if fmt == "json":
+            fields = {"N": self.N, "h": self.params.h, "J": self.params.J}
+            if self.eta is None:
+                fields |= {"log_Z": self.log_Z} | columns
+            else:
+                fields |= {"eta": self.eta, "u": self.u, name: columns[name],
+                           "probability": columns["probability"]}
+            head = "{\n"
+            for key in sorted(fields):
+                fh.write(f"{head}  {json.dumps(key)}: ")
+                head = ",\n"
+                if not callable(fields[key]):
+                    fh.write(json.dumps(fields[key]))
+                    continue
+                item = "[\n    "
+                for c in range(0, n, _CSV_ROWS):
+                    chunk = fields[key](np.arange(c, min(n, c + _CSV_ROWS))).tolist()
+                    fh.write(item + json.dumps(chunk, separators=(",\n    ", ": "))[1:-1])
+                    item = ",\n    "
+                fh.write("\n  ]")
+            fh.write("\n}\n")
+            return
+        fh.write(f"k,S,{name},probability\r\n")
+        # runs of zero probability alternate with the windows' intervals
+        edges = [0] + [e for window in self.windows for e in window] + [n]
+        for run, (a, b) in enumerate(zip(edges, edges[1:])):
+            names = ("k", "S", name, "probability")[:4 if run % 2 else 3]
+            fmt_row = "%d,%d,%.17g,%.17g\r\n" if run % 2 else "%d,%d,%.17g,0\r\n"
+            for c in range(a, b, _CSV_ROWS):
+                i = np.arange(c, min(b, c + _CSV_ROWS))
+                cells = np.empty(len(names) * len(i), dtype=object)
+                for j, column in enumerate(names):
+                    cells[j::len(names)] = columns[column](i).tolist()
+                fh.write((fmt_row * len(i)) % tuple(cells.tolist()))
 
 
 def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:
@@ -271,7 +291,7 @@ def _window(N: int, params: ModelParams) -> list[tuple[int, int]]:
     return kept
 
 
-def monomer_law(N: int, params: ModelParams) -> MonomerLaw:
+def monomer_law(N: int, params: ModelParams) -> AtomLaw:
     """Construct the exact monomer-count law for system size N.
 
     log Z is scipy's logsumexp formula (_log_total) with its sum run over a
@@ -297,9 +317,7 @@ def monomer_law(N: int, params: ModelParams) -> MonomerLaw:
     total = probs.sum()
     for part, _ in parts:
         part /= total
-    valley = (windows[0][1], windows[1][0]) if len(windows) == 2 else None
-    return MonomerLaw(N=N, params=params, log_weights=np.concatenate(log_ws), log_Z=log_Z,
-                      probabilities=probs, lo=windows[0][0], valley=valley)
+    return AtomLaw(N, params, log_Z, probs, windows, functools.partial(_log_weights, N, params))
 
 
 def log_partition(N: int, params: ModelParams) -> float:
@@ -474,7 +492,7 @@ def mgf_direct(N: int, params: ModelParams, eta: float, u: float, t: float) -> f
 
 def mean_density(N: int, params: ModelParams) -> float:
     """E[m_N] = E[S_N]/N under the exact law."""
-    return monomer_law(N, params).mean_s() / N
+    return monomer_law(N, params).mean() / N
 
 
 def pure_pressure_derivative(N: int, h: float, k: int) -> float:
@@ -490,7 +508,7 @@ def pure_pressure_derivative(N: int, h: float, k: int) -> float:
     if k == 0:
         return law.log_Z / N
     if k == 1:
-        return law.mean_s() / N
+        return law.mean() / N
     mu2 = law.central_moment(2)
     if k == 2:
         return mu2 / N

@@ -11,10 +11,13 @@ limiting distribution the theory predicts for those exponents:
   * on the coexistence curve: a two-point mixture rho1 delta_{m1} +
                          rho2 delta_{m2}, resolved here via basin masses.
 
-The KS distance of a discrete law against any of these is attained at the
-jump points, so it is evaluated exactly at the atoms (left and right limits),
-with no smoothing: parity wobble of the lattice is tolerated by the trend
-flag instead.
+The scaled law is the exact law's ``exact.AtomLaw`` read in increasing S,
+with its positions evaluated by atom index.  The KS distance of a discrete
+law against any of these is attained at the jump points, so it is evaluated
+exactly at the atoms (left and right limits), with no smoothing: parity
+wobble of the lattice is tolerated by the trend flag instead.  It reads the
+window's intervals and the end atoms of the zero-probability runs between
+them, never the hull of the window or the full support.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .parallel import parallel_map
 from .thermo import ModelParams
 
 __all__ = [
-    "ScaledLaw",
     "PointMass",
     "Gaussian",
     "Quartic",
@@ -45,85 +47,30 @@ __all__ = [
 ]
 
 
-class ScaledLaw:
-    """Atoms of (S_N - N u)/N^eta in increasing order, with the exact Gibbs
-    probabilities.
-
-    Probability sits on the atoms lo <= i < hi, at ``window_positions``,
-    less the ``valley`` [a, b) of zero-probability atoms between the two
-    phases when that is not None.  ``positions`` and ``probabilities`` hold
-    every atom of the support: the second is zero outside [lo, hi), the first
-    is evaluated there on first read.  The constructor takes the positions of
-    [lo, hi), every atom's probability, lo and the valley; given every atom's
-    position (lo = 0), [lo, hi) is the whole support.
-    """
-
-    def __init__(self, N: int, params: ModelParams, eta: float, u: float,
-                 positions, probabilities, lo: int = 0,
-                 valley: tuple[int, int] | None = None):
-        self.N = N
-        self.params = params
-        self.eta = eta
-        self.u = u
-        self.probabilities = probabilities
-        self.window_positions = positions
-        self.lo = lo
-        self.hi = lo + len(positions)
-        self.valley = valley
-        self._positions = positions if len(positions) == len(probabilities) else None
-
-    def _positions_at(self, i):
-        """Positions of the atoms with indices i (S = N mod 2 + 2 i)."""
-        if self._positions is not None:
-            return self._positions[i]
-        return (self.N % 2 + 2 * np.asarray(i) - self.N * self.u) / self.N**self.eta
-
-    @property
-    def positions(self):
-        if self._positions is None:
-            self._positions = self._positions_at(np.arange(len(self.probabilities)))
-        return self._positions
-
-    def mean(self) -> float:
-        return float(np.dot(self.probabilities[self.lo:self.hi], self.window_positions))
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(np.dot(self.probabilities[self.lo:self.hi],
-                            (self.window_positions - mu) ** 2))
-
-    def write_csv(self, fh) -> None:
-        def atoms(i):
-            return self.N // 2 - i, self.N % 2 + 2 * i, self._positions_at(i)
-
-        exact._write_atom_csv(fh, "position", atoms, self.probabilities, self.lo, self.hi)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "h": self.params.h,
-            "J": self.params.J,
-            "eta": self.eta,
-            "u": self.u,
-            "position": self.positions.tolist(),
-            "probability": self.probabilities.tolist(),
-        }
-
-
-def scaled_law(N: int, params: ModelParams, eta: float, u: float) -> ScaledLaw:
-    """Affine rescaling of the exact law; probabilities are untouched."""
+def scaled_law(N: int, params: ModelParams, eta: float, u: float) -> exact.AtomLaw:
+    """The exact law's atoms read in increasing S, at positions
+    (S - N u)/N^eta, evaluated on read; the probabilities are the monomer
+    law's, reversed as a view."""
     if eta < 0:
         raise ValueError(f"scaling exponent eta must be >= 0, got {eta}")
     law = exact.monomer_law(N, params)
+    try:
+        scale = float(N**eta)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"eta={eta!r} makes N^eta = {N}^{eta!r} non-finite in double precision")
+    shift = N * u
+    if not math.isfinite(shift):
+        raise ValueError(f"u={u!r} makes N*u = {N}*{u!r} non-finite in double precision")
     size = len(law.probabilities)
-    lo, hi = size - law.hi, size - law.lo  # increasing S is decreasing k
-    s = N - 2 * np.arange(law.hi - 1, law.lo - 1, -1)
-    probs = np.zeros(size)
-    probs[lo:hi] = law.probabilities[law.lo:law.hi][::-1]
-    valley = None if law.valley is None else (size - law.valley[1], size - law.valley[0])
-    return ScaledLaw(N=N, params=params, eta=eta, u=u,
-                     positions=(s - N * u) / N**eta, probabilities=probs, lo=lo,
-                     valley=valley)
+
+    def positions(i):
+        return (N % 2 + 2 * i - shift) / scale
+
+    return exact.AtomLaw(N, params, law.log_Z, law.probabilities[::-1],
+                         [(size - b, size - a) for a, b in reversed(law.windows)],
+                         positions, eta=eta, u=u)
 
 
 # --------------------------------------------------------------------------
@@ -205,45 +152,63 @@ class Quartic:
         return float(out) if np.ndim(x) == 0 else out
 
 
-def _mass_below(scaled: ScaledLaw, x: float, side: str) -> float:
+def _first_atom(n: int, reached) -> int:
+    """The first index i in [0, n) at which reached(i) holds, n if none;
+    reached is False and then True along the indices.  reached takes a
+    one-element index array, so a column is evaluated there as on a full
+    array."""
+    a, b = 0, n
+    while a < b:
+        mid = (a + b) // 2
+        if reached(np.array([mid])):
+            b = mid
+        else:
+            a = mid + 1
+    return a
+
+
+def _mass_below(scaled: exact.AtomLaw, x: float, side: str) -> float:
     """P(position < x) (side "left") or P(position <= x) (side "right"),
     summed over the full-support prefix so that the pairwise summation sees
-    the same layout as a mask over every atom."""
-    pos = scaled.window_positions
-    j = scaled.lo + int(np.searchsorted(pos, x, side))
-    if j == scaled.hi and j < len(scaled.probabilities):
-        j = int(np.searchsorted(scaled.positions, x, side))
+    the same layout as a mask over every atom.  The positions increase, so
+    the prefix ends where a bisection on the atom index finds them reach x."""
+    beyond = np.greater_equal if side == "left" else np.greater
+    j = _first_atom(len(scaled.probabilities), lambda i: beyond(scaled.values_at(i)[0], x))
     return float(np.sum(scaled.probabilities[:j]))
 
 
-def ks_distance(scaled: ScaledLaw, law) -> float:
+def ks_distance(scaled: exact.AtomLaw, law) -> float:
     """Exact Kolmogorov-Smirnov distance between a discrete scaled law and a
     limiting law: the supremum is attained at a jump point of either CDF, so
     left and right limits are compared at all such points.
 
-    Outside [lo, hi) the atoms form two runs of zero probability on which
-    the discrete CDF is constant (0 below; above, the window's total, and 1 at
-    the last atom), and the valley between two phases is a third (the mass
-    below it); every limit CDF is monotone, so the supremum over a run is
-    reached at its end atoms, and only those are evaluated."""
-    lo, hi = scaled.lo, scaled.hi
-    last = len(scaled.probabilities) - 1
-    p = scaled.probabilities[lo:hi]
+    Only the window's intervals are read.  Their cumulative sums run over
+    the intervals in turn, which gives the bits of a sum over every atom,
+    since the atoms between them add exact zeros.  Around and between the
+    intervals the atoms form runs of zero probability on which the discrete
+    CDF is constant (0 below the window; between two intervals, the first's
+    total; above, the window's total, and 1 at the last atom); every limit
+    CDF is monotone, so the supremum over a run is reached at its end atoms,
+    and only those are evaluated."""
+    windows, probabilities = scaled.windows, scaled.probabilities
+    last = len(probabilities) - 1
+    atoms = np.concatenate([np.arange(a, b) for a, b in windows])
+    p = probabilities[atoms]
     right = np.cumsum(p)
-    if hi > last:
+    if windows[-1][1] > last:
         right[-1] = 1.0
     left = right - p
-    pos = scaled.window_positions
-    if scaled.valley is not None:
-        # the cumulative sums are flat across the valley: keep its end atoms
-        a, b = scaled.valley[0] - lo, scaled.valley[1] - lo
-        keep = np.r_[:a + 1, b - 1:hi - lo]
-        right, left, pos = right[keep], left[keep], pos[keep]
-    ends = np.array(sorted({i for i in (0, lo - 1, hi, last - 1, last)
-                            if 0 <= i < lo or hi <= i <= last}), dtype=np.int64)
-    flat = np.where(ends < lo, 0.0, right[-1])
+    # the zero-probability runs [c, d) below, between and above the intervals
+    # (the last atom apart)
+    edges = [0] + [e for window in windows for e in window] + [last]
+    ends = {e for c, d in zip(edges[::2], edges[1::2]) if c < d for e in (c, d - 1)}
+    if windows[-1][1] <= last:
+        ends.add(last)
+    ends = np.array(sorted(ends), dtype=np.int64)
+    below = np.searchsorted(atoms, ends)
+    flat = np.where(below > 0, right[below - 1], 0.0)
     flat[ends == last] = 1.0
-    pos = np.concatenate([pos, scaled._positions_at(ends)])
+    pos = scaled.values_at(np.concatenate([atoms, ends]))
     right = np.concatenate([right, flat])
     left = np.concatenate([left, flat])
     lim_at = np.asarray(law.cdf(pos), dtype=np.float64)
@@ -327,11 +292,8 @@ def coexistence_masses(N: int, point: phase.GammaPoint) -> tuple[float, float]:
     cut = wells[0].m
     law = exact.monomer_law(N, params)
     # the atoms below the cut are the k >= j; summed over the full-support
-    # suffix, as a mask over every atom would be
-    dens = (N - 2 * np.arange(law.lo, law.hi)) / N
-    if dens[0] < cut and law.lo > 0:
-        j = int(np.count_nonzero(law.densities >= cut))
-    else:
-        j = law.lo + int(np.count_nonzero(dens >= cut))
+    # suffix, as a mask over every atom would be.  The density falls in k, so
+    # a bisection finds j with the mask's comparison
+    j = _first_atom(len(law.probabilities), lambda k: ((N - 2 * k) / N)[0] < cut)
     mass1 = float(np.sum(law.probabilities[j:]))
     return mass1, 1.0 - mass1

@@ -8,13 +8,14 @@ exceptions, ``full_support_law``, ``full_support_scaled`` and
 distance evaluated on every atom: the references for the windowed law.
 """
 
+import functools
 import itertools
 import math
 
 import mpmath
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, roots_hermitenorm
 
 
 def all_matchings(n):
@@ -109,6 +110,35 @@ def full_support_masses(n, params, cut):
     dens = (n - 2 * np.arange(n // 2 + 1)) / n
     mass1 = float(np.sum(probs[dens < cut]))
     return mass1, 1.0 - mass1
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_squares(n):
+    """x_j^2 over the n//2 positive roots x_j of the probabilists' Hermite
+    polynomial He_n, the matching polynomial of K_n (Heilmann-Lieb: all its
+    roots are real)."""
+    return np.sort(roots_hermitenorm(n)[0])[n - n // 2:] ** 2
+
+
+def hermite_log_partition_pure(n, h):
+    """log Z0_n(h) = h n + sum_j log1p(x_j^2 e^{-2h} / n) over the positive
+    roots x_j of He_n: the matching generating function of K_n factors over
+    its roots.  Shares neither gammaln nor the log-weight sum with the
+    library."""
+    return h * n + float(np.sum(np.log1p(_hermite_squares(n) * math.exp(-2.0 * h) / n)))
+
+
+def hermite_cumulants(n, h):
+    """The cumulants kappa_1..kappa_4 of S = n - 2D at J = 0, field h.  The
+    dimer count D is a sum of independent Bernoulli(p_j) with
+    p_j = a_j / (1 + a_j), a_j = x_j^2 e^{-2h} / n, so each cumulant is a sum
+    of Bernoulli cumulants, with no central-moment cancellation."""
+    a = _hermite_squares(n) * math.exp(-2.0 * h) / n
+    p = a / (1.0 + a)
+    pq = p / (1.0 + a)  # p (1 - p)
+    return (n - 2.0 * float(np.sum(p)), 4.0 * float(np.sum(pq)),
+            -8.0 * float(np.sum(pq * (1.0 - 2.0 * p))),
+            16.0 * float(np.sum(pq * (1.0 - 6.0 * pq))))
 
 
 def fixed_point_density(h, J, m0=0.5, sweeps=500):

@@ -183,13 +183,18 @@ class TestDistCommand:
         assert len(shown) > 10000
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_csv_streams_in_bounded_memory(self, tmp_path, scaled):
-        # 1e6 atoms, 37 MB of CSV: the rows go out chunk by chunk, so the
-        # process holds little more than the law's probabilities.  Peak RSS as
-        # VmHWM of the fresh process, as in test_exact
-        target = tmp_path / "f.csv"
-        argv = ["dist", "--N", "2000000", "--h", "0", "--J", "0", "--output", str(target)]
+    @pytest.mark.parametrize("scaled, fmt", [
+        pytest.param(False, "csv", id="False"), pytest.param(True, "csv", id="True"),
+        pytest.param(False, "json", id="json-False"), pytest.param(True, "json", id="json-True"),
+    ])
+    def test_csv_streams_in_bounded_memory(self, tmp_path, scaled, fmt):
+        # 1e6 atoms, 37 MB of CSV: the rows (or the JSON columns) go out chunk
+        # by chunk, so the process holds little more than the law's
+        # probabilities.  Peak RSS as VmHWM of the fresh process, as in
+        # test_exact
+        target = tmp_path / "f.out"
+        argv = ["dist", "--N", "2000000", "--h", "0", "--J", "0", "--format", fmt,
+                "--output", str(target)]
         if scaled:
             argv += ["--eta", "0.5", "--u", repr(float(g(0.0)))]
         code = (
@@ -203,31 +208,60 @@ class TestDistCommand:
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                              text=True, env=env, check=True).stdout.split()
         assert int(out[0]) == EXIT_OK
+        # a header and a row per atom; or braces, the scalars (J, N, h and
+        # log_Z, or eta and u too) and two lines around each column of atoms
+        lines = {"csv": 1 + 1000001, "json": 2 + 4 + 4 * (1000001 + 2)}
+        if fmt == "json" and scaled:
+            lines["json"] = 2 + 5 + 2 * (1000001 + 2)
         with open(target, "rb") as fh:
-            assert sum(1 for _ in fh) == 1 + 1000001
+            assert sum(1 for _ in fh) == lines[fmt]
         assert int(out[1]) < 160 * 1024  # kB
 
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_json_bytes_match_element_wise_route(self, capsys, scaled):
+    @pytest.mark.parametrize("n, h, J, scaled", [
+        pytest.param(1000, 0.2, 1.5, False, id="False"),
+        pytest.param(1000, 0.2, 1.5, True, id="True"),
+        # gamma(2): two intervals, the valley's columns evaluated chunk by chunk
+        pytest.param(20000, None, 2.0, False, id="coexistence"),
+        pytest.param(20000, None, 2.0, True, id="coexistence-scaled"),
+        pytest.param(1001, -0.3, 0.5, False, id="odd"),
+        pytest.param(1001, -0.3, 0.5, True, id="odd-scaled"),
+    ])
+    def test_json_bytes_match_element_wise_route(self, capsys, n, h, J, scaled):
         # reference: the payloads as built with float()/int() per element
-        params = ModelParams(0.2, 1.5)
-        argv = ["dist", "--N", "1000", "--h", "0.2", "--J", "1.5", "--format", "json"]
+        if h is None:
+            h = phase.trace_gamma([J])[0].h
+        params = ModelParams(h, J)
+        argv = ["dist", "--N", str(n), f"--h={h!r}", f"--J={J!r}", "--format", "json"]
         if scaled:
             argv += ["--eta", "0.5", "--u", "0.3"]
-            law = scaled_law(1000, params, 0.5, 0.3)
-            payload = {"N": 1000, "h": 0.2, "J": 1.5, "eta": 0.5, "u": 0.3,
+            law = scaled_law(n, params, 0.5, 0.3)
+            payload = {"N": n, "h": h, "J": J, "eta": 0.5, "u": 0.3,
                        "position": list(map(float, law.positions)),
                        "probability": list(map(float, law.probabilities))}
         else:
-            law = monomer_law(1000, params)
-            payload = {"N": 1000, "h": 0.2, "J": 1.5, "log_Z": law.log_Z,
+            law = monomer_law(n, params)
+            payload = {"N": n, "h": h, "J": J, "log_Z": law.log_Z,
                        "k": [int(k) for k in law.k_values],
                        "S": [int(s) for s in law.s_values],
                        "log_weight": list(map(float, law.log_weights)),
                        "probability": list(map(float, law.probabilities))}
+        if n == 20000:
+            assert len(law.windows) == 2
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("scaling, name", [
+        (["--eta", "1000", "--u", "0"], "eta=1000.0 makes N^eta = 10^1000.0"),
+        (["--eta", "400", "--u", "0"], "eta=400.0 makes N^eta = 10^400.0"),
+        (["--eta", "0.5", "--u", "1e308"], "u=1e+308 makes N*u = 10*1e+308"),
+    ], ids=["eta-1000", "eta-400", "u-1e308"])
+    def test_non_finite_scaling_is_domain_error(self, capsys, scaling, name):
+        code, out, err = run_cli(capsys, "dist", "--N", "10", "--h", "0", "--J", "0",
+                                 *scaling)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert name in err and "non-finite" in err
 
 
 class TestLaplaceCommand:

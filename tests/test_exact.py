@@ -1,6 +1,7 @@
 """Tests for the exact finite-N Gibbs statistics."""
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -29,7 +30,7 @@ from imd.exact import (
     pressure,
     pure_pressure_derivative,
 )
-from imd.limits import ScaledLaw, scaled_law
+from imd.limits import scaled_law
 from imd.phase import classify
 from imd.quadrature import TAIL_DROP
 from imd.thermo import ModelParams, consistency_roots, g, g_derivative, p0
@@ -39,6 +40,8 @@ from oracles import (
     brute_partition,
     dimer_count_histogram,
     full_support_law,
+    hermite_cumulants,
+    hermite_log_partition_pure,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -131,7 +134,7 @@ class TestMonomerLaw:
     def test_csv_round_trip_schema(self):
         law = monomer_law(6, ModelParams(0.3, 0.7))
         buf = io.StringIO()
-        law.write_csv(buf)
+        law.write(buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "k,S,log_weight,probability"
         assert len(lines) == 1 + 4
@@ -140,7 +143,7 @@ class TestMonomerLaw:
 
 
 def csv_writer_monomer_law(law) -> str:
-    """Reference: the csv.writer route MonomerLaw.write_csv replaced."""
+    """Reference: the csv.writer route the monomer law's chunked writer replaced."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "S", "log_weight", "probability"])
@@ -150,7 +153,7 @@ def csv_writer_monomer_law(law) -> str:
 
 
 def csv_writer_scaled_law(law) -> str:
-    """Reference: the csv.writer route ScaledLaw.write_csv replaced."""
+    """Reference: the csv.writer route the scaled law's chunked writer replaced."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "S", "position", "probability"])
@@ -167,8 +170,19 @@ def csv_writer_scaled_law(law) -> str:
 
 def written_csv(law) -> str:
     buf = io.StringIO()
-    law.write_csv(buf)
+    law.write(buf)
     return buf.getvalue()
+
+
+def hull(law):
+    """The first index of the law's window and one past its last."""
+    return law.windows[0][0], law.windows[-1][1]
+
+
+def valley(law):
+    """The zero-probability atoms [a, b) between the window's two intervals,
+    or None when it is one interval."""
+    return (law.windows[0][1], law.windows[1][0]) if len(law.windows) == 2 else None
 
 
 # doubles that stress %.17g: zeros, the smallest subnormal, extreme exponents,
@@ -221,15 +235,16 @@ class TestWindow:
             warnings.simplefilter("error")
             law = monomer_law(n, ModelParams(h, J))
         p = law.probabilities
+        lo, hi = hull(law)
         assert len(p) == n // 2 + 1
         assert abs(p.sum() - 1.0) < 1e-12
         assert math.isfinite(law.log_Z)
-        assert np.all(p[:law.lo] == 0.0) and np.all(p[law.hi:] == 0.0)
+        assert np.all(p[:lo] == 0.0) and np.all(p[hi:] == 0.0)
         # the atoms next to the window, and the atoms at the limiting
         # stationary densities (the wells), lie inside it or have probability 0
         wells = [round(n * (1.0 - m) / 2.0) for m in consistency_roots(ModelParams(h, J))]
-        for k in [law.lo - 1, law.hi] + [min(k, n // 2) for k in wells]:
-            if 0 <= k <= n // 2 and not law.lo <= k < law.hi:
+        for k in [lo - 1, hi] + [min(k, n // 2) for k in wells]:
+            if 0 <= k <= n // 2 and not lo <= k < hi:
                 assert math.exp(atom_log_weight(n, h, J, k) - law.log_Z) == 0.0
         if n <= 10**5:
             log_w, log_z, probs = full_support_law(n, h, J)
@@ -244,13 +259,14 @@ class TestWindow:
         # around it, log Z moves by one ulp
         log_w, log_z, probs = full_support_law(4002, h, 0.0)
         law = monomer_law(4002, ModelParams(h, 0.0))
-        assert law.lo > 0
+        assert hull(law)[0] > 0
         assert law.log_Z == log_z
         assert np.array_equal(law.probabilities, probs)
 
     def test_window_is_small_away_from_coexistence(self):
         law = monomer_law(10**7, ModelParams(0.0, 0.0))
-        assert law.hi - law.lo < 80000
+        lo, hi = hull(law)
+        assert hi - lo < 80000
 
     def test_both_wells_are_kept_at_coexistence(self):
         # at gamma(8) each phase holds about half the mass, one of them in the
@@ -298,13 +314,14 @@ class TestTwoIntervalWindow:
         params = ModelParams(point.h, 2.0)
         law = monomer_law(n, params)
         log_w, log_z, probs = full_support_law(n, point.h, 2.0)
-        assert law.valley is not None
-        assert law.lo < law.valley[0] < law.valley[1] < law.hi
-        assert len(law.window_log_weights) <= 40000
-        assert law.hi - law.lo > 400000  # the hull the window no longer evaluates
+        assert valley(law) is not None
+        (lo, hi), (a, b) = hull(law), valley(law)
+        assert lo < a < b < hi
+        assert (a - lo) + (hi - b) <= 40000
+        assert hi - lo > 400000  # the hull the window no longer evaluates
         assert law.log_Z == log_z
         assert np.array_equal(law.probabilities, probs)
-        assert np.all(probs[law.valley[0]:law.valley[1]] == 0.0)
+        assert np.all(probs[a:b] == 0.0)
         assert written_csv(law) == csv_writer_monomer_law(law)
         assert np.array_equal(law.log_weights, log_w)
         scaled = scaled_law(n, params, 1.0, 0.0)
@@ -318,8 +335,8 @@ class TestTwoIntervalWindow:
         n, point = 10**6, gamma_points[J]
         law = monomer_law(n, ModelParams(point.h, J))
         log_w, log_z, probs = full_support_law(n, point.h, J)
-        assert law.valley is not None
-        assert len(law.window_log_weights) < 5000
+        assert valley(law) is not None
+        assert sum(b - a for a, b in law.windows) < 5000
         assert law.log_Z == log_z
         assert np.array_equal(law.probabilities, probs)
         assert np.array_equal(law.log_weights, log_w)
@@ -334,10 +351,10 @@ class TestTwoIntervalWindow:
         windows = exact._window(n, params)
         assert len(windows) == 1
         law = monomer_law(n, params)
-        assert law.valley is None
-        assert len(law.window_log_weights) == law.hi - law.lo
+        assert law.windows == windows
+        lo, hi = hull(law)
         wells = [round(n * (1.0 - m) / 2.0) for m in (point.m1, point.m2)]
-        assert all(law.lo <= k < law.hi for k in wells)
+        assert all(lo <= k < hi for k in wells)
         log_w, log_z, probs = full_support_law(n, point.h, 2.0)
         assert law.log_Z == log_z
         assert np.array_equal(law.probabilities, probs)
@@ -359,15 +376,15 @@ class TestAtomCsv:
     @example((31, np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])))
     def test_monomer_law_matches_csv_writer(self, columns):
         n, log_w, probs = columns
-        law = exact.MonomerLaw(N=n, params=ModelParams(0.0, 0.0), log_weights=log_w,
-                               log_Z=0.0, probabilities=probs)
+        law = exact.AtomLaw(n, ModelParams(0.0, 0.0), 0.0, probs, [(0, len(probs))],
+                            log_w.__getitem__)
         assert written_csv(law) == csv_writer_monomer_law(law)
 
     @given(atom_columns(float_cells))  # k and S come from the atom index
     def test_scaled_law_matches_csv_writer(self, columns):
         n, positions, probs = columns
-        law = ScaledLaw(N=n, params=ModelParams(0.0, 0.0), eta=0.0, u=0.0,
-                        positions=positions, probabilities=probs)
+        law = exact.AtomLaw(n, ModelParams(0.0, 0.0), 0.0, probs, [(0, len(probs))],
+                            positions.__getitem__, eta=0.0, u=0.0)
         assert written_csv(law) == csv_writer_scaled_law(law)
 
     @pytest.mark.parametrize("n, h, J, eta, u", [
@@ -398,14 +415,15 @@ class TestAtomCsv:
         probs = np.zeros(size)
         probs[lo:hi] = rng.uniform(0.0, 1.0, hi - lo)
         n, params = 2 * (size - 1), ModelParams(0.2, 1.5)
-        law = exact.MonomerLaw(N=n, params=params, log_weights=exact._log_weights(
-                                   n, params, np.arange(lo, hi)),
-                               log_Z=0.0, probabilities=probs, lo=lo)
+        law = exact.AtomLaw(n, params, 0.0, probs, [(lo, hi)],
+                            functools.partial(exact._log_weights, n, params))
         assert written_csv(law) == csv_writer_monomer_law(law)
         n, eta, u = n + 1, 0.5, 0.3
-        positions = (n % 2 + 2 * np.arange(lo, hi) - n * u) / n**eta
-        scaled = ScaledLaw(N=n, params=params, eta=eta, u=u, positions=positions,
-                           probabilities=probs, lo=lo)
+
+        def positions(i):
+            return (n % 2 + 2 * i - n * u) / n**eta
+
+        scaled = exact.AtomLaw(n, params, 0.0, probs, [(lo, hi)], positions, eta=eta, u=u)
         assert written_csv(scaled) == csv_writer_scaled_law(scaled)
 
 
@@ -551,7 +569,7 @@ class TestMgf:
         t = 2.4638571
         log_ref = logsumexp(log_w + t * s) - log_z
         assert 700.0 < log_ref < math.log(np.finfo(float).max)
-        assert law.lo > int(np.argmax(log_w + t * s))
+        assert hull(law)[0] > int(np.argmax(log_w + t * s))
         val = mgf_direct(N, ModelParams(h, 0.0), 0.0, 0.0, t)
         assert abs(val / math.exp(log_ref) - 1.0) < 1e-12
         with pytest.raises(OverflowError):
@@ -605,6 +623,36 @@ class TestPurePressureDerivatives:
         ]
         fd = (lower[1] - lower[0]) / (2.0 * step)
         assert abs(pure_pressure_derivative(n, h, k) - fd) < 1e-4
+
+
+# relative gates against the Heilmann-Lieb route for log Z (key 0) and the
+# h-derivatives k = 1..4, each at least 10x the largest gap measured over the
+# grid below (2-core Xeon, numpy 2.4.6, scipy 1.17.1): 7.1e-15, 7.1e-15,
+# 9.3e-13, 7.1e-10 and 3.8e-8 (k = 4 at N = 1e4, h = -1, where kappa_4 is
+# about -117 against a fourth central moment near 1.9e7)
+HERMITE_GATES = {0: 1e-13, 1: 1e-13, 2: 1e-11, 3: 1e-8, 4: 1e-6}
+
+
+class TestHeilmannLieb:
+    """log Z0_N and the cumulants of S_N at J = 0 against the product over
+    the roots of He_N (tests/oracles.py), a route that shares neither gammaln
+    nor the log-weight sums with the library."""
+
+    @pytest.mark.parametrize("h", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [10, 11, 1001, 10**4])
+    def test_log_partition_pure(self, n, h):
+        ref = hermite_log_partition_pure(n, h)
+        assert abs(log_partition_pure(n, h) - ref) <= HERMITE_GATES[0] * abs(ref)
+
+    @pytest.mark.parametrize("h", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [10, 11, 1001, 10**4])
+    def test_cumulants(self, n, h):
+        # the k-th h-derivative of log Z0_N / N is the k-th cumulant of S_N / N
+        kappas = hermite_cumulants(n, h)
+        for k in (1, 2, 3, 4):
+            ref = kappas[k - 1] / n
+            gap = abs(pure_pressure_derivative(n, h, k) - ref)
+            assert gap <= HERMITE_GATES[k] * abs(ref), (k, gap / abs(ref))
 
 
 class TestSmoothedDensity:

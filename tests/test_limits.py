@@ -11,11 +11,11 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammainc
 
 from imd import phase
+from imd.exact import AtomLaw
 from imd.limits import (
     Gaussian,
     PointMass,
     Quartic,
-    ScaledLaw,
     StudyTable,
     TwoPointMixture,
     coexistence_masses,
@@ -39,10 +39,8 @@ def gamma_at_2():
 
 
 def point_law(x0=0.0):
-    return ScaledLaw(
-        N=1, params=ModelParams(0.0, 0.0), eta=0.0, u=0.0,
-        positions=np.array([x0]), probabilities=np.array([1.0]),
-    )
+    return AtomLaw(1, ModelParams(0.0, 0.0), 0.0, np.array([1.0]), [(0, 1)],
+                   np.array([x0]).__getitem__, eta=0.0, u=0.0)
 
 
 class TestScaledLaw:
@@ -80,7 +78,7 @@ class TestScaledLaw:
     def test_csv_schema(self):
         law = scaled_law(6, ModelParams(0.0, 0.0), 0.5, 0.6)
         buf = io.StringIO()
-        law.write_csv(buf)
+        law.write(buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "k,S,position,probability"
         assert len(lines) == 5
@@ -153,10 +151,8 @@ class TestKsDistance:
         assert ks_distance(point_law(0.0), PointMass(1.0)) == 1.0
 
     def test_mixture_against_itself_as_discrete_law(self):
-        two = ScaledLaw(
-            N=2, params=ModelParams(0.0, 0.0), eta=0.0, u=0.0,
-            positions=np.array([0.2, 0.8]), probabilities=np.array([0.3, 0.7]),
-        )
+        two = AtomLaw(2, ModelParams(0.0, 0.0), 0.0, np.array([0.3, 0.7]), [(0, 2)],
+                      np.array([0.2, 0.8]).__getitem__, eta=0.0, u=0.0)
         assert ks_distance(two, TwoPointMixture(0.3, 0.2, 0.7, 0.8)) < 1e-15
         assert abs(ks_distance(two, TwoPointMixture(0.5, 0.2, 0.5, 0.8)) - 0.2) < 1e-15
 
@@ -213,7 +209,7 @@ class TestWindowedKs:
             scaled = scaled_law(n, params, 1.0, 0.0)
             pos, probs = full_support_scaled(n, params, 1.0, 0.0)
             assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
-        assert scaled.hi - scaled.lo < 30000
+        assert scaled.windows[-1][1] - scaled.windows[0][0] < 30000
 
     @pytest.mark.parametrize("law", [
         Gaussian(0.2, 1e-4), Gaussian(-0.2, 1e-4), Gaussian(0.0, 100.0),
@@ -230,7 +226,7 @@ class TestWindowedKs:
         # Gaussian(1e9, 1) the last atom's 1 decides)
         params = ModelParams(0.0, 0.0)
         scaled = scaled_law(n, params, 1.0, 0.0)
-        assert 0 < scaled.lo and scaled.hi < len(scaled.probabilities)
+        assert 0 < scaled.windows[0][0] and scaled.windows[-1][1] < len(scaled.probabilities)
         pos, probs = full_support_scaled(n, params, 1.0, 0.0)
         assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
 
@@ -240,27 +236,55 @@ class TestWindowedKs:
         params, eta, u, law = ladders(critical, gamma_at_2)["coexistence_mixture"]
         n = 10**6
         scaled = scaled_law(n, params, eta, u)
-        assert scaled.valley is not None
-        assert scaled.lo < scaled.valley[0] < scaled.valley[1] < scaled.hi
+        (lo, a), (b, hi) = scaled.windows
+        assert lo < a < b < hi
         pos, probs = full_support_scaled(n, params, eta, u)
         assert np.array_equal(scaled.probabilities, probs)
         assert ks_distance(scaled, law) == full_support_ks(pos, probs, law)
         # limit laws whose distance is decided inside the valley
-        mid = pos[(scaled.valley[0] + scaled.valley[1]) // 2]
+        mid = pos[(a + b) // 2]
         for other in (PointMass(mid), Gaussian(mid, 1e-6), Gaussian(mid, 1e-2),
                       TwoPointMixture(0.5, gamma_at_2.m1, 0.5, mid)):
             assert ks_distance(scaled, other) == full_support_ks(pos, probs, other)
         cut = [p.m for p in phase.solve_consistency(params) if not p.is_maximum][0]
         assert coexistence_masses(n, gamma_at_2) == full_support_masses(n, params, cut)
 
-    @pytest.mark.parametrize("shift", [0.0, 0.02, -0.02])
-    def test_coexistence_masses(self, gamma_at_2, shift):
+    def test_ks_reads_only_the_intervals(self, critical, gamma_at_2):
+        # at gamma(2), N = 1e6 the two intervals hold 38 535 atoms and their
+        # hull 412 892: the positions are evaluated on the intervals, at the
+        # end atoms of the zero-probability runs and at the bisection steps of
+        # the masses below the limit law's two atoms
+        params, eta, u, law = ladders(critical, gamma_at_2)["coexistence_mixture"]
+        scaled = scaled_law(10**6, params, eta, u)
+        inside = sum(b - a for a, b in scaled.windows)
+        evaluated = []
+        positions = scaled.values_at
+
+        def counted(i):
+            evaluated.append(len(i))
+            return positions(i)
+
+        scaled.values_at = counted
+        ks_distance(scaled, law)
+        assert inside < 40000 and scaled.windows[-1][1] - scaled.windows[0][0] > 400000
+        assert inside <= sum(evaluated) <= inside + 6 + 4 * 20
+
+    @pytest.mark.parametrize("J, shift, sizes", [
+        pytest.param(2.0, 0.0, (10**4, 10**5), id="0.0"),
+        pytest.param(2.0, 0.02, (10**4, 10**5), id="0.02"),
+        pytest.param(2.0, -0.02, (10**4, 10**5), id="-0.02"),
+        pytest.param(8.0, 0.0, (10**6,), id="gamma-8"),
+    ])
+    def test_coexistence_masses(self, gamma_at_2, J, shift, sizes):
         # shifted off the curve, one well lies more than 750 below the other
-        # at N = 1e5 and leaves the window, so the cut lies outside it
-        point = dataclasses.replace(gamma_at_2, h=gamma_at_2.h + shift)
+        # at N = 1e5 and leaves the window, so the cut lies outside it; at
+        # gamma(8) the wells lie at both ends of the support and the window
+        # holds a few thousand of its 500 001 atoms
+        point = gamma_at_2 if J == 2.0 else phase.trace_gamma([J])[0]
+        point = dataclasses.replace(point, h=point.h + shift)
         params = ModelParams(point.h, point.J)
         cut = [p.m for p in phase.solve_consistency(params) if not p.is_maximum][0]
-        for n in (10**4, 10**5):
+        for n in sizes:
             assert coexistence_masses(n, point) == full_support_masses(n, params, cut)
 
 
