@@ -133,19 +133,18 @@ def peaked_components(log_f, lo: float, hi: float, drop: float = TAIL_DROP,
             width = hi - lo
             lo, hi = lo - width, hi + width
             continue
-        idx = np.flatnonzero(mask)
-        pieces = []
-        start = idx[0]
-        for j, i in enumerate(idx):
-            if j and i != idx[j - 1] + 1:
-                pieces.append((xs[max(start - 1, 0)], xs[min(idx[j - 1] + 1, N_PROBE - 1)]))
-                start = i
-        pieces.append((xs[max(start - 1, 0)], xs[min(idx[-1] + 1, N_PROBE - 1)]))
-        return pieces
+        return _pieces(xs, np.flatnonzero(mask))
     raise IntegrationDomainError(
         f"super-level set still touches the window boundary after "
         f"{_MAX_EXPAND} expansions; integrand appears not to decay"
     )
+
+
+def _pieces(xs, idx):
+    """(xs[a - 1], xs[b + 1]) per run a..b of consecutive indices in idx, clamped."""
+    gap = np.flatnonzero(np.diff(idx) > 1)
+    starts, ends = [idx[0], *idx[gap + 1]], [*idx[gap], idx[-1]]
+    return [(xs[max(a - 1, 0)], xs[min(b + 1, N_PROBE - 1)]) for a, b in zip(starts, ends)]
 
 
 def _bounded_probe(log_f, upper, xs, drop):

@@ -4,6 +4,7 @@ Each criterion returns a CriterionResult with labeled sub-checks and pinned
 tolerances.  The CLI ``verify`` subcommand and the pytest acceptance module
 both dispatch here, so there is exactly one source of truth for what "pass"
 means.  All checks are deterministic (no sampling anywhere in the package).
+Within one call a criterion computes each (N, params) quantity once, no more.
 """
 
 from __future__ import annotations
@@ -70,16 +71,15 @@ def _enumerate_matchings(n: int):
     yield from rec(tuple(range(n)))
 
 
-def brute_force_log_partition(N: int, params: ModelParams) -> float:
-    """log Z_N by exhaustive enumeration over all matchings (oracle, N <= 8)."""
+def brute_force_log_partition(N: int, params: ModelParams, dimer_counts=None) -> float:
+    """log Z_N by exhaustive enumeration over all matchings (oracle, N <= 8); pass
+    ``dimer_counts``, list(_enumerate_matchings(N)), to reuse one enumeration."""
     if N > 8:
         raise ValueError(f"brute-force enumeration is capped at N=8, got {N}")
     log_terms = []
-    for k in _enumerate_matchings(N):
+    for k in _enumerate_matchings(N) if dimer_counts is None else dimer_counts:
         m = (N - 2 * k) / N
-        log_terms.append(
-            -k * math.log(N) + N * ((params.h - params.J) * m + params.J * m * m)
-        )
+        log_terms.append(-k * math.log(N) + N * ((params.h - params.J) * m + params.J * m * m))
     arr = np.asarray(log_terms)
     mx = arr.max()
     return float(mx + math.log(np.sum(np.exp(arr - mx))))
@@ -112,10 +112,11 @@ def criterion_2() -> CriterionResult:
     res = CriterionResult(2, "exact", "partition function vs exhaustive matching enumeration")
     worst = 0.0
     for N in range(2, 9):
+        counts = list(_enumerate_matchings(N))
         for h, J in itertools.product((-1.0, 0.0, 1.0), (0.0, 1.0, 2.0)):
             params = ModelParams(h, J)
-            diff = abs(exact.log_partition(N, params) - brute_force_log_partition(N, params))
-            worst = max(worst, diff)
+            brute = brute_force_log_partition(N, params, counts)
+            worst = max(worst, abs(exact.log_partition(N, params) - brute))
         res.check(f"N={N}: max |log Z - brute force| over 9 (h,J) <= {worst:.2e}", worst < 1e-12)
     return res
 
@@ -123,14 +124,13 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     res = CriterionResult(3, "laplace", "Gaussian-moment representation of the pure partition function")
     worst = 0.0
+    rep = {}
     for N in (2, 4, 10, 50, 100, 101):
         for h in (-1.0, 0.0, 1.0):
-            diff = abs(
-                laplace.gaussian_rep_log_partition(N, h) - exact.log_partition_pure(N, h)
-            )
-            worst = max(worst, diff)
+            rep[N, h] = laplace.gaussian_rep_log_partition(N, h)
+            worst = max(worst, abs(rep[N, h] - exact.log_partition_pure(N, h)))
     res.check(f"max |gaussian-rep logZ - combinatorial logZ| = {worst:.2e} < 1e-8", worst < 1e-8)
-    closed = abs(laplace.gaussian_rep_log_partition(2, 0.0) - math.log(1.5))
+    closed = abs(rep[2, 0.0] - math.log(1.5))
     res.check(f"N=2, h=0 equals ln(3/2) to {closed:.2e}", closed < 1e-10)
     return res
 
@@ -152,14 +152,13 @@ def criterion_5() -> CriterionResult:
     params = ModelParams(0.0, 1.0)
     m_star = phase.classify(params).maximizers[0]
     worst = 0.0
-    for N, eta, u in itertools.product((4, 20, 100), (0.0, 0.25, 0.5), (0.0, m_star)):
-        sd = exact.SmoothedDensity(N, params, eta=eta, u=u)
-        sig = math.sqrt(sd.component_var)
-        grid = np.linspace(
-            sd.component_means.min() - 3 * sig, sd.component_means.max() + 3 * sig, 201
-        )
-        rel = float(np.max(np.abs(sd.analytic(grid) / sd.mixture(grid) - 1.0)))
-        worst = max(worst, rel)
+    for N in (4, 20, 100):
+        base = exact.SmoothedDensity(N, params)
+        for eta, u in itertools.product((0.0, 0.25, 0.5), (0.0, m_star)):
+            sd = base.rescaled(eta, u)
+            means, sig = sd.component_means, math.sqrt(sd.component_var)
+            grid = np.linspace(means.min() - 3 * sig, means.max() + 3 * sig, 201)
+            worst = max(worst, float(np.max(np.abs(sd.analytic(grid) / sd.mixture(grid) - 1.0))))
     res.check(f"max relative gap over 18 (N, eta, u) cases = {worst:.2e} < 1e-8", worst < 1e-8)
     return res
 

@@ -279,3 +279,18 @@ def cut_scan_consistency_roots(h, J):
         if not out or m - out[-1] > 1e-9:
             out.append(m)
     return out
+
+
+def loop_pieces(xs, idx):
+    """peaked_components' split of the super-level indices idx into pieces,
+    walked index by index: one (xs[start - 1], xs[end + 1]) per run of
+    consecutive indices, clamped to the probe grid of len(xs) points."""
+    last = len(xs) - 1
+    pieces = []
+    start = idx[0]
+    for j, i in enumerate(idx):
+        if j and i != idx[j - 1] + 1:
+            pieces.append((xs[max(start - 1, 0)], xs[min(idx[j - 1] + 1, last)]))
+            start = i
+    pieces.append((xs[max(start - 1, 0)], xs[min(idx[-1] + 1, last)]))
+    return pieces

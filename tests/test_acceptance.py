@@ -5,9 +5,15 @@ so `pytest -v -s tests/test_acceptance.py` doubles as the acceptance report;
 the same criteria back the `imd verify` subcommand.
 """
 
+import contextlib
+import hashlib
+import io
+import re
+
 import pytest
 
-from imd import verification
+from imd import exact, verification
+from imd.cli import main
 
 
 @pytest.mark.parametrize("number", verification.CRITERIA)
@@ -19,3 +25,51 @@ def test_criterion(number):
         print(line)
     failed = [label for label, ok in result.checks if not ok]
     assert result.passed, f"criterion {number} failed: {failed}"
+
+
+# sha256 of the `imd verify --suite all` text with every criterion's
+# timing stripped (_strip_timing), one "\n" after each line
+VERIFY_DIGEST = "7c9e886cb6d95c627205c6b8a5764aff759d7cf4523accb3d8366214ae078b94"
+
+
+def _strip_timing(line):
+    return re.sub(r"  \(\d+\.\d s\)$", "", line)
+
+
+def test_verify_text_keeps_every_bit():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--suite", "all"]) == 0
+    text = "".join(_strip_timing(line) + "\n" for line in out.getvalue().splitlines())
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGEST
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls of module.name for the rest of the test."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_criterion_5_builds_one_law_and_integral_per_size(monkeypatch):
+    # 3 sizes N, each with 6 (eta, u) cases derived from one density
+    integrals = _counted(monkeypatch, exact, "log_integral")
+    laws = _counted(monkeypatch, exact, "monomer_law")
+    assert verification.run_criterion(5).passed
+    assert (len(integrals), len(laws)) == (3, 3)
+    # nothing is kept from one call to the next
+    assert verification.run_criterion(5).passed
+    assert (len(integrals), len(laws)) == (6, 6)
+
+
+def test_criterion_2_enumerates_each_graph_once(monkeypatch):
+    # K_N for N = 2..8, shared by the 9 (h, J) of each N
+    enumerations = _counted(monkeypatch, verification, "_enumerate_matchings")
+    assert verification.run_criterion(2).passed
+    assert sorted(n for (n,) in enumerations) == list(range(2, 9))

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import hashlib
 import io
 import itertools
 import math
@@ -702,6 +703,40 @@ class TestSmoothedDensity:
     def test_requires_positive_coupling(self):
         with pytest.raises(ValueError):
             SmoothedDensity(10, ModelParams(0.0, 0.0))
+
+    @pytest.mark.parametrize("first", ["base", "sibling"])
+    @pytest.mark.parametrize("N, eta, u_kind", list(itertools.product(
+        (4, 20, 100), (0.0, 0.25, 0.5), ("0", "m_star"))))
+    def test_sibling_equals_fresh_instance(self, N, eta, u_kind, first):
+        # criterion 5's 18 cases: a sibling shares the law and y-integral of
+        # a density at another (eta, u), whichever of the two computes the
+        # integral, and gives every bit of a freshly built density
+        params = ModelParams(0.0, 1.0)
+        u = 0.0 if u_kind == "0" else classify(params).maximizers[0]
+        base = SmoothedDensity(N, params, eta=0.4, u=-0.3)
+        if first == "base":
+            base.log_normalizer
+        sibling = base.rescaled(eta, u)
+        fresh = SmoothedDensity(N, params, eta=eta, u=u)
+        assert sibling.law is base.law and sibling._log_int_y is base._log_int_y
+        assert sibling.log_normalizer.hex() == fresh.log_normalizer.hex()
+        assert (base.eta, base.u) == (0.4, -0.3)
+        assert sibling.component_means.tobytes() == fresh.component_means.tobytes()
+        assert sibling.component_var.hex() == fresh.component_var.hex()
+        sig = math.sqrt(fresh.component_var)
+        means = fresh.component_means
+        grid = np.linspace(means.min() - 3 * sig, means.max() + 3 * sig, 201)
+        for route in ("log_analytic", "log_mixture"):
+            digests = [hashlib.sha256(getattr(sd, route)(grid).tobytes()).hexdigest()
+                       for sd in (sibling, fresh)]
+            assert digests[0] == digests[1], route
+
+    def test_rescaled_rejects_negative_eta(self):
+        sd = SmoothedDensity(10, ModelParams(0.0, 1.0))
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            sd.rescaled(-0.1, 0.0)
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            SmoothedDensity(10, ModelParams(0.0, 1.0), eta=-0.1)
 
     @pytest.mark.parametrize("N", [20, 10**4])
     @pytest.mark.parametrize("count", [

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from imd import quadrature
 from imd.quadrature import (
     N_PROBE,
     IntegrationDomainError,
     log_integral,
     peaked_components,
 )
+
+from oracles import loop_pieces
 
 
 class TestLogIntegral:
@@ -114,3 +118,41 @@ class TestBoundedProbe:
         with pytest.raises(IntegrationDomainError, match="no finite values"):
             peaked_components(lambda x: np.full(len(x), np.nan), -1.0, 1.0,
                               upper=lambda x: np.zeros(len(x)))
+
+
+def _runs_mask(start, runs):
+    """A probe mask of N_PROBE points: False up to start, then alternating
+    runs of True and False of the given lengths, cut at N_PROBE."""
+    mask = np.zeros(N_PROBE, dtype=bool)
+    at, inside = start, True
+    for length in runs:
+        mask[at:at + length] = inside
+        at, inside = at + length, not inside
+    return mask
+
+
+class TestPieceSplit:
+    """The vectorized split of the super-level set into pieces returns the
+    floats of the index-by-index walk (oracles.loop_pieces)."""
+
+    @given(st.integers(0, N_PROBE - 1),
+           st.lists(st.integers(1, 40) | st.integers(1, N_PROBE), min_size=1, max_size=60))
+    # one point at either edge of the grown window, and at the grid ends
+    @example(1, [1])
+    @example(N_PROBE - 2, [1])
+    @example(0, [1])
+    @example(N_PROBE - 1, [1])
+    # sets reaching either edge after growth: indices 1.. and ..N_PROBE - 2
+    @example(1, [5, 3, 7])
+    @example(N_PROBE - 9, [3, 2, 3])
+    # gaps of one point, every other point, and the full width
+    @example(10, [4, 1, 4, 1, 4])
+    @example(0, [1] * N_PROBE)
+    @example(0, [N_PROBE])
+    def test_matches_index_walk(self, start, runs):
+        mask = _runs_mask(start, runs)
+        xs = np.linspace(-3.0, 5.0, N_PROBE)
+        idx = np.flatnonzero(mask)
+        got, ref = quadrature._pieces(xs, idx), loop_pieces(xs, idx)
+        assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in ref]
+        assert all(type(x) is np.float64 for piece in got for x in piece)
