@@ -20,7 +20,7 @@ from . import exact, laplace, limits, phase, thermo
 from .parallel import parallel_map
 from .thermo import ModelParams
 
-__all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_suite", "brute_force_log_partition"]
+__all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_suite", "brute_force_log_partitions"]
 
 
 @dataclass
@@ -71,18 +71,19 @@ def _enumerate_matchings(n: int):
     yield from rec(tuple(range(n)))
 
 
-def brute_force_log_partition(N: int, params: ModelParams, dimer_counts=None) -> float:
-    """log Z_N by exhaustive enumeration over all matchings (oracle, N <= 8); pass
-    ``dimer_counts``, list(_enumerate_matchings(N)), to reuse one enumeration."""
+def brute_force_log_partitions(N: int, params_seq) -> list[float]:
+    """log Z_N for each of ``params_seq`` by exhaustive enumeration over all
+    matchings (oracle, N <= 8); the one enumeration of K_N serves them all."""
     if N > 8:
         raise ValueError(f"brute-force enumeration is capped at N=8, got {N}")
-    log_terms = []
-    for k in _enumerate_matchings(N) if dimer_counts is None else dimer_counts:
-        m = (N - 2 * k) / N
-        log_terms.append(-k * math.log(N) + N * ((params.h - params.J) * m + params.J * m * m))
-    arr = np.asarray(log_terms)
-    mx = arr.max()
-    return float(mx + math.log(np.sum(np.exp(arr - mx))))
+    k = np.fromiter(_enumerate_matchings(N), dtype=float)
+    m = (N - 2 * k) / N
+    out = []
+    for p in params_seq:
+        arr = -k * math.log(N) + N * ((p.h - p.J) * m + p.J * m * m)
+        mx = arr.max()
+        out.append(float(mx + math.log(np.sum(np.exp(arr - mx)))))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -111,11 +112,9 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     res = CriterionResult(2, "exact", "partition function vs exhaustive matching enumeration")
     worst = 0.0
+    cases = [ModelParams(h, J) for h, J in itertools.product((-1.0, 0.0, 1.0), (0.0, 1.0, 2.0))]
     for N in range(2, 9):
-        counts = list(_enumerate_matchings(N))
-        for h, J in itertools.product((-1.0, 0.0, 1.0), (0.0, 1.0, 2.0)):
-            params = ModelParams(h, J)
-            brute = brute_force_log_partition(N, params, counts)
+        for params, brute in zip(cases, brute_force_log_partitions(N, cases)):
             worst = max(worst, abs(exact.log_partition(N, params) - brute))
         res.check(f"N={N}: max |log Z - brute force| over 9 (h,J) <= {worst:.2e}", worst < 1e-12)
     return res
