@@ -7,6 +7,7 @@ h = -1/2.  Output columns are plot-ready (h on the x axis, J on the y axis).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -26,7 +27,7 @@ def main():
 
     critical = phase.find_critical_point()
     (outdir / "critical_point.json").write_text(
-        json.dumps(critical.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(dataclasses.asdict(critical), indent=2, sort_keys=True) + "\n"
     )
     print(f"critical point: h_c={critical.h_c:.12f} J_c={critical.J_c:.12f} "
           f"m_c={critical.m_c:.12f}")

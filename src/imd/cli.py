@@ -14,6 +14,7 @@ integers makes ``main`` return 64.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -62,7 +63,7 @@ def _cmd_phase(args):
 
 def _cmd_critical(args):
     cp = phase.find_critical_point()
-    return _json(cp.to_json_dict()), EXIT_OK
+    return _json(dataclasses.asdict(cp)), EXIT_OK
 
 
 def _cmd_gamma(args):
@@ -71,7 +72,7 @@ def _cmd_gamma(args):
     J_values = np.linspace(args.jmin, args.jmax, args.steps)
     points = phase.trace_gamma([float(j) for j in J_values])
     if args.fmt == "json":
-        return _json(phase.gamma_points_to_json(points)), EXIT_OK
+        return _json({"points": [dataclasses.asdict(p) for p in points]}), EXIT_OK
     return lambda fh: phase.gamma_points_to_csv(points, fh), EXIT_OK
 
 
@@ -92,16 +93,8 @@ def _cmd_laplace(args):
     lines = ["N,log_quadrature,log_asymptote,ratio"]
     for n in args.N:
         result = laplace.laplace_approx(laplace.psi_family(args.h), n)
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    format(result.log_integral_quadrature, ".17g"),
-                    format(result.log_asymptote, ".17g"),
-                    format(np.exp(result.log_ratio), ".17g"),
-                ]
-            )
-        )
+        cells = (result.log_integral_quadrature, result.log_asymptote, np.exp(result.log_ratio))
+        lines.append(",".join([str(n), *(format(v, ".17g") for v in cells)]))
     return _text("\n".join(lines) + "\n"), EXIT_OK
 
 

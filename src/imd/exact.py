@@ -20,7 +20,10 @@ inside it: O(sqrt(N)) atoms away from coexistence.  At coexistence the
 window is one interval per phase: two intervals around the valley between
 the phases, whose atoms lie more than 750 below both peaks, or one when the
 two meet.  ``log_partition_pure`` evaluates each field's window in the same
-way, found on the atoms since the J = 0 weights are log-concave in k.
+way, found on the atoms since the J = 0 weights are log-concave in k.  Both
+reduce their windows through one windowed log-sum-exp, ``_logsumexp_rows``,
+over rows that are zero outside the window, which gives scipy's logsumexp
+over the full support bit for bit.
 
 One type, ``AtomLaw``, holds the law: its zero-padded probabilities, the
 window's intervals and a value column evaluated by atom index, the log
@@ -43,7 +46,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, logsumexp, polygamma
 
 from .quadrature import N_PROBE, log_integral, peaked_components
-from .thermo import ModelParams
+from .thermo import _H_MAX, ModelParams
 
 __all__ = [
     "AtomLaw",
@@ -295,28 +298,29 @@ def _window(N: int, params: ModelParams) -> list[tuple[int, int]]:
 def monomer_law(N: int, params: ModelParams) -> AtomLaw:
     """Construct the exact monomer-count law for system size N.
 
-    log Z is scipy's logsumexp formula (_log_total) with its sum run over a
-    full-support array that is zero outside the window's one or two
-    intervals, as is the normalizing sum of the probabilities: NumPy's
-    pairwise summation then sees the same layout as on the full support, so
-    every bit is the same as there while only the window's pages are written.
+    The log weights go into a full-support buffer, zero outside the window's
+    one or two intervals, that _logsumexp_rows reduces to log Z; the
+    probabilities are normalized over it too, so NumPy's pairwise summation
+    sees the full-support layout and every bit is as there, while only the
+    window's pages are written.  ValueError unless N (|h| + 2J), a bound on
+    the log weights N [(h - J) m + J m^2], is at most thermo._H_MAX.
     """
     if N < 1:
         raise ValueError(f"system size must be positive, got N={N}")
+    if not N * (abs(params.h) + 2.0 * params.J) <= _H_MAX:
+        raise ValueError(f"N (|h| + 2J) at N={N}, h={params.h!r}, J={params.J!r} is outside "
+                         f"the representable range <= {_H_MAX:.6g}: the log weights overflow")
     windows = _window(N, params)
     log_ws = [_log_weights(N, params, np.arange(c, d)) for c, d in windows]
-    w_max = max(np.max(lw) for lw in log_ws)
-    count = np.float64(sum(np.count_nonzero(lw == w_max) for lw in log_ws))
     probs = np.zeros(N // 2 + 1)
-    parts = [(probs[c:d], lw) for (c, d), lw in zip(windows, log_ws)]
-    for part, lw in parts:
-        np.exp(lw - w_max, out=part)
-        part[lw == w_max] = 0.0
-    log_Z = float(_log_total(probs.sum(), count, w_max))
-    for part, lw in parts:
+    parts = [probs[c:d] for c, d in windows]
+    for part, lw in zip(parts, log_ws):
+        part[:] = lw
+    log_Z = float(_logsumexp_rows(probs[None], windows)[0])
+    for part, lw in zip(parts, log_ws):
         np.exp(lw - log_Z, out=part)
     total = probs.sum()
-    for part, _ in parts:
+    for part in parts:
         part /= total
     return AtomLaw(N, params, log_Z, probs, windows, functools.partial(_log_weights, N, params))
 
@@ -372,7 +376,7 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
         w = a[:, a0:b0]
         np.multiply(hs[i:i + rows, None], s[a0:b0], out=w)
         w += base[a0:b0]
-        out[i:i + rows] = _logsumexp_rows(a, a0, b0)
+        out[i:i + rows] = _logsumexp_rows(a, [(a0, b0)])
     return float(out[0]) if np.ndim(fields) == 0 else out
 
 
@@ -400,20 +404,26 @@ def _pure_windows(base, s, hs):
     top, peak = _pure_peaks(base, s, hs)
     floor = peak - _WINDOW_DROP
 
-    def first(a, b, below):
-        """The first atom in [a, b) whose log weight is below the floor
-        (below=True) or not below it (below=False); b if there is none."""
-        while True:
-            active = a < b
-            if not active.any():
-                return a
-            mid = (a + b) // 2
-            j = np.minimum(mid, n - 1)
-            hit = ((hs * s[j] + base[j]) < floor) == below
-            b = np.where(active & hit, mid, b)
-            a = np.where(active & ~hit, mid + 1, a)
+    def below(i):
+        j = np.minimum(i, n - 1)  # a finished row's midpoint may be n
+        return (hs * s[j] + base[j]) < floor
 
-    return first(np.zeros_like(top), top, False), first(top + 1, np.full_like(top, n), True), peak
+    return (_first_reached(np.zeros_like(top), top, lambda i: ~below(i)),
+            _first_reached(top + 1, np.full_like(top, n), below), peak)
+
+
+def _first_reached(a, b, reached):
+    """For every row of the index arrays a <= b, the first i in [a, b) at
+    which reached(i) holds, or b if none, by bisection: reached, False and
+    then True along a row, takes all rows' midpoints (finished rows' too)."""
+    while True:
+        active = a < b
+        if not active.any():
+            return a
+        mid = (a + b) // 2
+        hit = reached(mid)
+        b = np.where(active & hit, mid, b)
+        a = np.where(active & ~hit, mid + 1, a)
 
 
 def _pure_peaks(base, s, hs):
@@ -423,31 +433,39 @@ def _pure_peaks(base, s, hs):
     return top, hs * s[top] + base[top]
 
 
-def _logsumexp_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, windows) -> np.ndarray:
     """scipy's logsumexp(a, axis=1), bit for bit, computed in a's storage.
 
-    Only the columns [lo, hi) hold values; the others hold 0, the exp of
-    values that underflow against their row's maximum (a window is passed
-    only for rows with a finite maximum).  scipy's second, direct pass only
-    replaces results that are not finite, which needs a non-finite row
-    maximum: such a block, always passed whole, goes to scipy."""
-    w = a[:, lo:hi]
-    a_max = w.max(axis=1, keepdims=True)
+    Only the columns of the windows, one or two intervals [lo, hi), hold
+    values; the others hold 0, the exp of values that underflow against
+    their row's maximum (a window is passed only for rows with a finite
+    maximum).  The maximum, its multiplicity m and exp(a - max) are taken
+    window by window, and the row sum s over every column gives scipy's
+    log1p(s / m) + log m + max, in scipy's order.  scipy's second, direct
+    pass only replaces results that are not finite, which needs a non-finite
+    row maximum: such a block, always passed whole, goes to scipy."""
+    parts = [a[:, lo:hi] for lo, hi in windows]
+    a_max = parts[0].max(axis=1, keepdims=True)
+    for w in parts[1:]:
+        np.maximum(a_max, w.max(axis=1, keepdims=True), out=a_max)
     if not np.isfinite(a_max).all():
         return logsumexp(a, axis=1)
-    at_max = w == a_max
-    m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
-    w -= a_max
-    np.exp(w, out=w)
-    w[at_max] = 0.0
-    return _log_total(a.sum(axis=1, keepdims=True), m, a_max)[:, 0]
+    m = 0.0
+    for w in parts:
+        at_max = w == a_max
+        m = m + at_max.sum(axis=1, keepdims=True, dtype=np.float64)
+        w -= a_max
+        np.exp(w, out=w)
+        w[at_max] = 0.0
+    s = a.sum(axis=1, keepdims=True)
+    return (np.log1p(np.where(s == 0.0, s, s / m)) + np.log(m) + a_max)[:, 0]
 
 
-def _log_total(s, m, a_max):
-    """scipy's logsumexp from the largest value a_max, its multiplicity m and
-    the sum s of exp(a - a_max) over the other values: log1p(s / m) + log m
-    + a_max, the same operations in the same order."""
-    return np.log1p(np.where(s == 0.0, s, s / m)) + np.log(m) + a_max
+def _n_log_shape(N: int, params: ModelParams, y):
+    """N F_N(y) = -N J y^2 + log Z0_N(2 J y + h - J), vectorized in y."""
+    yy = np.asarray(y, dtype=np.float64)
+    fields = 2.0 * params.J * yy + params.h - params.J
+    return -N * params.J * yy * yy + log_partition_pure(N, fields)
 
 
 def _exp_or_overflow(log_val: float, t: float) -> float:
@@ -585,7 +603,7 @@ class SmoothedDensity:
             np.negative(a, out=a)
             a /= 2.0 * self.component_var
             a += log_p
-            out[i:i + rows] = _logsumexp_rows(a, 0, n)
+            out[i:i + rows] = _logsumexp_rows(a, [(0, n)])
         out -= 0.5 * math.log(2.0 * math.pi * self.component_var)
         return out[0] if np.ndim(x) == 0 else out
 
@@ -593,12 +611,6 @@ class SmoothedDensity:
         return np.exp(self.log_mixture(x))
 
     # -- analytic route ----------------------------------------------------
-    def _n_log_shape(self, y):
-        """N * F_N(y) = -N J y^2 + log Z0_N(2 J y + h - J), vectorized in y."""
-        yy = np.asarray(y, dtype=np.float64)
-        fields = 2.0 * self.params.J * yy + self.params.h - self.params.J
-        return -self.N * self.params.J * yy * yy + log_partition_pure(self.N, fields)
-
     @property
     def log_normalizer(self) -> float:
         """log C_N with C_N^{-1} = integral of exp(N F_N(x/N^eta + u)) dx."""
@@ -612,17 +624,20 @@ class SmoothedDensity:
                 fields = 2.0 * self.params.J * y + self.params.h - self.params.J
                 return -self.N * self.params.J * y * y + (_pure_peaks(base, s, fields)[1] + slack)
 
-            pieces = peaked_components(self._n_log_shape, -1.0, 2.0, upper=upper)
+            def shape(y):
+                return _n_log_shape(self.N, self.params, y)
+
+            pieces = peaked_components(shape, -1.0, 2.0, upper=upper)
             if not pieces:
                 raise ValueError("normalization failed: no density mass located")
-            log_int_y = logsumexp([log_integral(self._n_log_shape, a, b) for a, b in pieces])
+            log_int_y = logsumexp([log_integral(shape, a, b) for a, b in pieces])
             self._log_int_y.append(float(log_int_y))
         return -(self.eta * math.log(self.N) + self._log_int_y[0])
 
     def log_analytic(self, x):
         xx = np.asarray(x, dtype=np.float64)
         y = xx / self.N**self.eta + self.u
-        return self.log_normalizer + self._n_log_shape(y)
+        return self.log_normalizer + _n_log_shape(self.N, self.params, y)
 
     def analytic(self, x):
         return np.exp(self.log_analytic(x))

@@ -31,12 +31,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .exact import log_partition_pure
+from .exact import _n_log_shape, log_partition_pure
 from .quadrature import (TAIL_DROP, IntegrationDomainError, peaked_components,
                          signed_log_integral)
 from .thermo import ModelParams, g, p0, tilde_p
@@ -64,15 +64,15 @@ class IntegrandFamily:
     ``window`` is a compact interval known to contain the maximizer of
     log psi_n, on which psi_n > 0.  Without a ``cut``, psi_n > 0 everywhere.
     A family with a ``cut`` is Psi's: psi_n > 0 right of the cut, psi_n < 0
-    left of it.  Analytic derivatives of log psi_n are optional; finite
-    differences are used when they are absent.
+    left of it.  ``dlog`` and ``d2log`` are the first and second derivatives
+    of log|psi_n|, vectorized like ``log_abs``.
     """
 
     log_abs: Callable[[int, np.ndarray], np.ndarray]
+    dlog: Callable[[int, np.ndarray], np.ndarray]
+    d2log: Callable[[int, np.ndarray], np.ndarray]
     window: tuple[float, float]
     cut: float | None = None
-    dlog: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    d2log: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
 
 # e^u and e^{-u} are doubles only for |u| below log(DBL_MAX) = 709.78...
@@ -193,16 +193,6 @@ class LaplaceResult:
         return self.log_integral_quadrature - self.log_asymptote
 
 
-def _fd(f, x, order, step=1e-5):
-    if order == 1:
-        return (f(np.asarray([x + step]))[0] - f(np.asarray([x - step]))[0]) / (2 * step)
-    return (
-        f(np.asarray([x + step]))[0]
-        - 2.0 * f(np.asarray([x]))[0]
-        + f(np.asarray([x - step]))[0]
-    ) / step**2
-
-
 def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
     """Quadrature value of integral psi_n^n and its Laplace asymptote.
 
@@ -223,10 +213,8 @@ def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
     xhat = float(res.x)
 
     for _ in range(8):  # Newton polish on the stationarity condition
-        d1 = (family.dlog(n, np.asarray([xhat]))[0] if family.dlog is not None
-              else _fd(f_n, xhat, 1))
-        d2 = (family.d2log(n, np.asarray([xhat]))[0] if family.d2log is not None
-              else _fd(f_n, xhat, 2))
+        d1 = family.dlog(n, np.asarray([xhat]))[0]
+        d2 = family.d2log(n, np.asarray([xhat]))[0]
         if d2 == 0.0:
             break
         delta = d1 / d2
@@ -242,9 +230,7 @@ def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
         raise LaplaceConditionError(
             f"maximizer {xhat:.6g} sits on the boundary of the window [{a}, {b}]"
         )
-    curv = (family.d2log(n, np.asarray([xhat]))[0] if family.d2log is not None
-            else _fd(f_n, xhat, 2))
-    curv = float(curv)
+    curv = float(family.d2log(n, np.asarray([xhat]))[0])
     # curvature indistinguishable from zero makes the asymptote diverge, so it
     # is rejected together with the genuinely convex case
     if curv >= -1e-9:
@@ -287,7 +273,5 @@ def prefactor_ratio(N: int, y: float, params: ModelParams) -> float:
     its gap to ptilde contributes exactly the hard-core prefactor
     (2 - g)^{-1/2} in the limit laws, which this ratio isolates.
     """
-    x = params.effective_field(y)
-    n_f = -N * params.J * y * y + log_partition_pure(N, x)
-    n_p = N * tilde_p(y, params)
-    return math.exp(n_f - n_p) * math.sqrt(2.0 - g(x))
+    n_gap = _n_log_shape(N, params, y) - N * tilde_p(y, params)
+    return math.exp(n_gap) * math.sqrt(2.0 - g(params.effective_field(y)))

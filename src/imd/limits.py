@@ -152,28 +152,14 @@ class Quartic:
         return float(out) if np.ndim(x) == 0 else out
 
 
-def _first_atom(n: int, reached) -> int:
-    """The first index i in [0, n) at which reached(i) holds, n if none;
-    reached is False and then True along the indices.  reached takes a
-    one-element index array, so a column is evaluated there as on a full
-    array."""
-    a, b = 0, n
-    while a < b:
-        mid = (a + b) // 2
-        if reached(np.array([mid])):
-            b = mid
-        else:
-            a = mid + 1
-    return a
-
-
 def _mass_below(scaled: exact.AtomLaw, x: float, side: str) -> float:
     """P(position < x) (side "left") or P(position <= x) (side "right"),
     summed over the full-support prefix so that the pairwise summation sees
     the same layout as a mask over every atom.  The positions increase, so
     the prefix ends where a bisection on the atom index finds them reach x."""
     beyond = np.greater_equal if side == "left" else np.greater
-    j = _first_atom(len(scaled.probabilities), lambda i: beyond(scaled.values_at(i)[0], x))
+    j = exact._first_reached(np.array([0]), np.array([len(scaled.probabilities)]),
+                             lambda i: beyond(scaled.values_at(i), x))[0]
     return float(np.sum(scaled.probabilities[:j]))
 
 
@@ -294,6 +280,7 @@ def coexistence_masses(N: int, point: phase.GammaPoint) -> tuple[float, float]:
     # the atoms below the cut are the k >= j; summed over the full-support
     # suffix, as a mask over every atom would be.  The density falls in k, so
     # a bisection finds j with the mask's comparison
-    j = _first_atom(len(law.probabilities), lambda k: ((N - 2 * k) / N)[0] < cut)
+    j = exact._first_reached(np.array([0]), np.array([len(law.probabilities)]),
+                             lambda k: (N - 2 * k) / N < cut)[0]
     mass1 = float(np.sum(law.probabilities[j:]))
     return mass1, 1.0 - mass1

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -46,7 +46,6 @@ __all__ = [
     "clt_variance",
     "clt_variance_reduced",
     "gamma_points_to_csv",
-    "gamma_points_to_json",
 ]
 
 # classification bands: the three regimes are separated by orders of
@@ -120,13 +119,6 @@ class GammaPoint:
     rho1: float
     rho2: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "J": self.J, "h": self.h, "m1": self.m1, "m2": self.m2,
-            "lambda1": self.lambda1, "lambda2": self.lambda2,
-            "rho1": self.rho1, "rho2": self.rho2,
-        }
-
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -134,10 +126,6 @@ class CriticalPoint:
     J_c: float
     m_c: float
     lambda_c: float  # fourth m-derivative of ptilde at m_c, negative
-
-    def to_json_dict(self) -> dict:
-        return {"h_c": self.h_c, "J_c": self.J_c, "m_c": self.m_c,
-                "lambda_c": self.lambda_c}
 
 
 def _stationary_point(m: float, params: ModelParams) -> StationaryPoint:
@@ -250,11 +238,12 @@ def _two_maxima(params: ModelParams):
 
 
 def _height_gap(params: ModelParams):
+    """(ptilde(m2) - ptilde(m1), the _two_maxima pair), or None."""
     pair = _two_maxima(params)
     if pair is None:
         return None
     (m1, _), (m2, _) = pair
-    return tilde_p(m2, params) - tilde_p(m1, params)
+    return tilde_p(m2, params) - tilde_p(m1, params), pair
 
 
 def _spinodal_window(J: float) -> tuple[float, float]:
@@ -268,59 +257,61 @@ def _spinodal_window(J: float) -> tuple[float, float]:
     return h_lo, h_hi
 
 
-def _equal_height_field(J: float, h_center: float, width: float) -> float:
-    """Bisect in h until the two maxima of ptilde have equal height.
+def _equal_height_field(J: float, h_center: float, width: float):
+    """Bisect in h until the two maxima of ptilde have equal height; the
+    field and its _two_maxima pair.
 
     The gap ptilde(m2) - ptilde(m1) increases strictly in h (its h-derivative
     is m2 - m1 > 0 by the envelope theorem), so a sign-bracketing bisection is
     exact; the initial bracket is grown inside the two-maxima window, halving
-    the step whenever a probe loses one maximum.
+    the step whenever a probe loses one maximum.  Every field's gap is
+    computed once and kept with the field.
     """
-    gap0 = _height_gap(ModelParams(h_center, J))
-    if gap0 is None:
+    probe = _height_gap(ModelParams(h_center, J))
+    if probe is None:
         # walk the center into the two-maxima region
-        found = None
-        for delta in np.linspace(-width, width, 41):
-            if _height_gap(ModelParams(h_center + delta, J)) is not None:
-                found = float(h_center + delta)
+        for h in (h_center + np.linspace(-width, width, 41)).tolist():
+            probe = _height_gap(ModelParams(h, J))
+            if probe is not None:
+                h_center = h
                 break
-        if found is None:
+        else:
             # near J_c the window is narrower than the probe spacing
             h_lo, h_hi = _spinodal_window(J)
-            found, width = 0.5 * (h_lo + h_hi), 0.5 * (h_hi - h_lo)
-            if _height_gap(ModelParams(found, J)) is None:
+            h_center, width = 0.5 * (h_lo + h_hi), 0.5 * (h_hi - h_lo)
+            probe = _height_gap(ModelParams(h_center, J))
+            if probe is None:
                 raise ValueError(
                     f"no two-maxima window resolved at J={J}: the window "
                     f"[{h_lo:.17g}, {h_hi:.17g}] is too narrow for double "
                     f"precision (J is too close to J_c)"
                 )
-        h_center = found
-        gap0 = _height_gap(ModelParams(h_center, J))
+    gap0 = probe[0]
 
     def grow(direction):
+        """(field, (gap, pair)) of the first probe past equal height, else the last inside."""
         h, step = h_center, width
-        last_inside = h_center
+        last_inside = (h_center, probe)
         for _ in range(200):
-            probe = h + direction * step
-            gap = _height_gap(ModelParams(probe, J))
-            if gap is None:
+            field = h + direction * step
+            found = _height_gap(ModelParams(field, J))
+            if found is None:
                 step /= 2.0  # left the window: halve and retry
                 if step < 1e-14:
                     break
                 continue
-            last_inside = probe
-            if gap * gap0 < 0.0:
-                return probe
-            h = probe
+            last_inside = (field, found)
+            if found[0] * gap0 < 0.0:
+                return last_inside
+            h = field
             step *= 1.6
         return last_inside
 
     if gap0 == 0.0:
-        return h_center
+        return h_center, probe[1]
     direction = -1.0 if gap0 > 0.0 else 1.0  # gap increases with h
-    other = grow(direction)
-    g_other = _height_gap(ModelParams(other, J))
-    if g_other is None or g_other * gap0 > 0.0:
+    other, (g_other, _) = grow(direction)
+    if g_other * gap0 > 0.0:
         raise ValueError(
             f"failed to bracket the equal-height field at J={J}: the height gap of "
             f"the two maxima keeps one sign across the window, and double precision "
@@ -329,19 +320,21 @@ def _equal_height_field(J: float, h_center: float, width: float) -> float:
     lo, hi = sorted((h_center, other))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        gap = _height_gap(ModelParams(mid, J))
-        if gap is None:
+        found = _height_gap(ModelParams(mid, J))
+        if found is None:
             raise ValueError(
                 f"no two-maxima window resolved at J={J}: the window collapsed during "
                 f"bisection, below double precision (J is too close to J_c)"
             )
+        gap, pair = found
         if abs(gap) < 1e-15 or hi - lo < 1e-15:
-            return mid
+            return mid, pair
         if gap > 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid, _two_maxima(ModelParams(mid, J))
 
 
 def phase_weight(lam: float, m: float) -> float:
@@ -351,13 +344,12 @@ def phase_weight(lam: float, m: float) -> float:
     return (-lam * (2.0 - m)) ** -0.5
 
 
-def _gamma_point(J: float, h: float) -> GammaPoint:
-    (m1, lambda1), (m2, lambda2) = _two_maxima(ModelParams(h, J))
+def _weights(lambda1: float, m1: float, lambda2: float, m2: float) -> tuple[float, float]:
+    """The limiting phase weights (rho1, rho2), rho_l = b_l / (b1 + b2)."""
     b1 = phase_weight(lambda1, m1)
     b2 = phase_weight(lambda2, m2)
     rho1 = b1 / (b1 + b2)
-    return GammaPoint(J=J, h=h, m1=m1, m2=m2, lambda1=lambda1, lambda2=lambda2,
-                      rho1=rho1, rho2=1.0 - rho1)
+    return rho1, 1.0 - rho1
 
 
 def trace_gamma(J_values) -> list[GammaPoint]:
@@ -375,25 +367,24 @@ def trace_gamma(J_values) -> list[GammaPoint]:
     h_seed, width = crit.h_c, 0.02
     for idx in order:
         J = J_list[idx]
-        h = _equal_height_field(J, h_seed, width)
-        results[idx] = _gamma_point(J, h)
+        h, ((m1, lambda1), (m2, lambda2)) = _equal_height_field(J, h_seed, width)
+        rho1, rho2 = _weights(lambda1, m1, lambda2, m2)
+        results[idx] = GammaPoint(J=J, h=h, m1=m1, m2=m2, lambda1=lambda1, lambda2=lambda2,
+                                  rho1=rho1, rho2=rho2)
         h_seed, width = h, max(0.01, abs(h - crit.h_c) * 0.5)
     return [results[i] for i in range(len(J_list))]
 
 
 def mixture_weights(point: GammaPoint) -> tuple[float, float]:
-    """Limiting phase weights (rho1, rho2) at a coexistence point, with the
-    closed-form ratio check sqrt(((2-m2) - 4J m2(1-m2)) / ((2-m1) - 4J m1(1-m1)))."""
+    """Limiting phase weights (rho1, rho2) at a coexistence point, by
+    trace_gamma's formula; ValueError unless classify finds coexistence."""
     report = classify(ModelParams(point.h, point.J))
     if report.kind != "coexistence":
         raise ValueError(
             f"mixture weights are defined on the coexistence curve only, "
             f"classification at (h={point.h}, J={point.J}) is {report.kind!r}"
         )
-    b1 = phase_weight(point.lambda1, point.m1)
-    b2 = phase_weight(point.lambda2, point.m2)
-    rho1 = b1 / (b1 + b2)
-    return rho1, 1.0 - rho1
+    return _weights(point.lambda1, point.m1, point.lambda2, point.m2)
 
 
 def mixture_ratio_closed_form(point: GammaPoint) -> float:
@@ -437,13 +428,6 @@ def clt_variance_reduced(params: ModelParams) -> float:
 
 def gamma_points_to_csv(points, fh) -> None:
     writer = csv.writer(fh)
-    writer.writerow(["J", "h", "m1", "m2", "lambda1", "lambda2", "rho1", "rho2"])
+    writer.writerow([field.name for field in fields(GammaPoint)])
     for p in points:
-        writer.writerow([
-            format(v, ".17g")
-            for v in (p.J, p.h, p.m1, p.m2, p.lambda1, p.lambda2, p.rho1, p.rho2)
-        ])
-
-
-def gamma_points_to_json(points) -> dict:
-    return {"points": [p.to_json_dict() for p in points]}
+        writer.writerow([format(v, ".17g") for v in astuple(p)])

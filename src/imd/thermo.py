@@ -72,6 +72,13 @@ __all__ = [
 ]
 
 
+# the representable range: above _J_MAX, 1 - m+ of the upper spinodal
+# density, about 1/(4J), is too close to 0 (it rounds to 0 from J = 2^51);
+# above _H_MAX the doubled field 2((2m-1)J + h) in p0 overflows
+_J_MAX = 2.0**50
+_H_MAX = np.finfo(np.float64).max / 4.0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """External field h and imitative coupling J >= 0."""
@@ -84,6 +91,13 @@ class ModelParams:
             raise ValueError(f"parameters must be finite, got h={self.h}, J={self.J}")
         if self.J < 0:
             raise ValueError(f"coupling J must be nonnegative, got J={self.J}")
+        if self.J > _J_MAX:
+            raise ValueError(f"coupling J={self.J!r} is outside the representable range J <= "
+                             f"2^50 = {_J_MAX:.6g}: 1 - m+ at the spinodal, about 1/(4J), "
+                             f"is too small")
+        if abs(self.h) > _H_MAX:
+            raise ValueError(f"field h={self.h!r} is outside the representable range |h| <= "
+                             f"{_H_MAX:.6g}: 2((2m-1)J + h) in p0 overflows")
 
     def effective_field(self, m):
         """Field seen by the pure model at monomer density m: (2m-1)J + h."""

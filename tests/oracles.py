@@ -141,6 +141,20 @@ def hermite_cumulants(n, h):
             16.0 * float(np.sum(pq * (1.0 - 6.0 * pq))))
 
 
+def hermite_berry_esseen(n, h):
+    """Shevtsova's Berry-Esseen bound on the KS distance between the law of
+    S = n - 2D at J = 0, field h, standardized by its exact mean and
+    variance, and N(0, 1): 0.56 sum_j E|X_j - p_j|^3 / sigma^3 over the
+    independent Bernoulli(p_j) summands X_j of D (hermite_cumulants), where
+    E|X_j - p_j|^3 = p_j (1 - p_j) ((1 - p_j)^2 + p_j^2).  The factor -2 of
+    S cancels in the ratio."""
+    a = _hermite_squares(n) * math.exp(-2.0 * h) / n
+    p = a / (1.0 + a)
+    pq = p / (1.0 + a)  # p (1 - p)
+    third = float(np.sum(pq * ((1.0 - p) ** 2 + p * p)))
+    return 0.56 * third / float(np.sum(pq)) ** 1.5
+
+
 def fixed_point_density(h, J, m0=0.5, sweeps=500):
     """Damped fixed-point iteration on m = g((2m-1)J + h) written from scratch
     (including its own g), as an oracle for the consistency solver."""

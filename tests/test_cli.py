@@ -1,6 +1,7 @@
 """Tests for the command-line interface: schemas, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -75,6 +76,13 @@ class TestCriticalCommand:
         assert abs(payload["h_c"] - (-0.3441132032297992)) < 1e-10
         assert payload["lambda_c"] < 0.0
 
+    def test_bytes_keep_their_digest(self, capsys):
+        # sha256 of the artifact when the payload listed its fields by hand
+        code, out, _ = run_cli(capsys, "critical")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7cc0dcd2d1580c8262d6584a9dc162280aaa90ee6a2765b5c38666848f02da5e")
+
 
 class TestGammaCommand:
     def test_csv_schema_and_values(self, capsys):
@@ -101,6 +109,15 @@ class TestGammaCommand:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert len(payload["points"]) == 1
+
+    def test_json_bytes_keep_their_digest(self, capsys):
+        # sha256 of the artifact when the payload listed its fields by hand
+        # and each point's gaps were walked again
+        code, out, _ = run_cli(capsys, "gamma", "--jmin", "1.5", "--jmax", "5", "--steps", "7",
+                               "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "49ba29a86b328364b57d0c3a2166c917346e0374008140ff41fbcf5fec327374")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "gamma", "--jmin", "2.0", "--jmax", "3.0", "--steps", "2")
@@ -324,6 +341,49 @@ class TestLaplaceCommand:
         assert out == ""
         assert f"system size must be positive, got N={n}" in err
         assert "Traceback" not in err
+
+
+class TestRepresentableRange:
+    @pytest.mark.parametrize("argv, name", [
+        (["phase", "--h", "-0.5", "--J", "1e20"], "coupling J=1e+20"),
+        (["phase", "--h", "0", "--J", "1e200"], "coupling J=1e+200"),
+        (["phase", "--h", "5e307", "--J", "5e307"], "coupling J=5e+307"),
+        (["phase", "--h", "1e308", "--J", "1e308"], "coupling J=1e+308"),
+        (["phase", "--h", "1e308", "--J", "1"], "field h=1e+308"),
+        (["gamma", "--jmin", "1e20", "--jmax", "1e20", "--steps", "1"], "coupling J=1e+20"),
+        (["dist", "--N", "10", "--h", "1e308", "--J", "0"], "field h=1e+308"),
+        (["dist", "--N", "10", "--h", "1e307", "--J", "0"], "N (|h| + 2J)"),
+        (["dist", "--N", "10", "--h=-4e307", "--J", "0"], "N (|h| + 2J)"),
+    ], ids=["J-1e20", "J-1e200", "both-5e307", "both-1e308", "h-1e308", "gamma-J-1e20",
+            "dist-h-1e308", "dist-Nh-1e308", "dist-Nh-4e308"])
+    def test_finite_inputs_beyond_the_range_name_it(self, argv, name):
+        # each used to end in a traceback, a bare math error, "h must be
+        # finite" or a RuntimeWarning; now one imd: line names the range
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == EXIT_DOMAIN
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("imd: "), lines
+        assert name in lines[0] and "outside the representable range" in lines[0]
+        assert not caught
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--h", "-0.5", "--J", repr(2.0**50)],
+        ["phase", "--h", "4e307", "--J", "1"],
+        ["dist", "--N", "10", "--h", "4.4e306", "--J", "0"],
+    ], ids=["J-2^50", "h-4e307", "dist-Nh-4.4e307"])
+    def test_inputs_at_the_range_edge_answer(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == EXIT_OK, err.getvalue()
+        assert not caught
 
 
 class TestUsageErrors:

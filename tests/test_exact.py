@@ -503,6 +503,61 @@ class TestLogPartitionPureBlocks:
         assert peak < 16 * 2**20
 
 
+def linear_scan(a, b, reached):
+    """The first i in [a, b) with reached(i), b if none: the reference for
+    exact._first_reached."""
+    return next((i for i in range(a, b) if reached(i)), b)
+
+
+class TestSharedReductions:
+    """The one bisection over atom indices and the one windowed log-sum-exp
+    that exact, limits and the smoothed law share."""
+
+    @given(st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70), st.integers(-3, 75)),
+                    min_size=1, max_size=8))
+    @example([(5, 5, 0), (0, 0, 3), (70, 70, 75)])  # empty ranges only
+    @example([(0, 70, 75), (3, 4, 3), (9, 9, 1), (0, 1, -3)])  # lengths 70, 1, 0, 1
+    def test_bisection_matches_linear_scan(self, rows):
+        a = np.array([min(lo, hi) for lo, hi, _ in rows])
+        b = np.array([max(lo, hi) for lo, hi, _ in rows])
+        t = np.array([t for _, _, t in rows])
+        got = exact._first_reached(a, b, lambda i: i >= t)
+        assert got.tolist() == [linear_scan(lo, hi, lambda i, t=tt: i >= t)
+                                for lo, hi, tt in zip(a.tolist(), b.tolist(), t.tolist())]
+
+    @given(st.floats(-40.0, 40.0), st.floats(0.0, 1.0))
+    @example(0.0, 0.5)
+    def test_one_row_calls_from_limits(self, x, cut):
+        # limits reads the mass below a limit atom, and coexistence_masses its
+        # cut index, through one-row calls on the atom index
+        scaled = scaled_law(1001, ModelParams(0.2, 0.5), 0.5, 0.6)
+        n = len(scaled.probabilities)
+        for beyond in (np.greater_equal, np.greater):
+            got = exact._first_reached(np.array([0]), np.array([n]),
+                                       lambda i: beyond(scaled.values_at(i), x))
+            assert got.tolist() == [linear_scan(0, n, lambda i: beyond(scaled.positions[i], x))]
+        got = exact._first_reached(np.array([0]), np.array([n]),
+                                   lambda k: (1001 - 2 * k) / 1001 < cut)
+        assert got.tolist() == [linear_scan(0, n, lambda k: (1001 - 2 * k) / 1001 < cut)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_two_interval_rows_equal_scipy_bitwise(self, seed):
+        # values on two intervals, zero elsewhere: the exp of values that lie
+        # far enough below the row's maximum to underflow, as at coexistence.
+        # Coarse values give ties at the maximum, within and across intervals
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(1, 6)), int(rng.integers(4, 300))
+        c1, d1, c2, d2 = np.sort(rng.choice(np.arange(n + 1), 4, replace=False)).tolist()
+        windows = [(c1, d1), (c2, d2)]
+        full = np.round(rng.normal(0.0, 30.0, (rows, n)), int(rng.integers(0, 3)))
+        inside = np.zeros(n, dtype=bool)
+        inside[c1:d1] = inside[c2:d2] = True
+        full[:, ~inside] = full[:, inside].max(axis=1, keepdims=True) - 800.0
+        a = np.where(inside, full, 0.0)
+        got = exact._logsumexp_rows(a, windows)
+        assert got.tobytes() == logsumexp(full, axis=1).tobytes()
+
+
 class TestLogPartition:
     def test_two_sites(self):
         assert abs(log_partition(2, ModelParams(0.0, 0.0)) - math.log(1.5)) < 1e-14

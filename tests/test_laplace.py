@@ -24,7 +24,8 @@ from oracles import fixed_point_density
 
 
 def gaussian_family(width=3.0):
-    return IntegrandFamily(log_abs=lambda n, x: -x * x / 2.0, window=(-width, width))
+    return IntegrandFamily(log_abs=lambda n, x: -x * x / 2.0, dlog=lambda n, x: -x,
+                           d2log=lambda n, x: np.full_like(x, -1.0), window=(-width, width))
 
 
 class TestQuadLogIntegral:
@@ -115,14 +116,16 @@ class TestLaplaceApprox:
                 route(fam, n)
 
     def test_boundary_maximizer_is_rejected(self):
-        monotone = IntegrandFamily(log_abs=lambda n, x: x, window=(0.0, 1.0))
+        monotone = IntegrandFamily(log_abs=lambda n, x: x, dlog=lambda n, x: np.ones_like(x),
+                                   d2log=lambda n, x: np.zeros_like(x), window=(0.0, 1.0))
         with pytest.raises(LaplaceConditionError):
             laplace_approx(monotone, 5)
 
     def test_flat_curvature_is_rejected(self):
         # maximizer interior but curvature >= 0 in the window center
         flat = IntegrandFamily(
-            log_abs=lambda n, x: -((x - 0.5) ** 4), window=(0.0, 1.0)
+            log_abs=lambda n, x: -((x - 0.5) ** 4), dlog=lambda n, x: -4.0 * (x - 0.5) ** 3,
+            d2log=lambda n, x: -12.0 * (x - 0.5) ** 2, window=(0.0, 1.0)
         )
         with pytest.raises(LaplaceConditionError):
             laplace_approx(flat, 5)

@@ -25,7 +25,8 @@ from imd.limits import (
 )
 from imd.thermo import ModelParams, g, g_derivative
 
-from oracles import full_support_ks, full_support_masses, full_support_scaled
+from oracles import (full_support_ks, full_support_masses, full_support_scaled,
+                     hermite_berry_esseen, hermite_cumulants)
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +349,19 @@ class TestConvergenceStudy:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "N,ks,decreasing"
         assert len(lines) == 3
+
+
+class TestBerryEsseen:
+    @pytest.mark.parametrize("h", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
+    def test_pure_clt_within_shevtsova_bound(self, n, h):
+        # at J = 0 the dimer count is a sum of independent Bernoulli(p_j)
+        # over the Hermite roots; KS is invariant under affine maps, so the
+        # law of S against N(kappa1, kappa2) is the standardized law against
+        # N(0, 1).  At h = 0 KS / bound is 0.621, 0.622 and 0.623
+        kappa1, kappa2, _, _ = hermite_cumulants(n, h)
+        ks = ks_distance(scaled_law(n, ModelParams(h, 0.0), 0.0, 0.0), Gaussian(kappa1, kappa2))
+        assert ks <= hermite_berry_esseen(n, h)
 
 
 class TestLawOfLargeNumbers:

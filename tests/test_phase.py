@@ -203,6 +203,21 @@ class TestTraceGamma:
         every = ",".join(v.hex() for p in points for v in vars(p).values())
         assert hashlib.sha256(every.encode()).hexdigest() == CRITERION_9_DIGEST
 
+    def test_grid_walks_each_field_once(self, monkeypatch):
+        # the probe, the bracket walk, the bisection and the returned point
+        # share their walks: no (h, J) is walked twice (673 walks, 643
+        # fields, when each step recomputed what the one before had found)
+        walks = []
+        maximum_roots = phase._maximum_roots
+
+        def recorded(params):
+            walks.append((params.h, params.J))
+            return maximum_roots(params)
+
+        monkeypatch.setattr(phase, "_maximum_roots", recorded)
+        trace_gamma(CRITERION_9_GRID)
+        assert walks and len(walks) == len(set(walks))
+
     def test_bisection_evaluates_only_value_and_curvature(self, monkeypatch):
         # each bisection step needs ptilde'' at the roots and ptilde at the
         # two maxima; the third and fourth derivatives are never evaluated
@@ -331,9 +346,8 @@ class TestMixtureWeights:
         assert rho1 == 0.5
 
     def test_weights_match_trace(self, gamma_at_2):
-        rho1, rho2 = mixture_weights(gamma_at_2)
-        assert abs(rho1 - gamma_at_2.rho1) < 1e-15
-        assert abs(rho2 - gamma_at_2.rho2) < 1e-15
+        # one formula gives both
+        assert mixture_weights(gamma_at_2) == (gamma_at_2.rho1, gamma_at_2.rho2)
 
     def test_dimer_phase_is_lighter(self, gamma_at_2):
         assert gamma_at_2.rho1 < gamma_at_2.rho2
