@@ -15,7 +15,7 @@ from .thermo import (
     tilde_p,
     variational_pressure,
 )
-from .exact import log_partition, mean_density, monomer_law, pressure
+from .exact import log_partition, monomer_law, pressure
 from .phase import (
     classify,
     clt_variance,

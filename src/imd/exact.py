@@ -42,9 +42,9 @@ import json
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, logsumexp, polygamma
 
+from ._brent import brentq
 from .quadrature import N_PROBE, log_integral, peaked_components
 from .thermo import _H_MAX, ModelParams
 
@@ -57,8 +57,6 @@ __all__ = [
     "log_partition_pure",
     "mgf",
     "mgf_direct",
-    "mean_density",
-    "pure_pressure_derivative",
     "SmoothedDensity",
 ]
 
@@ -507,36 +505,6 @@ def mgf_direct(N: int, params: ModelParams, eta: float, u: float, t: float) -> f
         logsumexp(law.log_weights + t * (law.s_values - u) / N**eta) - law.log_Z
     )
     return _exp_or_overflow(log_val, t)
-
-
-def mean_density(N: int, params: ModelParams) -> float:
-    """E[m_N] = E[S_N]/N under the exact law."""
-    return monomer_law(N, params).mean() / N
-
-
-def pure_pressure_derivative(N: int, h: float, k: int) -> float:
-    """d^k/dh^k of the pure-model pressure log(Z0_N)/N, k = 0..4.
-
-    The h-derivatives of log Z0_N are the cumulants of S_N, here from central
-    moments of the exact law (raw moments of S_N ~ N^4 lose too many digits).
-    These still cancel for k = 3, 4 at large N: against the Heilmann-Lieb
-    cumulants (TestHeilmannLieb) the relative error reaches 7.1e-10 (k = 3,
-    N = 1e4, h = 0) and 3.8e-8 (k = 4, N = 1e4, h = -1: kappa4 = mu4 - 3 mu2^2
-    with mu4 near 1.9e7).  No production path uses k >= 3.
-    """
-    if not 0 <= k <= 4:
-        raise ValueError(f"derivative order must be in 0..4, got {k}")
-    law = monomer_law(N, ModelParams(h=h, J=0.0))
-    if k == 0:
-        return law.log_Z / N
-    if k == 1:
-        return law.mean() / N
-    mu2 = law.central_moment(2)
-    if k == 2:
-        return mu2 / N
-    if k == 3:
-        return law.central_moment(3) / N
-    return (law.central_moment(4) - 3.0 * mu2 * mu2) / N
 
 
 class SmoothedDensity:

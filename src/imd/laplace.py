@@ -34,12 +34,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .exact import _n_log_shape, log_partition_pure
+from .exact import log_partition_pure
 from .quadrature import (TAIL_DROP, IntegrationDomainError, peaked_components,
                          signed_log_integral)
-from .thermo import ModelParams, g, p0, tilde_p
+from .thermo import g, p0
 
 __all__ = [
     "LaplaceConditionError",
@@ -50,7 +49,6 @@ __all__ = [
     "gaussian_rep_log_partition",
     "laplace_approx",
     "pure_asymptote_ratio",
-    "prefactor_ratio",
 ]
 
 class LaplaceConditionError(ValueError):
@@ -201,6 +199,8 @@ def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
     maximizer" and "negative curvature" are enforced and violations raise
     LaplaceConditionError; n < 1 raises ValueError.
     """
+    # imported here, not at the top: only imd laplace needs scipy.optimize
+    from scipy.optimize import minimize_scalar
     _check_size(n)
     a, b = family.window
 
@@ -264,14 +264,3 @@ def pure_asymptote_ratio(N: int, u: float, t: float = 0.0, eta: float = 0.0) -> 
     w = u + (t / N**eta if t else 0.0)
     log_r = log_partition_pure(N, w) - N * p0(w)
     return math.exp(log_r) * math.sqrt(2.0 - g(u))
-
-
-def prefactor_ratio(N: int, y: float, params: ModelParams) -> float:
-    """exp(N (F_N(y) - ptilde(y))) * sqrt(2 - g(2Jy + h - J)) -> 1.
-
-    F_N is the smoothed finite-N pressure shape -J y^2 + log(Z0_N(2Jy+h-J))/N;
-    its gap to ptilde contributes exactly the hard-core prefactor
-    (2 - g)^{-1/2} in the limit laws, which this ratio isolates.
-    """
-    n_gap = _n_log_shape(N, params, y) - N * tilde_p(y, params)
-    return math.exp(n_gap) * math.sqrt(2.0 - g(params.effective_field(y)))

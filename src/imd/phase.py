@@ -25,8 +25,8 @@ import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .thermo import (ModelParams, _maximum_roots, _spinodal, consistency_roots, g, g_derivative,
                      tilde_p)
 

@@ -54,7 +54,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._brent import brentq
 
 __all__ = [
     "ModelParams",
@@ -65,7 +66,6 @@ __all__ = [
     "log_one_minus_g",
     "tilde_p",
     "rate_function",
-    "printed_rate_offset",
     "consistency_roots",
     "variational_pressure",
     "variational_pressure_via_rate",
@@ -268,7 +268,8 @@ def rate_function(z):
 
     with z log z := 0 at z = 0.  Convex on [0, 1]; minimized at z = g(0)
     with minimum value -p0(0), so that sup_z (h z - I(z)) = p0(h).
-    No additive constant is included; see printed_rate_offset().
+    No additive constant is included: the -p0(0) that some conventions add
+    would break that identity.
     """
     zz = _checked_density(z, "z")
     # log sees max(z, 1e-300), never 0; 0 * log(1e-300) gives 0 log 0 := 0
@@ -276,13 +277,6 @@ def rate_function(z):
     w = 1.0 - zz
     val = zz * np.log(floor(zz, 1e-300)) + 0.5 * (w * np.log(floor(w, 1e-300))) + w / 2.0
     return _scalar_like(z, val)
-
-
-def printed_rate_offset():
-    """The additive constant -p0(0) that some conventions attach to the rate
-    function.  Kept separate: with the constant included, the supremum
-    sup_m(f(m) - I(m)) no longer reproduces the J=0 pressure."""
-    return -p0(0.0)
 
 
 # rate route: the objective is sampled on a fixed grid, scanned in row
@@ -467,14 +461,14 @@ def consistency_roots(params: ModelParams) -> list[float]:
     when r has opposite signs at its ends.  The signs are compared, never
     multiplied, so a subnormal r(0) still counts.  On such a piece a
     bisection over the nodes of the 401-point grid inside it finds the cell
-    where r changes sign; brentq solves it to xtol 1e-15 and Newton polishes
-    the result to residual < 1e-13.  A zero of r at a piece end or at a node
-    is a root as it stands, and roots closer than 1e-9 are merged.  An end
-    whose residual is within rounding noise of 0 is walked in node by node
-    (_piece_roots), so the roots are those of a sign scan over every node of
-    the grid cut at c- and c+, to the bit.  r is evaluated by g's scalar
-    route only: the piece ends, at most 9 nodes per bisection and brentq's
-    own points.  At J = 0 the equation reads m = g(h).
+    where r changes sign; brentq (imd._brent, a bit-exact port of scipy's)
+    solves it to xtol 1e-15 and Newton polishes it to residual < 1e-13.  A
+    zero of r at a piece end or at a node is a root, and roots closer than
+    1e-9 are merged.  An end whose residual is within rounding noise of 0 is
+    walked in node by node (_piece_roots), so the roots are those of a sign
+    scan over every node of the grid cut at c- and c+, to the bit.  r is
+    evaluated by g's scalar route only: the piece ends, at most 9 nodes per
+    bisection and brentq's own points.  At J = 0 the equation reads m = g(h).
     """
     return _walk_roots(params, maxima_only=False)
 

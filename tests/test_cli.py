@@ -9,7 +9,9 @@ import os
 import stat
 import subprocess
 import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -282,6 +284,14 @@ class TestDistCommand:
 
 
 class TestLaplaceCommand:
+    def test_bytes_keep_their_digest(self, capsys):
+        # sha256 of the artifact with scipy's bounded minimizer locating xhat;
+        # another maximizer search must keep these bytes
+        code, out, _ = run_cli(capsys, "laplace", "--N", "10,100,1000", "--h", "0")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "859b839b58fa57ca667b09de70410b1e498898e6222b301090725d67054050ea")
+
     def test_row_schema(self, capsys):
         code, out, _ = run_cli(capsys, "laplace", "--N", "10,100", "--h", "0")
         assert code == EXIT_OK
@@ -518,6 +528,33 @@ class TestVerifyCommand:
         )
         assert result.returncode in (EXIT_OK, EXIT_VERIFY)
         assert "[ 1]" in result.stdout
+
+
+class TestImportPath:
+    def test_commands_and_scripts_leave_scipy_optimize_unimported(self, tmp_path):
+        # one fresh process runs every command but laplace, and both studies
+        # in scripts/; only imd laplace may import scipy.optimize
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        code = textwrap.dedent(f"""
+            import contextlib, io, runpy, sys
+            from imd.cli import main
+            runs = [["verify", "--suite", "all"], ["critical"],
+                    ["dist", "--N", "1000", "--h", "0.2", "--J", "1.5"],
+                    ["phase", "--h", "0.1", "--J", "2"],
+                    ["gamma", "--jmin", "1.6", "--jmax", "3", "--steps", "3"]]
+            studies = [("phase_diagram.py", "--points", "5"),
+                       ("limit_theorem_tables.py", "--sizes", "100,1000")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [main(argv) for argv in runs]
+                for name, *args in studies:
+                    sys.argv = [name, *args, "--outdir", {str(tmp_path)!r}]
+                    runpy.run_path({str(scripts)!r} + "/" + name, run_name="__main__")
+            print(codes, "scipy.optimize" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == f"{[EXIT_OK] * 5} False"
 
 
 class TestThreadCap:

