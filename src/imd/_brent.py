@@ -7,19 +7,19 @@ import math
 _RTOL, _MAXITER = 4 * 2.220446049250313e-16, 100  # scipy's defaults
 
 
-def _value(f, x):
-    if math.isnan(fx := float(f(x))):
+def _value(f, x, fx=None):
+    if math.isnan(fx := float(f(x) if fx is None else fx)):
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
 
 
-def brentq(f, a, b, xtol=2e-12):
-    """A root of f in [a, b], where f(a) and f(b) differ in sign."""
+def brentq(f, a, b, xtol=2e-12, fa=None, fb=None):
+    """A root of f in [a, b], where f(a) and f(b) (fa and fb, if given) differ in sign."""
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    fpre, fcur = _value(f, xpre, fa), _value(f, xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:

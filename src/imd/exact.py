@@ -42,7 +42,7 @@ import json
 import math
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp, polygamma
+from scipy.special import digamma, gammaln, logsumexp, zeta
 
 from ._brent import brentq
 from .quadrature import N_PROBE, log_integral, peaked_components
@@ -231,6 +231,7 @@ def _valley(N: int, params: ModelParams) -> float | None:
     then falls: L has two local maxima only if L' crosses zero upwards on that
     stretch, at the valley.  As psi'(x) > 1/x, L'' < 0 everywhere when
     8J/N <= (2 + sqrt 2)^2 / (N + 3), which covers every J <= J_c N/(N + 3).
+    psi' = zeta(2, .) and psi'' = -2 zeta(3, .) are scipy's polygamma, bit for bit.
     """
     J, half = params.J, N / 2.0
     if 8.0 * J / N <= (2.0 + math.sqrt(2.0)) ** 2 / (N + 3.0):
@@ -241,20 +242,22 @@ def _valley(N: int, params: ModelParams) -> float | None:
                 - 2.0 * (params.h - J) - 4.0 * J * (N - 2.0 * k) / N)
 
     def d2(k):
-        return -4.0 * polygamma(1, N - 2.0 * k + 1.0) - polygamma(1, k + 1.0) + 8.0 * J / N
+        return -4.0 * zeta(2.0, N - 2.0 * k + 1.0) - zeta(2.0, k + 1.0) + 8.0 * J / N
 
     def d3(k):
-        return 8.0 * polygamma(2, N - 2.0 * k + 1.0) - polygamma(2, k + 1.0)
+        return -16.0 * zeta(3.0, N - 2.0 * k + 1.0) + 2.0 * zeta(3.0, k + 1.0)
 
     # d3 falls from about -psi''(1) > 0 at k = 0 to about 8 psi''(1) < 0 at N/2
     top = brentq(d3, 0.0, half)
-    if d2(top) <= 0.0:
+    if (d2_top := d2(top)) <= 0.0:
         return None
-    k1 = brentq(d2, 0.0, top) if d2(0.0) < 0.0 else 0.0
-    k2 = brentq(d2, top, half) if d2(half) < 0.0 else half
-    if not d1(k1) < 0.0 < d1(k2):
+    d2_0, d2_half = d2(0.0), d2(half)
+    k1 = brentq(d2, 0.0, top, fa=d2_0, fb=d2_top) if d2_0 < 0.0 else 0.0
+    k2 = brentq(d2, top, half, fa=d2_top, fb=d2_half) if d2_half < 0.0 else half
+    d1_k1, d1_k2 = d1(k1), d1(k2)
+    if not d1_k1 < 0.0 < d1_k2:
         return None
-    return brentq(d1, k1, k2)
+    return brentq(d1, k1, k2, fa=d1_k1, fb=d1_k2)
 
 
 def _window(N: int, params: ModelParams) -> list[tuple[int, int]]:

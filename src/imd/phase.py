@@ -201,7 +201,7 @@ def classify(params: ModelParams) -> PhaseReport:
         lo, hi = max(0.0, m_ref - 1e-3), min(1.0, m_ref + 1e-3)
         d3lo, d3hi = tilde_p(lo, params, 3), tilde_p(hi, params, 3)
         if d3lo * d3hi < 0.0:
-            m_ref = float(brentq(lambda m: tilde_p(m, params, 3), lo, hi, xtol=1e-15))
+            m_ref = brentq(lambda m: tilde_p(m, params, 3), lo, hi, xtol=1e-15, fa=d3lo, fb=d3hi)
             top = _stationary_point(m_ref, params)
             points = tuple(p if abs(p.m - m_ref) > 1e-4 else top for p in points)
         return PhaseReport(kind="critical", maximizers=(top.m,),
@@ -228,18 +228,18 @@ def find_critical_point() -> CriticalPoint:
     return CriticalPoint(h_c=h_c, J_c=J_c, m_c=m_c, lambda_c=lambda_c)
 
 
-def _two_maxima(params: ModelParams):
+def _two_maxima(params: ModelParams, hints=()):
     """The two outer local maxima as (m, ptilde''(m)) in increasing m, or
     None when ptilde is single-welled.  Only the curvature is evaluated, and
     the middle root only where it could change the answer."""
-    maxima = [(m, d2) for m in _maximum_roots(params)
+    maxima = [(m, d2) for m in _maximum_roots(params, hints)
               if (d2 := tilde_p(m, params, 2)) < 0.0]
     return maxima if len(maxima) == 2 else None
 
 
-def _height_gap(params: ModelParams):
+def _height_gap(params: ModelParams, hints=()):
     """(ptilde(m2) - ptilde(m1), the _two_maxima pair), or None."""
-    pair = _two_maxima(params)
+    pair = _two_maxima(params, hints)
     if pair is None:
         return None
     (m1, _), (m2, _) = pair
@@ -265,13 +265,22 @@ def _equal_height_field(J: float, h_center: float, width: float):
     is m2 - m1 > 0 by the envelope theorem), so a sign-bracketing bisection is
     exact; the initial bracket is grown inside the two-maxima window, halving
     the step whenever a probe loses one maximum.  Every field's gap is
-    computed once and kept with the field.
+    computed once and kept with the field; each probe's walks start from
+    the maxima of the last probe that found two.
     """
-    probe = _height_gap(ModelParams(h_center, J))
+    hints = ()
+
+    def gap_at(h):
+        nonlocal hints
+        found = _height_gap(ModelParams(h, J), hints)
+        hints = hints if found is None else tuple(m for m, _ in found[1])
+        return found
+
+    probe = gap_at(h_center)
     if probe is None:
         # walk the center into the two-maxima region
         for h in (h_center + np.linspace(-width, width, 41)).tolist():
-            probe = _height_gap(ModelParams(h, J))
+            probe = gap_at(h)
             if probe is not None:
                 h_center = h
                 break
@@ -279,7 +288,7 @@ def _equal_height_field(J: float, h_center: float, width: float):
             # near J_c the window is narrower than the probe spacing
             h_lo, h_hi = _spinodal_window(J)
             h_center, width = 0.5 * (h_lo + h_hi), 0.5 * (h_hi - h_lo)
-            probe = _height_gap(ModelParams(h_center, J))
+            probe = gap_at(h_center)
             if probe is None:
                 raise ValueError(
                     f"no two-maxima window resolved at J={J}: the window "
@@ -294,7 +303,7 @@ def _equal_height_field(J: float, h_center: float, width: float):
         last_inside = (h_center, probe)
         for _ in range(200):
             field = h + direction * step
-            found = _height_gap(ModelParams(field, J))
+            found = gap_at(field)
             if found is None:
                 step /= 2.0  # left the window: halve and retry
                 if step < 1e-14:
@@ -320,7 +329,7 @@ def _equal_height_field(J: float, h_center: float, width: float):
     lo, hi = sorted((h_center, other))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        found = _height_gap(ModelParams(mid, J))
+        found = gap_at(mid)
         if found is None:
             raise ValueError(
                 f"no two-maxima window resolved at J={J}: the window collapsed during "
@@ -334,7 +343,7 @@ def _equal_height_field(J: float, h_center: float, width: float):
         else:
             lo = mid
     mid = 0.5 * (lo + hi)
-    return mid, _two_maxima(ModelParams(mid, J))
+    return mid, _two_maxima(ModelParams(mid, J), hints)
 
 
 def phase_weight(lam: float, m: float) -> float:

@@ -20,7 +20,8 @@ the phase classification in imd.phase are both built on its roots.  It
 walks the residual m - g((2m-1)J + h) piece by piece: the closed-form
 spinodal densities cut [0, 1] into at most three pieces on which the
 residual is monotone, so the signs at a piece's ends tell whether it holds
-a root, and a bisection over grid nodes finds the cell that brentq solves.
+a root, and a bisection over grid nodes (first those around any hinted
+roots) finds the cell that brentq solves.
 The same limit is reproduced by the large-deviation route
 
     p(h, J) = sup_m [ (h - J) m + J m^2 - rate_function(m) ],
@@ -354,7 +355,7 @@ def _opposite(ra: float, rb: float) -> bool:
 
 
 def _piece_roots(residual, a: float, b: float, ra: float, rb: float,
-                 noise: float) -> list[float]:
+                 noise: float, hints=()) -> list[float]:
     """The roots that a scan of every grid node in the monotone piece [a, b]
     finds: nodes where the residual is 0 and cells whose ends have opposite
     signs, each cell solved by brentq; zeros at a and b are left out.
@@ -365,7 +366,9 @@ def _piece_roots(residual, a: float, b: float, ra: float, rb: float,
     by node, as a scan would see it, until the residual clears noise; past
     that, and from an end that is clear already, the residual keeps one sign
     up to the root, and a bisection over the grid nodes in between finds the
-    one cell (or node) where the sign changes.
+    one cell (or node) where the sign changes.  It first probes the nodes
+    around each hint (a guess at a root) strictly inside its range: on one
+    sign change that saves evaluations and never moves the cell.
     """
     roots = []
     lo = bisect.bisect_right(_ROOT_GRID, a) - 1  # the nodes strictly inside
@@ -376,7 +379,7 @@ def _piece_roots(residual, a: float, b: float, ra: float, rb: float,
         if r == 0.0:
             roots.append(m)
         elif _opposite(ra, r):
-            roots.append(float(brentq(residual, a, m, xtol=1e-15)))
+            roots.append(float(brentq(residual, a, m, xtol=1e-15, fa=ra, fb=r)))
         a, ra = m, r
     while abs(rb) <= noise and hi - lo > 1:
         hi -= 1
@@ -384,22 +387,25 @@ def _piece_roots(residual, a: float, b: float, ra: float, rb: float,
         if r == 0.0:
             roots.append(m)
         elif _opposite(r, rb):
-            roots.append(float(brentq(residual, m, b, xtol=1e-15)))
+            roots.append(float(brentq(residual, m, b, xtol=1e-15, fa=r, fb=rb)))
         b, rb = m, r
     if not _opposite(ra, rb):
         return roots
     a_negative = ra < 0.0
+    near = [k - d for k in (bisect.bisect_right(_ROOT_GRID, m) for m in hints) for d in (0, 1)]
     while hi - lo > 1:
-        mid = (lo + hi) // 2
+        mid = near.pop() if near else (lo + hi) // 2
+        if not lo < mid < hi:
+            continue
         m = _ROOT_GRID[mid]
         r = residual(m)
         if r == 0.0:
             return roots + [m]
         if (r < 0.0) == a_negative:
-            lo, a = mid, m
+            lo, a, ra = mid, m, r
         else:
-            hi, b = mid, m
-    return roots + [float(brentq(residual, a, b, xtol=1e-15))]
+            hi, b, rb = mid, m, r
+    return roots + [float(brentq(residual, a, b, xtol=1e-15, fa=ra, fb=rb))]
 
 
 def _middle_bound(h: float, J: float) -> float:
@@ -409,7 +415,7 @@ def _middle_bound(h: float, J: float) -> float:
     return eps + 2.0 * (1.0 + J) * math.sqrt(eps) + 2e-9
 
 
-def _walk_roots(params: ModelParams, maxima_only: bool) -> list[float]:
+def _walk_roots(params: ModelParams, maxima_only: bool, hints=()) -> list[float]:
     """Roots of the consistency equation from the residual's monotone
     pieces: all of them, or with maxima_only the two outer pieces' alone
     where _maximum_roots shows that the middle piece cannot matter."""
@@ -430,7 +436,7 @@ def _walk_roots(params: ModelParams, maxima_only: bool) -> list[float]:
         pieces = (0, 2)
     roots = [m for m, r in zip(ends, r_ends) if r == 0.0]
     for k in pieces:
-        roots += _piece_roots(residual, ends[k], ends[k + 1], r_ends[k], r_ends[k + 1], noise)
+        roots += _piece_roots(residual, *ends[k:k + 2], *r_ends[k:k + 2], noise, hints)
     polished = []
     for m in roots:
         for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
@@ -468,12 +474,14 @@ def consistency_roots(params: ModelParams) -> list[float]:
     walked in node by node (_piece_roots), so the roots are those of a sign
     scan over every node of the grid cut at c- and c+, to the bit.  r is
     evaluated by g's scalar route only: the piece ends, at most 9 nodes per
-    bisection and brentq's own points.  At J = 0 the equation reads m = g(h).
+    bisection (2 if a hint, the gamma bisection's last maxima, hits the
+    cell; 2 more per hint if not) and brentq's inner points, as it is handed
+    the cell's end residuals.  At J = 0 the equation reads m = g(h).
     """
     return _walk_roots(params, maxima_only=False)
 
 
-def _maximum_roots(params: ModelParams) -> list[float]:
+def _maximum_roots(params: ModelParams, hints=()) -> list[float]:
     """The consistency roots among which ptilde's local maxima lie: those of
     the two outer pieces, where r rises (ptilde' = -2J r), or all roots
     where the middle piece could change which roots pass as maxima.  The
@@ -492,7 +500,7 @@ def _maximum_roots(params: ModelParams) -> list[float]:
     Below the bound, or with fewer than two cuts in (0, 1), all three pieces
     are solved.
     """
-    return _walk_roots(params, maxima_only=True)
+    return _walk_roots(params, maxima_only=True, hints=hints)
 
 
 def variational_pressure(params: ModelParams) -> float:

@@ -13,29 +13,39 @@ from imd._brent import brentq
 from imd.thermo import ModelParams
 
 
+def outcome(solve, f, a, b, **kw):
+    """The root as float.hex, or the error's type and message."""
+    try:
+        x = solve(f, a, b, **kw)
+        assert type(x) is float
+        return x.hex()
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
 def same(f, a, b, **kw):
     """Both solvers' root as float.hex, or both errors' type and message."""
-    out = []
-    for solve in (brentq, scipy_brentq):
-        try:
-            x = solve(f, a, b, **kw)
-            assert type(x) is float
-            out.append(x.hex())
-        except (ValueError, RuntimeError) as err:
-            out.append((type(err), str(err)))
+    out = [outcome(solve, f, a, b, **kw) for solve in (brentq, scipy_brentq)]
     assert out[0] == out[1], (a, b, kw, out)
     return out[0]
 
 
 def cross_checked():
     """A stand-in for a module's brentq that checks each call against scipy,
-    at the call's xtol and at the default, and records its arguments."""
+    at the call's xtol and at the default, and records its arguments with
+    which of fa and fb it was handed.  A handed fa or fb must be f's own
+    value at that end, bit for bit, and the port given it scipy's root."""
     calls = []
 
-    def both(f, a, b, **kw):
-        calls.append((a, b, kw))
+    def both(f, a, b, fa=None, fb=None, **kw):
+        calls.append((a, b, kw, (fa is not None, fb is not None)))
+        for x, fx in ((a, fa), (b, fb)):
+            if fx is not None:
+                assert float(fx).hex() == float(f(x)).hex(), (x, fx)
         same(f, a, b)
-        return float.fromhex(same(f, a, b, **kw))
+        root = same(f, a, b, **kw)
+        assert outcome(brentq, f, a, b, fa=fa, fb=fb, **kw) == root
+        return float.fromhex(root)
 
     return both, calls
 
@@ -55,7 +65,9 @@ def test_consistency_residual_solves(h, J):
         mp.setattr(thermo, "brentq", both)
         roots = thermo.consistency_roots(ModelParams(h, J))
     assert roots
-    assert all(kw == {"xtol": 1e-15} for _, _, kw in calls)
+    assert all(kw == {"xtol": 1e-15} for _, _, kw, _ in calls)
+    # every cell's end residuals are handed over, at both ends
+    assert all(held == (True, True) for *_, held in calls)
 
 
 def test_critical_point_and_its_polish():
@@ -69,6 +81,8 @@ def test_critical_point_and_its_polish():
     assert report.kind == "critical"
     assert len(calls) == 2
     assert (calls[0][0], calls[0][1]) == (-3.0, 3.0)
+    # the polish is handed the third derivatives its sign test computed
+    assert [held for *_, held in calls] == [(False, False), (True, True)]
 
 
 @pytest.mark.parametrize("n, h, J", [(100, -0.41281739308863996, 2.0),
@@ -76,13 +90,15 @@ def test_critical_point_and_its_polish():
                                      (10**6, -0.41281739308863996, 2.0),
                                      (1000, -0.5, 8.0), (4000, 0.3, 1e3)])
 def test_valley_digamma_solves(n, h, J):
-    # exact._valley's d1, d2 and d3 return np.float64 from digamma/polygamma
+    # exact._valley's d1, d2 and d3 return np.float64 from digamma/zeta
     both, calls = cross_checked()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "brentq", both)
         valley = exact._valley(n, ModelParams(h, J))
     assert valley is not None
     assert len(calls) >= 2
+    # the d3 solve holds no values; the d2 and d1 solves hold both ends'
+    assert [held for *_, held in calls] == [(False, False)] + [(True, True)] * (len(calls) - 1)
 
 
 FAMILIES = {
@@ -106,6 +122,31 @@ def test_random_brackets(family, c, log_s, log_left, log_right, xtol):
     f = FAMILIES[family](c, 10.0**log_s)
     same(f, c - 10.0**log_left, c + 10.0**log_right, xtol=xtol)
     same(f, c + 10.0**log_right, c - 10.0**log_left, xtol=xtol)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(sorted(FAMILIES)), st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-6.0, max_value=2.0),
+       st.floats(min_value=-6.0, max_value=2.0), st.sampled_from([1e-15, 2e-12, 5e-324]))
+def test_held_end_values_change_nothing(family, c, log_s, log_left, log_right, xtol):
+    # brentq(f, a, b, fa=f(a), fb=f(b)) is brentq(f, a, b) bit for bit, and
+    # skips exactly the two end evaluations
+    f = FAMILIES[family](c, 10.0**log_s)
+    evaluated = []
+
+    def counted(x):
+        evaluated.append(x)
+        return f(x)
+
+    for a, b in ((c - 10.0**log_left, c + 10.0**log_right),
+                 (c + 10.0**log_right, c - 10.0**log_left)):
+        evaluated.clear()
+        plain = outcome(brentq, counted, a, b, xtol=xtol)
+        n_plain = len(evaluated)
+        fa, fb = f(a), f(b)
+        evaluated.clear()
+        assert outcome(brentq, counted, a, b, xtol=xtol, fa=fa, fb=fb) == plain, (a, b)
+        assert len(evaluated) == n_plain - 2
 
 
 def test_zero_at_an_end_returns_that_end():

@@ -297,6 +297,44 @@ class TestWindow:
         assert int(out[1]) < 200 * 1024  # kB
 
 
+class TestValley:
+    NS = (4002, 10**4, 10**5, 10**6, 10**7)
+
+    def test_zeta_forms_are_the_polygamma_forms(self):
+        # _valley's L'' and L''' call zeta(2, x) for psi'(x) and -2 zeta(3, x)
+        # for psi''(x); polygamma(n, x) forms (-1)^(n+1) n! zeta(n+1, x)
+        from scipy.special import polygamma, zeta
+
+        for n in self.NS:
+            k = np.concatenate([np.linspace(0.0, n / 2.0, 1001), [0.5, 1.0, 1.5, n / 2.0 - 0.5]])
+            for x in (n - 2.0 * k + 1.0, k + 1.0):
+                assert np.array_equal(zeta(2.0, x), polygamma(1, x))
+                assert np.array_equal(-2.0 * zeta(3.0, x), polygamma(2, x))
+            for k_ in k.tolist():
+                a, b = n - 2.0 * k_ + 1.0, k_ + 1.0
+                d2 = -4.0 * zeta(2.0, a) - zeta(2.0, b) + 8.0 * 2.0 / n
+                d2_ref = -4.0 * polygamma(1, a) - polygamma(1, b) + 8.0 * 2.0 / n
+                d3 = -16.0 * zeta(3.0, a) + 2.0 * zeta(3.0, b)
+                d3_ref = 8.0 * polygamma(2, a) - polygamma(2, b)
+                assert float(d2).hex() == float(d2_ref).hex(), (n, k_)
+                assert float(d3).hex() == float(d3_ref).hex(), (n, k_)
+
+    @pytest.mark.parametrize("params, pins", [
+        (("-0x1.605f3627f9a36p-2", "0x1.7504f333f9de6p+0"), [None] * 5),  # the critical point
+        (("-0x1.a6b99a4a248aap-2", "0x1p+1"),  # gamma(2)
+         ["0x1.b50b2eadbcd86p+9", "0x1.10fe58bd840d1p+11", "0x1.5539a6b1b75f5p+14",
+          "0x1.aa878741318f3p+17", "0x1.0a94abf6cd3ddp+21"]),
+        (("-0x1p+0", "0x1.8p+1"),
+         ["0x1.1c79dc439fec7p+9", "0x1.6358f9bc32223p+10", "0x1.bc21cd12ef8a0p+13",
+          "0x1.1594496158d40p+17", "0x1.5af940e00f7c6p+20"]),
+    ])
+    def test_valley_keeps_its_bits(self, params, pins):
+        # computed with scipy's polygamma and brentq evaluating every end
+        h, J = map(float.fromhex, params)
+        found = [exact._valley(n, ModelParams(h, J)) for n in self.NS]
+        assert [None if v is None else float(v).hex() for v in found] == pins
+
+
 @pytest.fixture(scope="module")
 def gamma_points():
     """The coexistence points at J = 2, 5 and 8, keyed by J."""

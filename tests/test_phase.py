@@ -210,13 +210,30 @@ class TestTraceGamma:
         walks = []
         maximum_roots = phase._maximum_roots
 
-        def recorded(params):
+        def recorded(params, hints=()):
             walks.append((params.h, params.J))
-            return maximum_roots(params)
+            return maximum_roots(params, hints)
 
         monkeypatch.setattr(phase, "_maximum_roots", recorded)
         trace_gamma(CRITERION_9_GRID)
         assert walks and len(walks) == len(set(walks))
+
+    def test_grid_within_its_evaluation_count(self, monkeypatch):
+        # g's scalar route evaluates r for every walk of criterion 9's grid:
+        # 11 943 times when each probe starts from the last probe's maxima
+        # and brentq is handed its cells' end residuals (19 824 without)
+        from imd import thermo
+
+        fields = []
+        scalar = thermo._g_scalar
+
+        def counted(a):
+            fields.append(a)
+            return scalar(a)
+
+        monkeypatch.setattr(thermo, "_g_scalar", counted)
+        trace_gamma(CRITERION_9_GRID)
+        assert len(fields) <= 11943
 
     def test_bisection_evaluates_only_value_and_curvature(self, monkeypatch):
         # each bisection step needs ptilde'' at the roots and ptilde at the
@@ -236,16 +253,24 @@ class TestTraceGamma:
         # only: two brentq calls, none for the middle root
         from imd import thermo
 
-        fields = []
+        probes = []
         height_gap = phase._height_gap
 
-        def recorded(params):
-            fields.append(params)
-            return height_gap(params)
+        def recorded(params, hints=()):
+            found = height_gap(params, hints)
+            probes.append((params, hints, found))
+            return found
 
         monkeypatch.setattr(phase, "_height_gap", recorded)
         trace_gamma([2.0])
         monkeypatch.setattr(phase, "_height_gap", height_gap)
+        # each probe starts from the maxima of the last probe that found two
+        last = ()
+        for _, hints, found in probes:
+            assert hints == last
+            if found is not None:
+                last = tuple(m for m, _ in found[1])
+        fields = [(params, hints) for params, hints, _ in probes]
         solves = []
         brentq = thermo.brentq
 
@@ -255,11 +280,12 @@ class TestTraceGamma:
 
         monkeypatch.setattr(thermo, "brentq", counted)
         steps = fields[-40:]  # the tail of the bisection, about 43 steps long
-        assert len({p.h for p in steps}) == len(steps)
-        for params in steps:
-            solves.clear()
-            assert phase._height_gap(params) is not None
-            assert len(solves) == 2, params
+        assert len({p.h for p, _ in steps}) == len(steps)
+        for params, hints in steps:
+            for start in ((), hints):
+                solves.clear()
+                assert phase._height_gap(params, start) is not None
+                assert len(solves) == 2, (params, start)
 
     def test_curve_endpoint_merges_into_critical_density(self, critical):
         J_values = [critical.J_c + d for d in (0.1, 0.05, 0.02, 0.01)]

@@ -69,6 +69,21 @@ EDGE_CASES = [CUT_ON_GRID, ZERO_AT_CUT, ZERO_AT_UPPER_CUT, (ZERO_AT_NODE_H, 1.0)
 EDGE_MERGE = (-0.34411329917267997, 1.4571073390613543)
 
 
+def _cut_scan_draws():
+    """(h, J) across the CLI's range, the verify range and J just above J_c
+    around both window edges, then EDGE_CASES."""
+    rng = np.random.default_rng(2016)
+    wide = zip(rng.uniform(-30.0, 30.0, 1500), rng.uniform(0.0, 1e3, 1500))
+    narrow = zip(rng.uniform(-3.0, 3.0, 1500), rng.uniform(0.0, 10.0, 1500))
+    near = []
+    for dJ, side, offset in zip(10.0 ** rng.uniform(-9.0, -1.0, 1000),
+                                rng.integers(0, 2, 1000), rng.uniform(-0.3, 0.3, 1000)):
+        J = thermo._J_C + dJ
+        lo, hi = phase._spinodal_window(J)
+        near.append(((lo, hi)[side] + offset * (hi - lo), J))
+    return [(float(h), float(J)) for h, J in [*wide, *narrow, *near, *EDGE_CASES]]
+
+
 class TestPureDensity:
     def test_value_at_zero_field(self):
         assert abs(g(0.0) - GOLDEN) < 1e-15
@@ -353,23 +368,43 @@ class TestConsistencyRoots:
 
     def test_walk_matches_the_cut_scan(self):
         # the walk must find the very cells the whole-grid scan found, so
-        # every root keeps its bits; draws across the CLI's range, the
-        # verify range and J just above J_c around both window edges
+        # every root keeps its bits
         from oracles import cut_scan_consistency_roots
 
-        rng = np.random.default_rng(2016)
-        wide = zip(rng.uniform(-30.0, 30.0, 1500), rng.uniform(0.0, 1e3, 1500))
-        narrow = zip(rng.uniform(-3.0, 3.0, 1500), rng.uniform(0.0, 10.0, 1500))
-        near = []
-        for dJ, side, offset in zip(10.0 ** rng.uniform(-9.0, -1.0, 1000),
-                                    rng.integers(0, 2, 1000), rng.uniform(-0.3, 0.3, 1000)):
-            J = thermo._J_C + dJ
-            lo, hi = phase._spinodal_window(J)
-            near.append(((lo, hi)[side] + offset * (hi - lo), J))
-        for h, J in [*wide, *narrow, *near, *EDGE_CASES]:
-            roots = consistency_roots(ModelParams(float(h), float(J)))
-            ref = cut_scan_consistency_roots(float(h), float(J))
+        for h, J in _cut_scan_draws():
+            roots = consistency_roots(ModelParams(h, J))
+            ref = cut_scan_consistency_roots(h, J)
             assert [m.hex() for m in roots] == [m.hex() for m in ref], (h, J)
+
+    def test_hints_never_move_a_root(self):
+        # hints only reorder the bisection's probes: on the cut-scan draws,
+        # hints built to mislead leave every root of both walks at its bits
+        from oracles import cut_scan_consistency_roots
+
+        def hex_of(roots):
+            return [m.hex() for m in roots]
+
+        grid = thermo._ROOT_GRID
+        for h, J in _cut_scan_draws():
+            params = ModelParams(h, J)
+            roots = consistency_roots(params)
+            assert hex_of(roots) == hex_of(cut_scan_consistency_roots(h, J)), (h, J)
+            maxima = thermo._maximum_roots(params)
+            cuts = [(x - h) / (2.0 * J) + 0.5 for x, _ in thermo._spinodal(J)]
+            misleading = [
+                roots,
+                [grid[min(int(400.0 * m) + d, 400)] for m in roots for d in (0, 1)],
+                cuts,
+                [0.0, 1.0],
+                consistency_roots(ModelParams(h + 0.01, J)),
+                # across each cut, and each root mirrored: in another piece
+                [c + d for c in cuts for d in (-0.01, 0.01)] + [1.0 - m for m in roots],
+            ]
+            for hints in misleading:
+                assert hex_of(thermo._walk_roots(params, False, hints)) == hex_of(roots), (
+                    h, J, hints)
+                assert hex_of(thermo._maximum_roots(params, hints)) == hex_of(maxima), (
+                    h, J, hints)
 
     def test_edge_cases_are_what_they_claim(self):
         # the preconditions of EDGE_CASES, so a change of g's bits cannot
@@ -407,8 +442,10 @@ class TestConsistencyRoots:
 
     def test_scalar_walk_within_its_evaluation_count(self, monkeypatch):
         # at (-0.41, 2) the walk evaluates r by g's scalar route only: 4
-        # piece ends, 24 grid nodes in three bisections and 17 points inside
-        # brentq, 45 in all (a whole-grid scan evaluated 403 at once)
+        # piece ends, 24 grid nodes in three bisections and 11 points inside
+        # brentq, which is handed each cell's end residuals: 39 in all (45
+        # when brentq evaluated the ends again; a whole-grid scan evaluated
+        # 403 at once)
         fields = []
 
         def counted(a):
@@ -424,7 +461,7 @@ class TestConsistencyRoots:
         monkeypatch.setattr(thermo, "g", checked_g)
         assert len(consistency_roots(ModelParams(-0.41, 2.0))) == 3
         assert all(type(a) is float for a in fields)
-        assert len(fields) <= 45
+        assert len(fields) <= 39
 
     def test_maxima_walk_matches_the_all_roots_path(self, monkeypatch):
         # the same (m, ptilde'') pairs, and None in the same cases, just
