@@ -6,9 +6,11 @@ files carry no timestamps), so identical invocations produce byte-identical
 artifacts.  ``gamma`` and ``dist`` write CSV, or JSON with ``--format json``;
 the other commands have one format and no ``--format``.  Exit codes: 0
 success, 1 domain error, 2 verification failure, 64 usage error, 74
-unwritable output.  Usage errors that argparse detects raise SystemExit(64);
-a non-finite --h/--J/--eta/--u/--jmin/--jmax or a --N list that is not
-integers makes ``main`` return 64.
+unwritable output: an --output path that cannot be written, or a standard
+output whose reader has closed it, as ``imd dist ... | head`` does.  Usage
+errors that argparse detects raise SystemExit(64); a non-finite
+--h/--J/--eta/--u/--jmin/--jmax or a --N list that is not integers makes
+``main`` return 64.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -176,13 +179,19 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as err:
         print(f"imd: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    if args.output is None:
-        write(sys.stdout)
-        return code
     try:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+        if args.output is None:
+            write(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
     except OSError as err:
+        if isinstance(err, BrokenPipeError):
+            # the reader has gone (dist ... | head): stdout goes to devnull,
+            # so the flush at exit cannot fail again (the Python docs' note
+            # on SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"imd: cannot write output: {err}", file=sys.stderr)
         return EXIT_IO
     return code

@@ -31,7 +31,11 @@ weight here or the position of ``limits.scaled_law``, which reads the same
 atoms in increasing S through a reversed view.  Its one writer streams the
 atoms as CSV or JSON in chunks of _CSV_ROWS, evaluating the columns chunk
 by chunk, so writing a law takes O(_CSV_ROWS) memory beyond its
-probabilities.
+probabilities.  The CSV cells have the bytes of %d and %.17g and come from
+a NumPy kernel, ``_cells``: every float with 1e-4 <= |x| < 1e16 from its 17
+correctly rounded digits in int64 arithmetic, exact by Dekker's product, and
+the others (smaller or larger, zeros, subnormals, infinities, NaN) from
+Python's %.17g.
 """
 
 from __future__ import annotations
@@ -80,8 +84,10 @@ def matching_count_log(N: int, k) -> float:
     return float(val) if np.ndim(k) == 0 else val
 
 
-# atoms per formatted chunk in AtomLaw.write
-_CSV_ROWS = 1 << 14
+# atoms per chunk in AtomLaw.write: at 16 384 the CSV kernel's temporaries
+# (128 KB each) moved perfbench large_n's peak RSS between 80 and 89 MB from
+# run to run, at 4096 it stays at 83.9 MB
+_CSV_ROWS = 1 << 12
 
 
 class AtomLaw:
@@ -160,10 +166,13 @@ class AtomLaw:
         which round-trips every double), rows end in ``\\r\\n``: the same
         bytes as ``csv.writer`` with ``format(x, ".17g")`` cells.  Rows
         outside the windows have probability 0, written as the constant
-        ``0``.  A chunk's columns are converted with ``.tolist()``,
-        interleaved through an object array and formatted with one ``%`` on
-        the chunk's repeated row format: no csv writer call or NumPy scalar
-        conversion per atom.
+        ``0``.  ``_cells.csv_rows`` builds a chunk's rows as one NumPy byte
+        matrix: the integers from a table of 4-digit groups, and every float
+        with 1e-4 <= |x| < 1e16, which %.17g writes in fixed notation, from
+        its 17 correctly rounded digits, computed exactly in int64 by
+        Dekker's product.  Python's %.17g formats the other floats (|x| <
+        1e-4, |x| >= 1e16, zeros, subnormals, infinities and NaN), one list
+        comprehension per chunk.
 
         JSON: the bytes of ``json.dumps(payload, indent=2, sort_keys=True)
         + "\\n"`` for the payload N, h, J, then log Z, k, S and the log
@@ -171,7 +180,11 @@ class AtomLaw:
         and the probabilities.  Keys go out sorted and each column chunk by
         chunk through json's own encoder, so floats are their ``repr`` and
         non-finite values read ``NaN``, ``Infinity`` and ``-Infinity``.
+
+        ValueError for any other fmt, before anything is written.
         """
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
         n = len(self.probabilities)
         name = "log_weight" if self.eta is None else "position"
         columns = {"k": self._k, "S": lambda i: self.N - 2 * self._k(i), name: self.values_at,
@@ -198,18 +211,19 @@ class AtomLaw:
                 fh.write("\n  ]")
             fh.write("\n}\n")
             return
+        # imported here, not at the top: only the CSV writer needs its tables
+        from . import _cells
+
         fh.write(f"k,S,{name},probability\r\n")
         # runs of zero probability alternate with the windows' intervals
         edges = [0] + [e for window in self.windows for e in window] + [n]
         for run, (a, b) in enumerate(zip(edges, edges[1:])):
-            names = ("k", "S", name, "probability")[:4 if run % 2 else 3]
-            fmt_row = "%d,%d,%.17g,%.17g\r\n" if run % 2 else "%d,%d,%.17g,0\r\n"
             for c in range(a, b, _CSV_ROWS):
                 i = np.arange(c, min(b, c + _CSV_ROWS))
-                cells = np.empty(len(names) * len(i), dtype=object)
-                for j, column in enumerate(names):
-                    cells[j::len(names)] = columns[column](i).tolist()
-                fh.write((fmt_row * len(i)) % tuple(cells.tolist()))
+                cells = [columns[key](i) for key in ("k", "S", name)]
+                # a zero run's probabilities are written as the integer 0
+                zero = np.zeros(len(i), np.int64)
+                fh.write(_cells.csv_rows(cells + [self.probabilities[i] if run % 2 else zero]))
 
 
 def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:

@@ -164,6 +164,22 @@ class TestDistCommand:
         assert code == EXIT_IO
         assert "cannot write" in err
 
+    def test_reader_closing_stdout_is_io_error(self):
+        # dist ... | head: the reader leaves after two lines, while the CSV
+        # (2.4 MB) is still being written
+        argv = [sys.executable, "-m", "imd.cli", "dist", "--N", "200000", "--h", "0",
+                "--J", "0"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert lines == [b"k,S,log_weight,probability\r\n", b"0,200000,0,0\r\n"]
+        assert code == EXIT_IO
+        assert err == "imd: cannot write output: [Errno 32] Broken pipe\n"
+
     def test_scaled_law_json_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "dist", "--N", "6", "--h", "0", "--J", "0", "--eta", "0.5", "--u", "0.6",
@@ -533,7 +549,8 @@ class TestVerifyCommand:
 class TestImportPath:
     def test_commands_and_scripts_leave_scipy_optimize_unimported(self, tmp_path):
         # one fresh process runs every command but laplace, and both studies
-        # in scripts/; only imd laplace may import scipy.optimize
+        # in scripts/; only imd laplace may import scipy.optimize, and only
+        # a CSV writer the CSV kernel imd._cells (not verify, which runs first)
         scripts = Path(__file__).resolve().parents[1] / "scripts"
         code = textwrap.dedent(f"""
             import contextlib, io, runpy, sys
@@ -545,16 +562,18 @@ class TestImportPath:
             studies = [("phase_diagram.py", "--points", "5"),
                        ("limit_theorem_tables.py", "--sizes", "100,1000")]
             with contextlib.redirect_stdout(io.StringIO()):
-                codes = [main(argv) for argv in runs]
+                codes = [main(runs[0])]
+                cells = "imd._cells" in sys.modules
+                codes += [main(argv) for argv in runs[1:]]
                 for name, *args in studies:
                     sys.argv = [name, *args, "--outdir", {str(tmp_path)!r}]
                     runpy.run_path({str(scripts)!r} + "/" + name, run_name="__main__")
-            print(codes, "scipy.optimize" in sys.modules)
+            print(codes, "scipy.optimize" in sys.modules, cells, "imd._cells" in sys.modules)
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
-        assert out.strip() == f"{[EXIT_OK] * 5} False"
+        assert out.strip() == f"{[EXIT_OK] * 5} False False True"
 
 
 class TestThreadCap:

@@ -11,13 +11,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from imd import exact, phase
+from imd import _cells, exact, phase
 from imd.cli import EXIT_OK, main
 from imd.exact import (
     SmoothedDensity,
@@ -185,9 +186,18 @@ def valley(law):
 
 
 # doubles that stress %.17g: zeros, the smallest subnormal, extreme exponents,
-# log weights far below any probability that survives exp
+# log weights far below any probability that survives exp; then the edges of
+# the CSV writer's kernel (1e-4 <= |x| < 1e16, below it %.17g switches to
+# exponent notation, at 1e17 too) and each power of ten from 1e-4 to 1e17
+# with the doubles beside it, whose 17 digits carry into the next decade
+# (0.99999999999999989, 99999999999999984); exact ties, which round half to
+# even; and negative values in the kernel's range
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, -745.2, -1e5,
                -7.5e6, 2.0**53 + 2.0, 0.1, 1.0 / 3.0, math.inf, -math.inf, math.nan]
+EDGE_FLOATS += [x for p in range(-4, 18) for x in (
+    math.nextafter(float(f"1e{p}"), 0.0), float(f"1e{p}"), math.nextafter(float(f"1e{p}"), 1e18))]
+EDGE_FLOATS += [1e15 + 0.25, 1e14 + 0.125, -(1e15 + 0.75), -0.5, -1.0, -123.456,
+                -0.00012345678901234567, -9999999999999998.0]
 float_cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
 
 
@@ -209,13 +219,14 @@ def atom_log_weight(n, h, J, k):
 
 
 def chunk_windows():
-    """(support size, lo, hi) around the first chunk boundary of the atom CSV
-    writer: windows that start, end and straddle it, and the whole support."""
-    rows = exact._CSV_ROWS
+    """(support size, lo, hi) around the first and the fourth chunk boundary
+    of the atom CSV writer (4096 and 16 384 atoms): windows that start, end
+    and straddle it, and the whole support."""
     cases = set()
-    for size in (rows - 1, rows, rows + 1, 2 * rows + 1):
-        for lo, hi in ((rows, rows + 7), (rows - 7, rows), (rows - 3, rows + 3), (0, size)):
-            cases.add((size, min(lo, size), min(hi, size)))
+    for rows in (exact._CSV_ROWS, 4 * exact._CSV_ROWS):
+        for size in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            for lo, hi in ((rows, rows + 7), (rows - 7, rows), (rows - 3, rows + 3), (0, size)):
+                cases.add((size, min(lo, size), min(hi, size)))
     return sorted(cases)
 
 
@@ -410,7 +421,7 @@ class TestTwoIntervalWindow:
 
 class TestAtomCsv:
     @given(atom_columns(float_cells))
-    @example((31, np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])))
+    @example((2 * len(EDGE_FLOATS) - 1, np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])))
     def test_monomer_law_matches_csv_writer(self, columns):
         n, log_w, probs = columns
         law = exact.AtomLaw(n, ModelParams(0.0, 0.0), 0.0, probs, [(0, len(probs))],
@@ -430,6 +441,7 @@ class TestAtomCsv:
         (1000, 0.0, 2.0, 0.75, 0.3),
         (5, 30.0, 0.0, 1.0, 0.0),
         (10, 0.0, 0.0, 1.0, 1e16),  # N u above 2^53: S is not in the position's bits
+        (100000, 0.0, 0.0, 0.5, float(g(0.0))),  # the benchmark's dist, at N = 1e5
     ])
     def test_cli_file_bytes_match_csv_writer(self, tmp_path, capsys, n, h, J, eta, u):
         path = tmp_path / "law.csv"
@@ -462,6 +474,45 @@ class TestAtomCsv:
 
         scaled = exact.AtomLaw(n, params, 0.0, probs, [(lo, hi)], positions, eta=eta, u=u)
         assert written_csv(scaled) == csv_writer_scaled_law(scaled)
+
+    @pytest.mark.parametrize("fmt", ["xml", "CSV", "JSON", ""])
+    def test_unknown_format_writes_nothing(self, fmt):
+        law = monomer_law(10, ModelParams(0.0, 0.0))
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="'csv' or 'json'"):
+            law.write(buf, fmt)
+        assert buf.getvalue() == ""
+
+    def test_kernel_sweep_matches_percent_format(self):
+        # the cells in bulk: random bit patterns (mostly exponent notation,
+        # through %.17g itself), doubles spread over 1e-6 ... 1e18 (mostly the
+        # kernel's fixed notation), an exact tie at the 17th digit for each
+        # exponent d = -4 ... 15 (odd j / 2^(17 - d)), and integers of up to
+        # 16 digits with the powers of ten beside them
+        rng = np.random.default_rng(18)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        spread = 10.0 ** rng.uniform(-6.0, 18.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        ties = [rng.integers(math.ceil(10.0**d * 2**(17 - d)) // 2,
+                             int(min(10.0**(d + 1) * 2**(17 - d), 2.0**53)) // 2, 1000) * 2 + 1
+                for d in range(-4, 16)]
+        ties = np.concatenate([j / 2.0**(17 - d) for d, j in zip(range(-4, 16), ties)])
+        # each is exact in 18 digits, the last a 5
+        assert {Decimal(t).as_tuple().digits[17:] for t in ties.tolist()} == {(5,)}
+        # the decade edges are the least doubles >= 10^d
+        for d, edge in zip(range(-4, 17), _cells._EDGE.tolist()):
+            assert Decimal(math.nextafter(edge, 0.0)) < Decimal(10) ** d <= Decimal(edge)
+        floats = np.concatenate([bits, spread, ties, EDGE_FLOATS])
+        ints = np.concatenate([[0], 10 ** np.arange(16), 10 ** np.arange(1, 16) - 1,
+                               rng.integers(0, 10**16, 10_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _cells.csv_rows([floats])
+            int_rows = _cells.csv_rows([ints])
+        for got, cells in ((rows, ["%.17g" % x for x in floats.tolist()]),
+                           (int_rows, ["%d" % k for k in ints.tolist()])):
+            got = got.split("\r\n")
+            assert got.pop() == "" and len(got) == len(cells)
+            assert [(a, b) for a, b in zip(got, cells) if a != b][:5] == []
 
 
 def broadcast_log_partition_pure(N, fields):
