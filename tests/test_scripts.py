@@ -1,6 +1,7 @@
 """Smoke tests for the runnable studies in scripts/: they run in process and
 write their artifacts with the expected headers."""
 
+import hashlib
 import json
 import runpy
 import sys
@@ -36,3 +37,20 @@ def test_limit_theorem_tables(monkeypatch, tmp_path, capsys):
         assert rows[0] == "N,ks,decreasing"
         assert [row.split(",")[0] for row in rows[1:]] == ["100", "1000"]
     assert "wrote 4 tables" in capsys.readouterr().out
+
+
+# sha256 of the four tables that limit_theorem_tables.py writes for sizes
+# 1e2 .. 1e6: every KS bit of the four studies, written with 17 digits
+TABLE_DIGESTS = {
+    "clt_pure.csv": "7d1bd1f4ed18c53de47f0ee85a63444631c6aa5f913e03128ee827ce034e789d",
+    "clt_unique.csv": "99f50e916e9ca6c238141140a5330ffba8c632a3fc49a21f461d5a7ff79e49eb",
+    "critical_quartic.csv": "5bf3ede0cc422c97a31176ec4a79a3cb6779523228fa1388e5be5f10e1435ecd",
+    "coexistence_mixture.csv": "5f753b566371e671b683aa85cdb1f82d6ec0ad89fc7fb9e42dd115b5efa67753",
+}
+
+
+def test_limit_theorem_tables_to_1e6_keep_their_bytes(monkeypatch, tmp_path):
+    run_script(monkeypatch, "limit_theorem_tables.py", "--sizes",
+               "100,1000,10000,100000,1000000", "--outdir", str(tmp_path))
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == TABLE_DIGESTS
