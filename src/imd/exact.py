@@ -598,7 +598,11 @@ class SmoothedDensity:
     # -- analytic route ----------------------------------------------------
     @property
     def log_normalizer(self) -> float:
-        """log C_N with C_N^{-1} = integral of exp(N F_N(x/N^eta + u)) dx."""
+        """log C_N with C_N^{-1} = integral of exp(N F_N(x/N^eta + u)) dx.
+
+        N F_N is a difference of terms of size N J, rounded to about 1e-10
+        near its peak at N J = 1e6; (N, J) = (1e3, 1e3) and (1e4, 300) raise
+        IntegrationDomainError, (1e4, 100) and (1e5, 10) still converge."""
         if not self._log_int_y:
             # the probe's bound: log Z0_N(h) is at most the peak log weight
             # at h plus log(N//2 + 1); the 1 added covers the rounding

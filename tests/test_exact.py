@@ -857,8 +857,13 @@ class TestSmoothedDensity:
 
     def test_full_partition_identity(self):
         # the analytic normalizer ties the smoothed shape to log Z_N itself:
-        # log Z_N = log(C_N^-1) + (1-eta) log N + log sqrt(J/(pi N))
-        for n, h, J in [(4, 0.0, 1.0), (20, -0.5, 2.0), (50, 0.3, 0.7)]:
+        # log Z_N = log(C_N^-1) + (1-eta) log N + log sqrt(J/(pi N)); at the
+        # large-N benchmark's sizes too, where each normalizer converges at
+        # the quadrature's first pair of panel levels
+        gamma2 = phase.trace_gamma([2.0])[0].h
+        large = [(n, h, J) for n in (1000, 10000)
+                 for h, J in [(0.0, 1.0), (0.3, 0.5), (gamma2, 2.0)]]
+        for n, h, J in [(4, 0.0, 1.0), (20, -0.5, 2.0), (50, 0.3, 0.7), *large]:
             sd = SmoothedDensity(n, ModelParams(h, J), eta=0.0, u=0.0)
             lhs = log_partition(n, ModelParams(h, J))
             rhs = (

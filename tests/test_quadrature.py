@@ -7,12 +7,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from imd import quadrature
+from imd.exact import SmoothedDensity
+from imd.laplace import gaussian_rep_log_partition
 from imd.quadrature import (
     N_PROBE,
     IntegrationDomainError,
     log_integral,
     peaked_components,
 )
+from imd.thermo import ModelParams
 
 from oracles import loop_pieces
 
@@ -63,6 +66,51 @@ class TestWindowTools:
         assert len(pieces) == 1
         lo, hi = pieces[0]
         assert lo < 30.0 - 8.0 and hi > 30.0 + 8.0
+
+
+class TestPanelSchedule:
+    """The doubling runs 4, 8, ..., 65 536 panels: the package's integrands
+    stop at the first pair, and a stalled one only after the last level."""
+
+    @pytest.fixture
+    def panels(self, monkeypatch):
+        levels = []
+        nodes = quadrature._composite_nodes
+
+        def counted(a, b, n_panels, order):
+            levels.append(n_panels)
+            return nodes(a, b, n_panels, order)
+
+        monkeypatch.setattr(quadrature, "_composite_nodes", counted)
+        return levels
+
+    @staticmethod
+    def assert_first_pair(levels):
+        # every integral ends at (4, 8): 3 * 4 * 24 = 288 nodes per piece
+        assert levels and levels == [4, 8] * (len(levels) // 2)
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_smoothed_normalizer_converges_at_first_pair(self, panels, n):
+        assert math.isfinite(SmoothedDensity(n, ModelParams(0.0, 1.0)).log_normalizer)
+        self.assert_first_pair(panels)
+
+    def test_gaussian_representation_converges_at_first_pair(self, panels):
+        # criterion 3's 18 (N, h) cases, one or two lobes each
+        for n in (2, 4, 10, 50, 100, 101):
+            for h in (-1.0, 0.0, 1.0):
+                gaussian_rep_log_partition(n, h)
+        self.assert_first_pair(panels)
+
+    def test_stalled_integrand_raises_after_the_last_level(self, panels):
+        # a 1e-9 offset that flips with each level moves log I by 1e-9 at
+        # every doubling, which the error message reports as a floor
+        def log_f(x):
+            return -0.5 * x * x + 1e-9 * (int(math.log2(len(x))) % 2)
+
+        with pytest.raises(IntegrationDomainError,
+                           match=r"last 3 doublings: 1\.0e-09, 1\.0e-09, 1\.0e-09$"):
+            log_integral(log_f, -12.0, 12.0)
+        assert panels == [4 * 2**k for k in range(15)]  # up to 65 536
 
 
 class TestBoundedProbe:
