@@ -20,7 +20,6 @@ from .phase import (
     classify,
     clt_variance,
     find_critical_point,
-    mixture_weights,
     solve_consistency,
     trace_gamma,
 )

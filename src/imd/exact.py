@@ -59,8 +59,6 @@ __all__ = [
     "log_partition",
     "pressure",
     "log_partition_pure",
-    "mgf",
-    "mgf_direct",
     "SmoothedDensity",
 ]
 
@@ -481,47 +479,6 @@ def _n_log_shape(N: int, params: ModelParams, y):
     yy = np.asarray(y, dtype=np.float64)
     fields = 2.0 * params.J * yy + params.h - params.J
     return -N * params.J * yy * yy + log_partition_pure(N, fields)
-
-
-def _exp_or_overflow(log_val: float, t: float) -> float:
-    if log_val > math.log(np.finfo(float).max):
-        raise OverflowError(
-            f"MGF exponent {log_val:.3g} overflows double precision at t={t}"
-        )
-    return math.exp(log_val)
-
-
-def mgf(N: int, params: ModelParams, eta: float, u: float, t: float) -> float:
-    """Moment generating function of (S_N - u) / N^eta under the Gibbs law.
-
-    At J = 0 the ratio identity
-        E exp(t (S_N - u)/N^eta) = e^{-t u / N^eta} Z0(h + t/N^eta) / Z0(h)
-    is used; for J > 0 the expectation is summed directly (mgf_direct).
-    Exponents that would overflow raise OverflowError instead of returning inf.
-    """
-    if eta < 0:
-        raise ValueError(f"scaling exponent eta must be >= 0, got {eta}")
-    if params.J != 0.0:
-        return mgf_direct(N, params, eta, u, t)
-    scale = N**eta
-    log_val = (
-        -t * u / scale
-        + log_partition_pure(N, params.h + t / scale)
-        - log_partition_pure(N, params.h)
-    )
-    return _exp_or_overflow(log_val, t)
-
-
-def mgf_direct(N: int, params: ModelParams, eta: float, u: float, t: float) -> float:
-    """Direct-sum route for the MGF (independent of the ratio identity).
-
-    The sum runs over the log weights, not the probabilities, so atoms whose
-    probability underflows never reach a log; at t = 0 it is exactly 1."""
-    law = monomer_law(N, params)
-    log_val = float(
-        logsumexp(law.log_weights + t * (law.s_values - u) / N**eta) - law.log_Z
-    )
-    return _exp_or_overflow(log_val, t)
 
 
 class SmoothedDensity:

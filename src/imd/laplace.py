@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._brent import brentq
 from .exact import log_partition_pure
 from .quadrature import (TAIL_DROP, IntegrationDomainError, peaked_components,
                          signed_log_integral)
@@ -194,26 +195,31 @@ class LaplaceResult:
 def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
     """Quadrature value of integral psi_n^n and its Laplace asymptote.
 
-    The maximizer of f_n = log psi_n is located by bounded minimization on the
-    window followed by Newton polish on f_n'; the conditions "interior
-    maximizer" and "negative curvature" are enforced and violations raise
-    LaplaceConditionError; n < 1 raises ValueError.
+    The maximizer of f_n = log psi_n is the root of f_n' in the window, found
+    by imd._brent.brentq and polished by Newton on f_n'.  An f_n' that is not
+    strictly positive at the window's left end and negative at its right end
+    (no interior maximizer), or a curvature at the maximizer that is not
+    negative, raises LaplaceConditionError; n < 1 raises ValueError.
     """
-    # imported here, not at the top: only imd laplace needs scipy.optimize
-    from scipy.optimize import minimize_scalar
     _check_size(n)
     a, b = family.window
 
-    def f_n(x):
-        return np.asarray(family.log_abs(n, x), dtype=np.float64)
+    def dlog(x):
+        return float(family.dlog(n, np.asarray([x]))[0])
 
-    res = minimize_scalar(lambda x: -float(f_n(np.asarray([x]))[0]),
-                          bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-12})
-    xhat = float(res.x)
+    da, db = dlog(a), dlog(b)
+    if not da > 0.0 > db:
+        raise LaplaceConditionError(
+            f"f_n' is {da:.6g} and {db:.6g} at the ends of the window [{a}, {b}]: "
+            f"no interior maximizer"
+        )
+    # psi_family's maximizer can be as small as e^-709.78/4, so only the
+    # relative tolerance may stop the search: an absolute xtol of 1e-300
+    # would return the window's left end at h = 695.25
+    xhat = brentq(dlog, a, b, xtol=5e-324, fa=da, fb=db)
 
     for _ in range(8):  # Newton polish on the stationarity condition
-        d1 = family.dlog(n, np.asarray([xhat]))[0]
+        d1 = dlog(xhat)
         d2 = family.d2log(n, np.asarray([xhat]))[0]
         if d2 == 0.0:
             break
@@ -222,14 +228,6 @@ def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
         if abs(delta) < 1e-15 * max(1.0, abs(xhat)):
             break
 
-    # strictly inside, by more than 1e-9 relative to the edge or the
-    # maximizer: psi_family's window starts at xhat/4, and xhat = e^{-u} g(u)
-    # is below 1e-9 for u above about 20.4, so an absolute margin would not do
-    if any(abs(xhat - e) <= 1e-9 * max(abs(xhat), abs(e)) for e in (a, b)) \
-            or not a < xhat < b:
-        raise LaplaceConditionError(
-            f"maximizer {xhat:.6g} sits on the boundary of the window [{a}, {b}]"
-        )
     curv = float(family.d2log(n, np.asarray([xhat]))[0])
     # curvature indistinguishable from zero makes the asymptote diverge, so it
     # is rejected together with the genuinely convex case
@@ -240,7 +238,7 @@ def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
         )
 
     log_quad = quad_log_integral(family, n)
-    log_asym = n * float(f_n(np.asarray([xhat]))[0]) + 0.5 * math.log(
+    log_asym = n * float(family.log_abs(n, np.asarray([xhat]))[0]) + 0.5 * math.log(
         2.0 * math.pi / (-n * curv)
     )
     return LaplaceResult(

@@ -41,7 +41,6 @@ __all__ = [
     "find_critical_point",
     "trace_gamma",
     "phase_weight",
-    "mixture_weights",
     "mixture_ratio_closed_form",
     "clt_variance",
     "clt_variance_reduced",
@@ -72,7 +71,6 @@ class StationaryPoint:
     m: float
     value: float
     second_derivative: float
-    third_derivative: float
     fourth_derivative: float
     order: int  # first non-vanishing derivative order: 2 generically, 4 at criticality
 
@@ -131,13 +129,12 @@ class CriticalPoint:
 def _stationary_point(m: float, params: ModelParams) -> StationaryPoint:
     val = tilde_p(m, params)
     d2 = tilde_p(m, params, 2)
-    d3 = tilde_p(m, params, 3)
     d4 = tilde_p(m, params, 4)
     order = 2
     if abs(d2) < CRITICAL_CURVATURE_TOL and d4 < 0.0:
         order = 4
-    return StationaryPoint(m=m, value=val, second_derivative=d2,
-                           third_derivative=d3, fourth_derivative=d4, order=order)
+    return StationaryPoint(m=m, value=val, second_derivative=d2, fourth_derivative=d4,
+                           order=order)
 
 
 def solve_consistency(params: ModelParams) -> list[StationaryPoint]:
@@ -382,18 +379,6 @@ def trace_gamma(J_values) -> list[GammaPoint]:
                                   rho1=rho1, rho2=rho2)
         h_seed, width = h, max(0.01, abs(h - crit.h_c) * 0.5)
     return [results[i] for i in range(len(J_list))]
-
-
-def mixture_weights(point: GammaPoint) -> tuple[float, float]:
-    """Limiting phase weights (rho1, rho2) at a coexistence point, by
-    trace_gamma's formula; ValueError unless classify finds coexistence."""
-    report = classify(ModelParams(point.h, point.J))
-    if report.kind != "coexistence":
-        raise ValueError(
-            f"mixture weights are defined on the coexistence curve only, "
-            f"classification at (h={point.h}, J={point.J}) is {report.kind!r}"
-        )
-    return _weights(point.lambda1, point.m1, point.lambda2, point.m2)
 
 
 def mixture_ratio_closed_form(point: GammaPoint) -> float:

@@ -112,6 +112,15 @@ def full_support_masses(n, params, cut):
     return mass1, 1.0 - mass1
 
 
+def tilted_log_mgf(log_z0, n, h, eta, u, t):
+    """log E exp(t (S - u) / n^eta) under the J = 0 law at field h by the
+    ratio identity E e^{t(S-u)/n^eta} = e^{-tu/n^eta} Z0(h + t/n^eta) / Z0(h):
+    the weight of S is e^{hS} times a count, so the tilt shifts the field by
+    t/n^eta.  ``log_z0(n, field)`` is the log pure partition function."""
+    scale = n**eta
+    return -t * u / scale + log_z0(n, h + t / scale) - log_z0(n, h)
+
+
 @functools.lru_cache(maxsize=None)
 def _hermite_squares(n):
     """x_j^2 over the n//2 positive roots x_j of the probabilists' Hermite

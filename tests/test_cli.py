@@ -301,9 +301,10 @@ class TestDistCommand:
 
 class TestLaplaceCommand:
     def test_bytes_keep_their_digest(self, capsys):
-        # sha256 of the artifact with scipy's bounded minimizer locating xhat;
-        # another maximizer search must keep these bytes.  Re-pinned when the
-        # quadrature started at 4 panels: the N = 100 row's log_quadrature
+        # sha256 of the artifact, made with scipy's bounded minimizer locating
+        # xhat and kept when imd._brent.brentq on f_n' replaced it: a maximizer
+        # search must keep these bytes.  Re-pinned when the quadrature started
+        # at 4 panels: the N = 100 row's log_quadrature
         # moved 1 ulp, 27.477083586219596 -> 27.477083586219599 (mpmath at 40
         # digits: 27.477083586219596809), and its ratio with it
         code, out, _ = run_cli(capsys, "laplace", "--N", "10,100,1000", "--h", "0")
@@ -551,9 +552,9 @@ class TestVerifyCommand:
 
 class TestImportPath:
     def test_commands_and_scripts_leave_scipy_optimize_unimported(self, tmp_path):
-        # one fresh process runs every command but laplace, and both studies
-        # in scripts/; only imd laplace may import scipy.optimize, and only
-        # a CSV writer the CSV kernel imd._cells (not verify, which runs first)
+        # one fresh process runs every command and both studies in scripts/;
+        # none may import scipy.optimize, and only a CSV writer the CSV
+        # kernel imd._cells (not verify, which runs first)
         scripts = Path(__file__).resolve().parents[1] / "scripts"
         code = textwrap.dedent(f"""
             import contextlib, io, runpy, sys
@@ -561,7 +562,8 @@ class TestImportPath:
             runs = [["verify", "--suite", "all"], ["critical"],
                     ["dist", "--N", "1000", "--h", "0.2", "--J", "1.5"],
                     ["phase", "--h", "0.1", "--J", "2"],
-                    ["gamma", "--jmin", "1.6", "--jmax", "3", "--steps", "3"]]
+                    ["gamma", "--jmin", "1.6", "--jmax", "3", "--steps", "3"],
+                    ["laplace", "--N", "10,100", "--h", "0"]]
             studies = [("phase_diagram.py", "--points", "5"),
                        ("limit_theorem_tables.py", "--sizes", "100,1000")]
             with contextlib.redirect_stdout(io.StringIO()):
@@ -576,7 +578,7 @@ class TestImportPath:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
-        assert out.strip() == f"{[EXIT_OK] * 5} False False True"
+        assert out.strip() == f"{[EXIT_OK] * 6} False False True"
 
 
 class TestThreadCap:

@@ -25,8 +25,6 @@ from imd.exact import (
     log_partition,
     log_partition_pure,
     matching_count_log,
-    mgf,
-    mgf_direct,
     monomer_law,
     pressure,
 )
@@ -42,6 +40,7 @@ from oracles import (
     full_support_law,
     hermite_cumulants,
     hermite_log_partition_pure,
+    tilted_log_mgf,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -409,14 +408,14 @@ class TestTwoIntervalWindow:
         assert np.array_equal(law.log_weights, log_w)
 
     def test_mgf_reads_the_valley(self, gamma_points):
-        # mgf_direct sums the full-support log weights: a tilt of the law
+        # the law's log weights cover the full support: a tilt of the law
         # must see the valley's atoms
         n, point = 10**6, gamma_points[8.0]
         params = ModelParams(point.h, 8.0)
         log_w, log_z, _ = full_support_law(n, point.h, 8.0)
         s = n - 2 * np.arange(n // 2 + 1)
         ref = math.exp(float(logsumexp(log_w + 0.3 * s / n)) - log_z)
-        assert mgf_direct(n, params, 1.0, 0.0, 0.3) == ref
+        assert math.exp(direct_log_mgf(monomer_law(n, params), 1.0, 0.0, 0.3)) == ref
 
 
 class TestAtomCsv:
@@ -670,21 +669,31 @@ class TestLogPartition:
             assert abs(v - log_partition(50, ModelParams(float(f), 0.0))) < 1e-12
 
 
+def direct_log_mgf(law, eta, u, t):
+    """log E exp(t (S_N - u) / N^eta) summed over the law's log weights, not
+    its probabilities, so atoms whose probability underflows still count."""
+    return float(logsumexp(law.log_weights + t * (law.s_values - u) / law.N**eta)
+                 - law.log_Z)
+
+
 class TestMgf:
+    """The MGF of the monomer count two ways: the ratio identity on
+    log_partition_pure (J = 0) and the direct sum over monomer_law's log
+    weights."""
+
     @pytest.mark.parametrize("J", [0.0, 1.0])
     def test_unity_at_zero(self, J):
-        assert mgf(100, ModelParams(0.3, J), 1.0, 5.0, 0.0) == 1.0
+        assert direct_log_mgf(monomer_law(100, ModelParams(0.3, J)), 1.0, 5.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("h", [-0.5, 0.0, 1.0])
     @pytest.mark.parametrize("eta,u,t", [(1.0, 0.0, 1.0), (0.5, 61.0, -0.7), (1.0, 0.0, 2.5)])
     def test_ratio_and_direct_routes_agree(self, h, eta, u, t):
-        params = ModelParams(h, 0.0)
-        a = mgf(100, params, eta, u, t)
-        b = mgf_direct(100, params, eta, u, t)
+        a = math.exp(tilted_log_mgf(log_partition_pure, 100, h, eta, u, t))
+        b = math.exp(direct_log_mgf(monomer_law(100, ModelParams(h, 0.0)), eta, u, t))
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
     def test_density_mgf_approaches_lln_limit(self):
-        val = mgf(10**4, ModelParams(0.0, 0.0), 1.0, 0.0, 1.0)
+        val = math.exp(tilted_log_mgf(log_partition_pure, 10**4, 0.0, 1.0, 0.0, 1.0))
         assert abs(val - math.exp(g(0.0))) < 1e-2
 
     @pytest.mark.parametrize("eta", [0.0, 0.5])
@@ -696,8 +705,8 @@ class TestMgf:
         linear = float(np.dot(law.probabilities, np.exp(t * (law.s_values - u) / N**eta)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert mgf(N, params, eta, u, 0.0) == 1.0
-            val = mgf(N, params, eta, u, t)
+            assert direct_log_mgf(law, eta, u, 0.0) == 0.0
+            val = math.exp(direct_log_mgf(law, eta, u, t))
         assert abs(val / linear - 1.0) < 1e-10
 
     def test_tilt_lifts_atoms_outside_the_window(self):
@@ -713,14 +722,8 @@ class TestMgf:
         log_ref = logsumexp(log_w + t * s) - log_z
         assert 700.0 < log_ref < math.log(np.finfo(float).max)
         assert hull(law)[0] > int(np.argmax(log_w + t * s))
-        val = mgf_direct(N, ModelParams(h, 0.0), 0.0, 0.0, t)
+        val = math.exp(direct_log_mgf(law, 0.0, 0.0, t))
         assert abs(val / math.exp(log_ref) - 1.0) < 1e-12
-        with pytest.raises(OverflowError):
-            mgf_direct(N, ModelParams(h, 0.0), 0.0, 0.0, 2.47)
-
-    def test_overflow_is_reported(self):
-        with pytest.raises(OverflowError):
-            mgf(100, ModelParams(0.0, 0.0), 0.0, 0.0, 10.0)
 
 
 def mean_density(n, params):

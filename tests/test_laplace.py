@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -93,13 +94,18 @@ class TestLaplaceApprox:
         ratios = [abs(laplace_approx(psi_family(0.0), n).log_ratio) for n in (10, 100, 1000)]
         assert ratios[0] > ratios[1] > ratios[2]
 
-    @pytest.mark.parametrize("h", [-1.0, 0.0, 0.8])
+    @pytest.mark.parametrize("h", [-30.0, -5.0, -1.0, 0.0, 0.8, 5.0, 25.0, 30.0, 300.0,
+                                   695.25])
     def test_maximizer_identities(self, h):
         res = laplace_approx(psi_family(h), 50)
         xhat = res.maximizer
         a = math.exp(h)
         assert abs(xhat * xhat + a * xhat - 1.0) < 1e-12
-        assert abs(xhat - math.exp(-h) * g(h)) < 1e-12
+        # the positive root of x^2 + a x - 1 to 50 digits, for the double a;
+        # relative, since xhat < 1e-12 from h of about 28 on
+        with mpmath.workdps(50):
+            ref = 2 / (mpmath.mpf(a) + mpmath.sqrt(mpmath.mpf(a) ** 2 + 4))
+            assert abs((xhat - ref) / ref) <= 2.0**-52
         fam = psi_family(h)
         peak = float(fam.log_abs(50, np.asarray([xhat]))[0])
         assert abs(peak - p0(h)) < 1e-12

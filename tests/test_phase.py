@@ -14,7 +14,6 @@ from imd import phase
 from imd.cli import EXIT_DOMAIN, EXIT_OK, main
 from imd.phase import (
     CriticalPoint,
-    GammaPoint,
     NearDegenerateError,
     classify,
     clt_variance,
@@ -22,7 +21,6 @@ from imd.phase import (
     find_critical_point,
     gamma_points_to_csv,
     mixture_ratio_closed_form,
-    mixture_weights,
     phase_weight,
     solve_consistency,
     trace_gamma,
@@ -116,7 +114,7 @@ class TestClassify:
         sp = report.stationary_points[0]
         assert sp.order == 4
         assert sp.fourth_derivative < 0.0
-        assert abs(sp.third_derivative) < 1e-8
+        assert abs(tilde_p(sp.m, ModelParams(critical.h_c, critical.J_c), 3)) < 1e-8
 
     def test_coexistence_classification(self, gamma_at_2):
         report = classify(ModelParams(gamma_at_2.h, 2.0))
@@ -371,10 +369,6 @@ class TestMixtureWeights:
         rho1 = b / (b + b)
         assert rho1 == 0.5
 
-    def test_weights_match_trace(self, gamma_at_2):
-        # one formula gives both
-        assert mixture_weights(gamma_at_2) == (gamma_at_2.rho1, gamma_at_2.rho2)
-
     def test_dimer_phase_is_lighter(self, gamma_at_2):
         assert gamma_at_2.rho1 < gamma_at_2.rho2
 
@@ -385,12 +379,6 @@ class TestMixtureWeights:
     def test_strong_coupling_limit_of_ratio(self):
         point = trace_gamma([50.0])[0]
         assert abs(point.rho1 / point.rho2 - 1.0 / math.sqrt(2.0)) < 0.02
-
-    def test_non_coexistence_input_rejected(self):
-        fake = GammaPoint(J=2.0, h=0.3, m1=0.2, m2=0.9, lambda1=-1.0, lambda2=-1.0,
-                          rho1=0.5, rho2=0.5)
-        with pytest.raises(ValueError):
-            mixture_weights(fake)
 
     def test_phase_weight_requires_negative_curvature(self):
         with pytest.raises(ValueError):
