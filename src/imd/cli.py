@@ -95,7 +95,7 @@ def _cmd_laplace(args):
         raise ValueError("laplace requires --N")
     lines = ["N,log_quadrature,log_asymptote,ratio"]
     for n in args.N:
-        result = laplace.laplace_approx(laplace.psi_family(args.h), n)
+        result = laplace.laplace_approx(args.h, n)
         cells = (result.log_integral_quadrature, result.log_asymptote, np.exp(result.log_ratio))
         lines.append(",".join([str(n), *(format(v, ".17g") for v in cells)]))
     return _text("\n".join(lines) + "\n"), EXIT_OK

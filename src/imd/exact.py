@@ -272,21 +272,22 @@ def _valley(N: int, params: ModelParams) -> float | None:
     return brentq(d1, k1, k2, fa=d1_k1, fb=d1_k2)
 
 
-def _window(N: int, params: ModelParams) -> list[tuple[int, int]]:
+def _window(N: int, params: ModelParams) -> list[tuple[int, int, np.ndarray]]:
     """The disjoint, increasing intervals [lo, hi) of dimer counts whose log
-    weight may lie within _WINDOW_DROP of the largest, one or two; every other
-    atom's probability is 0.
+    weight may lie within _WINDOW_DROP of the largest, one or two, each with
+    its atoms' log weights; every other atom's probability is 0.
 
     The log weight is split at its valley into unimodal sides, and on each
     side peaked_components returns grid points below its grid peak minus the
     drop on both flanks of the peak, so every atom beyond them is lower still.
     A side whose atoms all lie more than the drop below the other's is left
     out; two kept sides give two intervals around the valley, or one when
-    they touch.  Up to N_PROBE atoms the window is the whole support.
+    they touch, whose log weights are the two sides' spliced.  Up to N_PROBE
+    atoms the window is the whole support.
     """
     size = N // 2 + 1
     if size <= N_PROBE:
-        return [(0, size)]
+        return [(0, size, _log_weights(N, params, np.arange(size)))]
     valley = _valley(N, params)
     sides = [(0.0, N / 2.0)] if valley is None else [(0.0, valley), (valley, N / 2.0)]
     windows = []
@@ -300,11 +301,12 @@ def _window(N: int, params: ModelParams) -> list[tuple[int, int]]:
         pieces = peaked_components(log_w, a, b, _WINDOW_DROP)
         lo = max(0, math.floor(pieces[0][0]))
         hi = min(size, math.ceil(pieces[-1][1]) + 1)
-        windows.append((lo, hi, float(np.max(_log_weights(N, params, np.arange(lo, hi))))))
-    top = max(w[2] for w in windows)
-    kept = [w[:2] for w in windows if w[2] > top - _WINDOW_DROP]
+        windows.append((lo, hi, _log_weights(N, params, np.arange(lo, hi))))
+    peaks = [float(np.max(w[2])) for w in windows]
+    kept = [w for w, peak in zip(windows, peaks) if peak > max(peaks) - _WINDOW_DROP]
     if len(kept) == 2 and kept[0][1] >= kept[1][0]:
-        kept = [(kept[0][0], kept[1][1])]
+        (lo, hi, lw), (c, d, lw2) = kept
+        kept = [(lo, d, np.concatenate([lw, lw2[hi - c:]]))]
     return kept
 
 
@@ -323,8 +325,9 @@ def monomer_law(N: int, params: ModelParams) -> AtomLaw:
     if not N * (abs(params.h) + 2.0 * params.J) <= _H_MAX:
         raise ValueError(f"N (|h| + 2J) at N={N}, h={params.h!r}, J={params.J!r} is outside "
                          f"the representable range <= {_H_MAX:.6g}: the log weights overflow")
-    windows = _window(N, params)
-    log_ws = [_log_weights(N, params, np.arange(c, d)) for c, d in windows]
+    kept = _window(N, params)
+    windows = [(c, d) for c, d, _ in kept]
+    log_ws = [lw for _, _, lw in kept]
     probs = np.zeros(N // 2 + 1)
     parts = [probs[c:d] for c, d in windows]
     for part, lw in zip(parts, log_ws):

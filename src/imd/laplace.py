@@ -1,24 +1,23 @@
-"""Gaussian-moment representation of the pure partition function and an
-extended Laplace method for integrals of n-dependent integrands.
+"""Gaussian-moment representation of the pure partition function and its
+Laplace asymptote.
 
 The pure hard-core partition function admits the exact representation
 
-    Z0_N(h) = sqrt(N / 2 pi) * integral of Psi_N(x)^N dx,
-    Psi_N(x) = (x + e^h) exp(-x^2 / 2),
+    Z0_N(h) = sqrt(N / 2 pi) * integral of Psi(x)^N dx,
+    Psi(x) = (x + e^h) exp(-x^2 / 2),
 
 which this module evaluates by log-scale quadrature and compares against the
 Laplace asymptote
 
-    integral of psi_n^n  ~  exp(n f_n(xhat_n)) sqrt(2 pi / (-n f''(xhat))),
+    integral of Psi^N  ~  exp(N f(xhat)) sqrt(2 pi / (-N f''(xhat))),
 
-valid when f_n = log psi_n has an interior maximizer with negative limiting
-curvature.  For Psi_N the maximizer satisfies xhat^2 + e^h xhat - 1 = 0, the
-peak height is p0(h) and the curvature is g(h) - 2, which ties the quadrature,
-the combinatorial partition function and the closed-form thermodynamics into
-one consistency loop.
+with f = log Psi.  The maximizer is the positive root of x^2 + e^h x - 1 = 0,
+taken in closed form; the peak height is p0(h) and the curvature g(h) - 2,
+which ties the quadrature, the combinatorial partition function and the
+closed-form thermodynamics into one consistency loop.
 
-Psi_N changes sign once, at x = -e^h, and |Psi_N| has one maximum on each
-side: at xhat, and at the other root -1/xhat of the same quadratic.  The
+Psi changes sign once, at x = -e^h, and |Psi| has one maximum on each side:
+at xhat, and at the other root -1/xhat of the same quadratic.  The
 quadrature integrates the two lobes as separate pieces, the left one with
 sign (-1)^N.  The Laplace asymptote is the right lobe's: the left lobe's
 share of the integral, e^{N (peak- - peak+)}, vanishes as N grows.  For odd
@@ -31,80 +30,58 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._brent import brentq
 from .exact import log_partition_pure
 from .quadrature import (TAIL_DROP, IntegrationDomainError, peaked_components,
                          signed_log_integral)
 from .thermo import g, p0
 
 __all__ = [
-    "LaplaceConditionError",
-    "IntegrandFamily",
     "LaplaceResult",
-    "psi_family",
     "quad_log_integral",
     "gaussian_rep_log_partition",
     "laplace_approx",
     "pure_asymptote_ratio",
 ]
 
-class LaplaceConditionError(ValueError):
-    """An integrand family violates the conditions of the Laplace asymptote."""
-
-
-@dataclass(frozen=True)
-class IntegrandFamily:
-    """Family psi_n with log|psi_n| supplied as a vectorized callable.
-
-    ``window`` is a compact interval known to contain the maximizer of
-    log psi_n, on which psi_n > 0.  Without a ``cut``, psi_n > 0 everywhere.
-    A family with a ``cut`` is Psi's: psi_n > 0 right of the cut, psi_n < 0
-    left of it.  ``dlog`` and ``d2log`` are the first and second derivatives
-    of log|psi_n|, vectorized like ``log_abs``.
-    """
-
-    log_abs: Callable[[int, np.ndarray], np.ndarray]
-    dlog: Callable[[int, np.ndarray], np.ndarray]
-    d2log: Callable[[int, np.ndarray], np.ndarray]
-    window: tuple[float, float]
-    cut: float | None = None
-
-
-# e^u and e^{-u} are doubles only for |u| below log(DBL_MAX) = 709.78...
+# e^h and e^{-h} are doubles only for |h| below log(DBL_MAX) = 709.78...
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def psi_family(u: float) -> IntegrandFamily:
-    """The monomer-dimer family Psi_n(x) = (x + a) e^{-x^2/2} with a = exp(u),
-    the same for every n; ValueError unless |u| < log(DBL_MAX)."""
-    if not abs(u) < _LOG_MAX:
+def _log_psi(x, a):
+    """log|Psi(x)| = log|x + a| - x^2/2, vectorized."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(x + a)) - x * x / 2.0
+
+
+def _curvature(x: float, a: float) -> float:
+    """f''(x) = -1/(x + a)^2 - 1; the square overflows to inf from a of
+    about 1e154, and the value is then its limit -1."""
+    return -1.0 / ((x + a) * (x + a)) - 1.0
+
+
+def _maximizer(h: float) -> tuple[float, float]:
+    """a = e^h and xhat, the positive root of x^2 + a x - 1 = 0; ValueError
+    unless |h| < log(DBL_MAX).
+
+    xhat = 2 / (a + sqrt(a^2 + 4)), written so that neither a^2 nor the sum
+    overflows, then one Newton step on f'(x) = 1/(x + a) - x, which takes
+    the closed form's error from about 1 ulp to within 2^-52 relative.
+    """
+    if not abs(h) < _LOG_MAX:
         raise ValueError(
-            f"field h={u!r} is outside the representable range |h| < "
+            f"field h={h!r} is outside the representable range |h| < "
             f"{_LOG_MAX:.6g} (log of the largest double): exp(h) or exp(-h) "
             f"overflows")
-    a = math.exp(u)
-
-    def log_abs(n, x):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(x + a)) - x * x / 2.0
-
-    def dlog(n, x):
-        return 1.0 / (x + a) - x
-
-    def d2log(n, x):
-        # (x + a)^2 overflows to inf from u of about 355: the value is then
-        # its limit -1
-        with np.errstate(over="ignore"):
-            return -1.0 / (x + a) ** 2 - 1.0
-
-    # the maximizer xhat = e^{-u} g(u) lies well inside this window
-    xhat = math.exp(-u) * g(u)
-    window = (xhat / 4.0, xhat + 1.0)
-    return IntegrandFamily(log_abs=log_abs, window=window, cut=-a, dlog=dlog, d2log=d2log)
+    a = math.exp(h)
+    if a <= 1.0:
+        x = 2.0 / (a + math.hypot(a, 2.0))
+    else:
+        x = (2.0 / a) / (1.0 + math.hypot(1.0, 2.0 / a))
+    x -= (1.0 / (x + a) - x) / _curvature(x, a)
+    return a, x
 
 
 # odd n: the lobes converge to 1e-12 relative each, so I+ - I- carries the
@@ -112,34 +89,32 @@ def psi_family(u: float) -> IntegrandFamily:
 _CANCELLATION = 1e-4
 
 
-def _integration_pieces(family: IntegrandFamily, n: int):
-    """Integration domain for psi_n^n as (a, b, sign) pieces: on each side of
-    the cut, the span where n log|psi_n| lies within quadrature.TAIL_DROP of
-    that side's peak, clipped at the cut.
+def _integration_pieces(a: float, xhat: float, n: int):
+    """Integration domain for Psi^n as (lo, hi, sign) pieces: on each side of
+    the cut x = -a, the span where n log|Psi| lies within
+    quadrature.TAIL_DROP of that side's peak, clipped at the cut.
 
-    Psi's lobes peak at the roots x+ = 1/t and x- = -t of x^2 + a x - 1 = 0,
-    t = (a + sqrt(a^2 + 4))/2, with heights -log|x| - x^2/2 since
-    x (x + a) = 1.  The right lobe comes first; the left lobe, of sign
-    (-1)^n, is left out when its peak is TAIL_DROP below the right one's.
+    The lobes peak at the roots xhat and -t = -1/xhat of x^2 + a x - 1 = 0,
+    with heights -log|x| - x^2/2 since x (x + a) = 1.  The right lobe comes
+    first; the left lobe, of sign (-1)^n, is left out when its peak is
+    TAIL_DROP below the right one's.
     """
-
-    cut = -math.inf if family.cut is None else family.cut
+    cut = -a
 
     def span(lo, hi, side):
         def nlog(x):  # -inf off this side of the cut
-            vals = n * np.asarray(family.log_abs(n, x), dtype=np.float64)
+            vals = n * _log_psi(x, a)
             return np.where(side * (x - cut) > 0, vals, -np.inf)
 
         pieces = peaked_components(nlog, lo, hi)
         lo, hi = pieces[0][0], pieces[-1][1]
         return (max(lo, cut), hi) if side > 0 else (lo, min(hi, cut))
 
-    pieces = [(*span(*family.window, 1), 1.0)]
-    if family.cut is not None:
-        t = (-cut + math.hypot(cut, 2.0)) / 2.0
-        gap = 2.0 * math.log(t) + (t * t - 1.0 / (t * t)) / 2.0  # peak+ - peak-
-        if n * gap <= TAIL_DROP:
-            pieces.append((*span(-t - 1.0, cut, -1), (-1.0) ** n))
+    pieces = [(*span(xhat / 4.0, xhat + 1.0, 1), 1.0)]
+    t = 1.0 / xhat
+    gap = 2.0 * math.log(t) + (t * t - 1.0 / (t * t)) / 2.0  # peak+ - peak-
+    if n * gap <= TAIL_DROP:
+        pieces.append((*span(-t - 1.0, cut, -1), (-1.0) ** n))
     return pieces
 
 
@@ -148,17 +123,13 @@ def _check_size(n: int) -> None:
         raise ValueError(f"system size must be positive, got N={n}")
 
 
-def quad_log_integral(family: IntegrandFamily, n: int) -> float:
-    """log of integral psi_n(x)^n dx by shifted-log quadrature, one piece per
-    lobe; ValueError for n < 1, IntegrationDomainError when the lobes cancel
-    to below _CANCELLATION of their sum."""
-    _check_size(n)
-
+def _log_integral(a: float, xhat: float, n: int) -> float:
+    """quad_log_integral at a = e^h, given the maximizer xhat."""
     def nlog(x):
-        return n * np.asarray(family.log_abs(n, x), dtype=np.float64)
+        return n * _log_psi(x, a)
 
-    lobes = [(signed_log_integral(nlog, a, b)[0], sign)
-             for a, b, sign in _integration_pieces(family, n)]
+    lobes = [(signed_log_integral(nlog, lo, hi)[0], sign)
+             for lo, hi, sign in _integration_pieces(a, xhat, n)]
     top = max(la for la, _ in lobes)
     if not math.isfinite(top):
         raise IntegrationDomainError("integrand vanished on the whole domain")
@@ -166,17 +137,26 @@ def quad_log_integral(family: IntegrandFamily, n: int) -> float:
     gross = sum(math.exp(la - top) for la, _ in lobes)
     if net < _CANCELLATION * gross:
         raise IntegrationDomainError(
-            f"the two lobes of psi_n^n cancel to {net / gross:.2g} of their sum "
+            f"the two lobes of Psi^n cancel to {net / gross:.2g} of their sum "
             f"(N={n}): the quadrature cannot resolve the difference")
     return top + math.log(net)
 
 
+def quad_log_integral(h: float, n: int) -> float:
+    """log of integral Psi(x)^n dx at field h by shifted-log quadrature, one
+    piece per lobe; ValueError for n < 1 or |h| >= log(DBL_MAX),
+    IntegrationDomainError when the lobes cancel to below _CANCELLATION of
+    their sum."""
+    a, xhat = _maximizer(h)
+    _check_size(n)
+    return _log_integral(a, xhat, n)
+
+
 def gaussian_rep_log_partition(N: int, h: float) -> float:
     """log Z0_N(h) through the Gaussian-moment representation
-    sqrt(N/2pi) * integral Psi_N^N; independent of the combinatorial sum."""
+    sqrt(N/2pi) * integral Psi^N; independent of the combinatorial sum."""
     _check_size(N)
-    fam = psi_family(h)
-    return 0.5 * math.log(N / (2.0 * math.pi)) + quad_log_integral(fam, N)
+    return 0.5 * math.log(N / (2.0 * math.pi)) + quad_log_integral(h, N)
 
 
 @dataclass(frozen=True)
@@ -192,57 +172,16 @@ class LaplaceResult:
         return self.log_integral_quadrature - self.log_asymptote
 
 
-def laplace_approx(family: IntegrandFamily, n: int) -> LaplaceResult:
-    """Quadrature value of integral psi_n^n and its Laplace asymptote.
-
-    The maximizer of f_n = log psi_n is the root of f_n' in the window, found
-    by imd._brent.brentq and polished by Newton on f_n'.  An f_n' that is not
-    strictly positive at the window's left end and negative at its right end
-    (no interior maximizer), or a curvature at the maximizer that is not
-    negative, raises LaplaceConditionError; n < 1 raises ValueError.
-    """
+def laplace_approx(h: float, n: int) -> LaplaceResult:
+    """Quadrature value of integral Psi^n at field h and its Laplace
+    asymptote at the closed-form maximizer; ValueError as quad_log_integral."""
+    a, xhat = _maximizer(h)
     _check_size(n)
-    a, b = family.window
-
-    def dlog(x):
-        return float(family.dlog(n, np.asarray([x]))[0])
-
-    da, db = dlog(a), dlog(b)
-    if not da > 0.0 > db:
-        raise LaplaceConditionError(
-            f"f_n' is {da:.6g} and {db:.6g} at the ends of the window [{a}, {b}]: "
-            f"no interior maximizer"
-        )
-    # psi_family's maximizer can be as small as e^-709.78/4, so only the
-    # relative tolerance may stop the search: an absolute xtol of 1e-300
-    # would return the window's left end at h = 695.25
-    xhat = brentq(dlog, a, b, xtol=5e-324, fa=da, fb=db)
-
-    for _ in range(8):  # Newton polish on the stationarity condition
-        d1 = dlog(xhat)
-        d2 = family.d2log(n, np.asarray([xhat]))[0]
-        if d2 == 0.0:
-            break
-        delta = d1 / d2
-        xhat -= delta
-        if abs(delta) < 1e-15 * max(1.0, abs(xhat)):
-            break
-
-    curv = float(family.d2log(n, np.asarray([xhat]))[0])
-    # curvature indistinguishable from zero makes the asymptote diverge, so it
-    # is rejected together with the genuinely convex case
-    if curv >= -1e-9:
-        raise LaplaceConditionError(
-            f"log-integrand curvature {curv:.6g} at the maximizer is not "
-            f"negative (bounded away from zero)"
-        )
-
-    log_quad = quad_log_integral(family, n)
-    log_asym = n * float(family.log_abs(n, np.asarray([xhat]))[0]) + 0.5 * math.log(
-        2.0 * math.pi / (-n * curv)
-    )
+    curv = _curvature(xhat, a)
+    log_asym = (n * float(_log_psi(np.asarray([xhat]), a)[0])
+                + 0.5 * math.log(2.0 * math.pi / (-n * curv)))
     return LaplaceResult(
-        log_integral_quadrature=log_quad,
+        log_integral_quadrature=_log_integral(a, xhat, n),
         log_asymptote=log_asym,
         maximizer=xhat,
         second_derivative=curv,

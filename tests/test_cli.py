@@ -302,8 +302,9 @@ class TestDistCommand:
 class TestLaplaceCommand:
     def test_bytes_keep_their_digest(self, capsys):
         # sha256 of the artifact, made with scipy's bounded minimizer locating
-        # xhat and kept when imd._brent.brentq on f_n' replaced it: a maximizer
-        # search must keep these bytes.  Re-pinned when the quadrature started
+        # xhat and kept by the closed-form root with one Newton step that
+        # replaced the search: at h = 0 both give the same xhat and so the
+        # same bytes.  Re-pinned when the quadrature started
         # at 4 panels: the N = 100 row's log_quadrature
         # moved 1 ulp, 27.477083586219596 -> 27.477083586219599 (mpmath at 40
         # digits: 27.477083586219596809), and its ratio with it

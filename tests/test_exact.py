@@ -30,7 +30,7 @@ from imd.exact import (
 )
 from imd.limits import scaled_law
 from imd.phase import classify
-from imd.quadrature import TAIL_DROP
+from imd.quadrature import N_PROBE, TAIL_DROP
 from imd.thermo import ModelParams, consistency_roots, g, g_derivative, p0
 
 from oracles import (
@@ -272,6 +272,27 @@ class TestWindow:
         assert law.log_Z == log_z
         assert np.array_equal(law.probabilities, probs)
 
+    @pytest.mark.parametrize("n, at_critical", [(10**6, True), (10**7, False)])
+    def test_each_window_atom_is_evaluated_once(self, monkeypatch, n, at_critical):
+        # the window's log weights are evaluated once, for its peak and for
+        # the law: beyond the window's atoms, only the tail finder's probes
+        if at_critical:
+            cp = phase.find_critical_point()
+            params = ModelParams(cp.h_c, cp.J_c)
+        else:
+            params = ModelParams(0.0, 0.0)
+        points = []
+
+        def counted(N, params, k):
+            points.append(np.size(k))
+            return log_weights(N, params, k)
+
+        log_weights = exact._log_weights
+        monkeypatch.setattr(exact, "_log_weights", counted)
+        law = monomer_law(n, params)
+        atoms = sum(b - a for a, b in law.windows)
+        assert sum(points) <= atoms + 2 * N_PROBE
+
     def test_window_is_small_away_from_coexistence(self):
         law = monomer_law(10**7, ModelParams(0.0, 0.0))
         lo, hi = hull(law)
@@ -395,7 +416,7 @@ class TestTwoIntervalWindow:
         n, point = 10**4, gamma_points[2.0]
         params = ModelParams(point.h, 2.0)
         assert exact._valley(n, params) is not None
-        windows = exact._window(n, params)
+        windows = [(lo, hi) for lo, hi, _ in exact._window(n, params)]
         assert len(windows) == 1
         law = monomer_law(n, params)
         assert law.windows == windows

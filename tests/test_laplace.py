@@ -1,6 +1,7 @@
-"""Tests for the Gaussian representation and the extended Laplace method."""
+"""Tests for the Gaussian representation of Z0_N and its Laplace asymptote."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,11 +10,8 @@ from scipy.integrate import quad
 
 from imd.exact import log_partition_pure
 from imd.laplace import (
-    IntegrandFamily,
-    LaplaceConditionError,
     gaussian_rep_log_partition,
     laplace_approx,
-    psi_family,
     pure_asymptote_ratio,
     quad_log_integral,
 )
@@ -21,23 +19,14 @@ from imd.quadrature import IntegrationDomainError
 from imd.thermo import g, p0
 
 
-def gaussian_family(width=3.0):
-    return IntegrandFamily(log_abs=lambda n, x: -x * x / 2.0, dlog=lambda n, x: -x,
-                           d2log=lambda n, x: np.full_like(x, -1.0), window=(-width, width))
-
-
 class TestQuadLogIntegral:
-    def test_gaussian_scaling(self):
-        val = quad_log_integral(gaussian_family(), 10)
-        assert abs(val - 0.5 * math.log(2.0 * math.pi / 10.0)) < 1e-12
-
     def test_two_site_partition_by_gaussian_moments(self):
         # sqrt(N/2pi) * integral Psi^2 = (1/sqrt(pi)) integral (x+1)^2 e^{-x^2} = 3/2
-        val = quad_log_integral(psi_family(0.0), 2)
+        val = quad_log_integral(0.0, 2)
         assert abs(0.5 * math.log(2.0 / (2.0 * math.pi)) + val - math.log(1.5)) < 1e-12
 
     def test_four_site_partition(self):
-        val = 0.5 * math.log(4.0 / (2.0 * math.pi)) + quad_log_integral(psi_family(0.0), 4)
+        val = 0.5 * math.log(4.0 / (2.0 * math.pi)) + quad_log_integral(0.0, 4)
         assert abs(math.exp(val) - 2.6875) < 1e-9 * 2.6875
 
     def test_matches_scipy_on_signed_integrand(self):
@@ -46,7 +35,7 @@ class TestQuadLogIntegral:
             return (x + 0.1) ** 3 * math.exp(-1.5 * x * x)
 
         ref = quad(integrand, -10, 10, epsabs=1e-14)[0]
-        val = quad_log_integral(psi_family(math.log(0.1)), 3)
+        val = quad_log_integral(math.log(0.1), 3)
         assert ref > 0.0
         assert abs(math.exp(val) - ref) < 1e-13
 
@@ -54,7 +43,7 @@ class TestQuadLogIntegral:
         # at a = e^-30 the lobes of the odd integrand cancel to about 1e-13
         # of their sum, far below what the lobes' quadrature resolves
         with pytest.raises(IntegrationDomainError, match="cancel"):
-            quad_log_integral(psi_family(-30.0), 1)
+            quad_log_integral(-30.0, 1)
 
 
 class TestGaussianRepresentation:
@@ -82,56 +71,51 @@ class TestGaussianRepresentation:
         assert diff < 1e-8
 
 
-class TestLaplaceApprox:
-    def test_exact_for_gaussian_family(self):
-        for n in (3, 17, 200):
-            res = laplace_approx(gaussian_family(), n)
-            assert abs(res.log_ratio) < 1e-12
-            assert abs(res.maximizer) < 1e-8
-            assert res.second_derivative == pytest.approx(-1.0, abs=1e-9)
+def check_maximizer(h):
+    """laplace_approx's maximizer, peak and curvature at field h against the
+    50-digit root, p0(h) and g(h) - 2."""
+    res = laplace_approx(h, 50)
+    xhat = res.maximizer
+    a = math.exp(h)
+    assert abs(xhat * xhat + a * xhat - 1.0) < 1e-12
+    # the positive root of x^2 + a x - 1 to 50 digits, for the double a;
+    # relative, since xhat < 1e-12 from h of about 28 on
+    with mpmath.workdps(50):
+        ref = 2 / (mpmath.mpf(a) + mpmath.sqrt(mpmath.mpf(a) ** 2 + 4))
+        assert abs((xhat - ref) / ref) <= 2.0**-52, h
+    peak = math.log(xhat + a) - xhat * xhat / 2.0
+    assert abs(peak - p0(h)) < 1e-12, h
+    assert abs(res.second_derivative - (g(h) - 2.0)) < 1e-10, h
 
+
+class TestLaplaceApprox:
     def test_ratio_shrinks_along_monomer_family(self):
-        ratios = [abs(laplace_approx(psi_family(0.0), n).log_ratio) for n in (10, 100, 1000)]
+        ratios = [abs(laplace_approx(0.0, n).log_ratio) for n in (10, 100, 1000)]
         assert ratios[0] > ratios[1] > ratios[2]
 
     @pytest.mark.parametrize("h", [-30.0, -5.0, -1.0, 0.0, 0.8, 5.0, 25.0, 30.0, 300.0,
                                    695.25])
     def test_maximizer_identities(self, h):
-        res = laplace_approx(psi_family(h), 50)
-        xhat = res.maximizer
-        a = math.exp(h)
-        assert abs(xhat * xhat + a * xhat - 1.0) < 1e-12
-        # the positive root of x^2 + a x - 1 to 50 digits, for the double a;
-        # relative, since xhat < 1e-12 from h of about 28 on
-        with mpmath.workdps(50):
-            ref = 2 / (mpmath.mpf(a) + mpmath.sqrt(mpmath.mpf(a) ** 2 + 4))
-            assert abs((xhat - ref) / ref) <= 2.0**-52
-        fam = psi_family(h)
-        peak = float(fam.log_abs(50, np.asarray([xhat]))[0])
-        assert abs(peak - p0(h)) < 1e-12
-        assert abs(res.second_derivative - (g(h) - 2.0)) < 1e-10
+        check_maximizer(h)
+
+    def test_maximizer_sweep(self):
+        # wherever xhat is a normal double: h from -log(DBL_MAX) to about
+        # 708.3; the closed form alone is 1.04 * 2^-52 off near h = -9.68,
+        # its Newton step brings it within the bound
+        for h in np.random.default_rng(22).uniform(-709.7, 708.3, 200):
+            check_maximizer(float(h))
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_non_positive_size_is_domain_error(self, n):
-        fam = psi_family(0.0)
         for route in (laplace_approx, quad_log_integral):
             with pytest.raises(ValueError, match=f"system size must be positive, got N={n}"):
-                route(fam, n)
+                route(0.0, n)
 
-    def test_boundary_maximizer_is_rejected(self):
-        monotone = IntegrandFamily(log_abs=lambda n, x: x, dlog=lambda n, x: np.ones_like(x),
-                                   d2log=lambda n, x: np.zeros_like(x), window=(0.0, 1.0))
-        with pytest.raises(LaplaceConditionError):
-            laplace_approx(monotone, 5)
-
-    def test_flat_curvature_is_rejected(self):
-        # maximizer interior but curvature >= 0 in the window center
-        flat = IntegrandFamily(
-            log_abs=lambda n, x: -((x - 0.5) ** 4), dlog=lambda n, x: -4.0 * (x - 0.5) ** 3,
-            d2log=lambda n, x: -12.0 * (x - 0.5) ** 2, window=(0.0, 1.0)
-        )
-        with pytest.raises(LaplaceConditionError):
-            laplace_approx(flat, 5)
+    @pytest.mark.parametrize("h", [709.79, -709.79, 1e300])
+    def test_field_outside_the_doubles_is_domain_error(self, h):
+        for route in (laplace_approx, quad_log_integral):
+            with pytest.raises(ValueError, match=re.escape(f"field h={h!r} is outside")):
+                route(h, 10)
 
 
 class TestPureAsymptoteRatio:
