@@ -5,12 +5,12 @@ Every run is fully deterministic (the library has no random state and output
 files carry no timestamps), so identical invocations produce byte-identical
 artifacts.  ``gamma`` and ``dist`` write CSV, or JSON with ``--format json``;
 the other commands have one format and no ``--format``.  Exit codes: 0
-success, 1 domain error, 2 verification failure, 64 usage error, 74
-unwritable output: an --output path that cannot be written, or a standard
-output whose reader has closed it, as ``imd dist ... | head`` does.  Usage
-errors that argparse detects raise SystemExit(64); a non-finite
---h/--J/--eta/--u/--jmin/--jmax or a --N list that is not integers makes
-``main`` return 64.
+success, 1 domain error (also a computation whose arrays do not fit in
+memory), 2 verification failure, 64 usage error, 74 unwritable output: an
+--output path that cannot be written, or a standard output whose reader has
+closed it, as ``imd dist ... | head`` does.  Usage errors that argparse
+detects raise SystemExit(64); a non-finite --h/--J/--eta/--u/--jmin/--jmax
+or a --N list that is not integers makes ``main`` return 64.
 """
 
 from __future__ import annotations
@@ -178,6 +178,10 @@ def main(argv=None) -> int:
         write, code = args.run(args)
     except (ValueError, OverflowError) as err:
         print(f"imd: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as err:
+        # numpy's message names the size: "Unable to allocate 37.3 GiB ..."
+        print(f"imd: cannot allocate memory{': ' if str(err) else ''}{err}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         if args.output is None:

@@ -163,14 +163,14 @@ class AtomLaw:
         are written in full and floats with 17 significant digits (``%.17g``,
         which round-trips every double), rows end in ``\\r\\n``: the same
         bytes as ``csv.writer`` with ``format(x, ".17g")`` cells.  Rows
-        outside the windows have probability 0, written as the constant
-        ``0``.  ``_cells.csv_rows`` builds a chunk's rows as one NumPy byte
-        matrix: the integers from a table of 4-digit groups, and every float
-        with 1e-4 <= |x| < 1e16, which %.17g writes in fixed notation, from
-        its 17 correctly rounded digits, computed exactly in int64 by
-        Dekker's product.  Python's %.17g formats the other floats (|x| <
-        1e-4, |x| >= 1e16, zeros, subnormals, infinities and NaN), one list
-        comprehension per chunk.
+        outside the windows have probability 0, written as the constant row
+        end ``,0\\r\\n``.  ``_cells.csv_rows`` builds a chunk's rows as one
+        NumPy matrix of 8-byte words: the integers from a table of 4-digit
+        groups, and every finite non-zero float, in fixed or exponent
+        notation as %.17g writes it, from its 17 correctly rounded digits,
+        taken from a double-double table of powers of ten by Dekker's
+        product.  Python's %.17g formats zeros, infinities, NaN and the
+        rare cell within the table's error bound of a rounding tie.
 
         JSON: the bytes of ``json.dumps(payload, indent=2, sort_keys=True)
         + "\\n"`` for the payload N, h, J, then log Z, k, S and the log
@@ -219,9 +219,11 @@ class AtomLaw:
             for c in range(a, b, _CSV_ROWS):
                 i = np.arange(c, min(b, c + _CSV_ROWS))
                 cells = [columns[key](i) for key in ("k", "S", name)]
-                # a zero run's probabilities are written as the integer 0
-                zero = np.zeros(len(i), np.int64)
-                fh.write(_cells.csv_rows(cells + [self.probabilities[i] if run % 2 else zero]))
+                # a zero run's probabilities are the constant end ",0"
+                if run % 2:
+                    fh.write(_cells.csv_rows(cells + [self.probabilities[i]]))
+                else:
+                    fh.write(_cells.csv_rows(cells, ",0\r\n"))
 
 
 def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from imd import phase
+from imd import exact, phase
 from imd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from imd.exact import log_partition_pure, monomer_law
 from imd.limits import scaled_law
@@ -203,6 +203,23 @@ class TestDistCommand:
                                  "--output", str(target))
         assert code == EXIT_DOMAIN
         assert "system size must be positive" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 37.3 GiB for an array with "
+                                         "shape (5000000001,) and data type float64", ""])
+    def test_memory_error_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch, message):
+        # dist --N 10000000000 asks numpy for 37 GiB; the test raises the
+        # MemoryError in place of the law instead of allocating
+        def too_large(N, params):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(exact, "monomer_law", too_large)
+        target = tmp_path / "f"
+        code, out, err = run_cli(capsys, "dist", "--N", "10000000000", "--h", "0", "--J", "0",
+                                 "--output", str(target))
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == f"imd: cannot allocate memory{': ' if message else ''}{message}\n"
         assert not target.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--eta", "0.5", "--u", "0.3"], ["--format", "json"]],

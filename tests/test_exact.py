@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,19 +185,21 @@ def valley(law):
     return (law.windows[0][1], law.windows[1][0]) if len(law.windows) == 2 else None
 
 
-# doubles that stress %.17g: zeros, the smallest subnormal, extreme exponents,
-# log weights far below any probability that survives exp; then the edges of
-# the CSV writer's kernel (1e-4 <= |x| < 1e16, below it %.17g switches to
-# exponent notation, at 1e17 too) and each power of ten from 1e-4 to 1e17
-# with the doubles beside it, whose 17 digits carry into the next decade
+# doubles that stress %.17g: zeros, the smallest subnormals, extreme
+# exponents, log weights far below any probability that survives exp; then
+# the edges of fixed notation (%.17g writes 1e-4 <= |x| < 1e17 in fixed
+# notation and the rest with an exponent) and each power of ten from 1e-4 to
+# 1e17 with the doubles beside it, whose 17 digits carry into the next decade
 # (0.99999999999999989, 99999999999999984); exact ties, which round half to
-# even; and negative values in the kernel's range
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, -745.2, -1e5,
+# even; negative values; the largest double and subnormal; and 3 / 2^24, an
+# exact tie where 10^(16 - d) is not a double
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-323, 1e-300, 1e300, -1e300, -745.2, -1e5,
                -7.5e6, 2.0**53 + 2.0, 0.1, 1.0 / 3.0, math.inf, -math.inf, math.nan]
 EDGE_FLOATS += [x for p in range(-4, 18) for x in (
     math.nextafter(float(f"1e{p}"), 0.0), float(f"1e{p}"), math.nextafter(float(f"1e{p}"), 1e18))]
 EDGE_FLOATS += [1e15 + 0.25, 1e14 + 0.125, -(1e15 + 0.75), -0.5, -1.0, -123.456,
-                -0.00012345678901234567, -9999999999999998.0]
+                -0.00012345678901234567, -9999999999999998.0, 1.7976931348623157e308,
+                -2.2250738585072009e-308, 1e-5, 3.0 / 2**24]
 float_cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
 
 
@@ -504,35 +507,129 @@ class TestAtomCsv:
         assert buf.getvalue() == ""
 
     def test_kernel_sweep_matches_percent_format(self):
-        # the cells in bulk: random bit patterns (mostly exponent notation,
-        # through %.17g itself), doubles spread over 1e-6 ... 1e18 (mostly the
-        # kernel's fixed notation), an exact tie at the 17th digit for each
-        # exponent d = -4 ... 15 (odd j / 2^(17 - d)), and integers of up to
-        # 16 digits with the powers of ten beside them
+        # the cells in bulk, over 1e6 doubles: random bit patterns; every
+        # binary exponent, subnormals included, with both signs; each power
+        # of ten the doubles reach, with the doubles beside it; doubles spread
+        # over 1e-6 ... 1e18 and over [1e16, 1e17), where %.17g writes 17-digit
+        # integers; an exact tie at the 17th digit for each exponent
+        # d = -6 ... 15 (odd j / 2^(17 - d)); the near-ties of inexact powers;
+        # round values with trailing zeros; and integers of up to 19 digits
+        # with the powers of ten beside them
         rng = np.random.default_rng(18)
-        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
-        spread = 10.0 ** rng.uniform(-6.0, 18.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        bits = rng.integers(0, 2**64, 360_000, dtype=np.uint64).view(np.float64)
+        fields = np.repeat(np.arange(2047, dtype=np.uint64), 200)
+        signs = np.tile(np.array([0, 1], np.uint64), len(fields) // 2)
+        binades = (signs << np.uint64(63) | fields << np.uint64(52)
+                   | rng.integers(0, 2**52, len(fields), dtype=np.uint64)).view(np.float64)
+        powers = [x for d in range(-323, 309) for x in (
+            math.nextafter(float(f"1e{d}"), 0.0), float(f"1e{d}"),
+            math.nextafter(float(f"1e{d}"), math.inf))]
+        spread = 10.0 ** rng.uniform(-6.0, 18.0, 150_000) * rng.choice([-1.0, 1.0], 150_000)
+        integers17 = rng.uniform(1e16, 1e17, 50_000)
         ties = [rng.integers(math.ceil(10.0**d * 2**(17 - d)) // 2,
                              int(min(10.0**(d + 1) * 2**(17 - d), 2.0**53)) // 2, 1000) * 2 + 1
-                for d in range(-4, 16)]
-        ties = np.concatenate([j / 2.0**(17 - d) for d, j in zip(range(-4, 16), ties)])
+                for d in range(-6, 16)]
+        ties = np.concatenate([j / 2.0**(17 - d) for d, j in zip(range(-6, 16), ties)])
         # each is exact in 18 digits, the last a 5
         assert {Decimal(t).as_tuple().digits[17:] for t in ties.tolist()} == {(5,)}
-        # the decade edges are the least doubles >= 10^d
-        for d, edge in zip(range(-4, 17), _cells._EDGE.tolist()):
-            assert Decimal(math.nextafter(edge, 0.0)) < Decimal(10) ** d <= Decimal(edge)
-        floats = np.concatenate([bits, spread, ties, EDGE_FLOATS])
-        ints = np.concatenate([[0], 10 ** np.arange(16), 10 ** np.arange(1, 16) - 1,
-                               rng.integers(0, 10**16, 10_000)])
+        near = np.array(inexact_near_ties())
+        rounds = np.concatenate([np.arange(-2000, 2000) / 8.0, np.arange(1, 1000) * 1e13,
+                                 np.arange(1, 1000) * 1e-9, 2.0 ** np.arange(-1074, 1024)])
+        floats = np.concatenate([bits, binades, powers, spread, integers17, ties, near, -near,
+                                 rounds, EDGE_FLOATS])
+        assert len(floats) >= 10**6
+        ints = np.concatenate([[0], 10 ** np.arange(19), 10 ** np.arange(1, 19) - 1,
+                               rng.integers(0, 10**7, 10_000), rng.integers(0, 2**63, 10_000)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = _cells.csv_rows([floats])
+            rows = "".join(_cells.csv_rows([floats[c:c + 2**16]])
+                           for c in range(0, len(floats), 2**16))
             int_rows = _cells.csv_rows([ints])
         for got, cells in ((rows, ["%.17g" % x for x in floats.tolist()]),
                            (int_rows, ["%d" % k for k in ints.tolist()])):
-            got = got.split("\r\n")
-            assert got.pop() == "" and len(got) == len(cells)
-            assert [(a, b) for a, b in zip(got, cells) if a != b][:5] == []
+            if got != "\r\n".join(cells) + "\r\n":
+                got = got.split("\r\n")
+                assert got.pop() == "" and len(got) == len(cells)
+                assert [(a, b) for a, b in zip(got, cells) if a != b][:5] == []
+
+    def test_near_ties_of_inexact_powers_go_to_percent_format(self, monkeypatch):
+        # where 10^(16 - d) is not a double, the kernel cannot tell on which
+        # side of a half-integer |x| 10^(16 - d) lies within its error bound
+        seen = []
+        fallback = _cells.percent_cells
+        monkeypatch.setattr(_cells, "percent_cells", lambda x: seen.append(x) or fallback(x))
+        near = np.array(inexact_near_ties())
+        assert _cells.csv_rows([near]) == "".join("%.17g\r\n" % x for x in near.tolist())
+        assert sorted(np.concatenate(seen).tolist()) == sorted(near.tolist())
+
+    def test_kernel_tables_are_exact(self):
+        # each binade's decade, and the least double at or above the next
+        # power of ten, which decides the decade exactly
+        ten = Fraction(10)
+        for b, (i, nxt) in enumerate(zip(_cells._DECADE.tolist(), _cells._NEXT.tolist())):
+            d = i + _cells._D_MIN
+            assert ten**d <= Fraction(2) ** (b + _cells._E_MIN - 1) < ten ** (d + 1)
+            if nxt < math.inf:
+                assert Fraction(math.nextafter(nxt, 0.0)) < ten ** (d + 1) <= Fraction(nxt)
+            else:
+                assert ten ** (d + 1) > Fraction(sys.float_info.max)
+        # A + B is 10^(16 - d) / 2^F within 2^-107, and exactly where the
+        # kernel takes the product as exact
+        for i, (a, b, f, exact) in enumerate(zip(_cells._A.tolist(), _cells._B.tolist(),
+                                                 _cells._F.tolist(), _cells._EXACT.tolist())):
+            power = ten ** (16 - i - _cells._D_MIN) / Fraction(2) ** (f - _cells._E_MIN)
+            assert 0.5 <= a <= 1.0
+            assert abs(Fraction(a) + Fraction(b) - power) <= Fraction(1, 2**107)
+            assert not exact or (b == 0.0 and Fraction(a) == power)
+        assert _cells._EXACT.sum() == 23
+
+    def test_benchmark_laws_need_no_fallback(self, monkeypatch, gamma_points):
+        # every finite non-zero cell of the benchmark's dist law (at N = 1e5)
+        # and of the two-window law at gamma(2) comes from the kernel: Python's
+        # %.17g sees only the zero probabilities at the windows' edges
+        seen = []
+        fallback = _cells.percent_cells
+        monkeypatch.setattr(_cells, "percent_cells", lambda x: seen.append(x) or fallback(x))
+        point = gamma_points[2.0]
+        laws = [scaled_law(10**5, ModelParams(0.0, 0.0), 0.5, float(g(0.0))),
+                monomer_law(10**6, ModelParams(point.h, 2.0))]
+        assert valley(laws[1]) is not None
+        for law in laws:
+            law.write(io.StringIO())
+        cells = np.concatenate(seen) if seen else np.empty(0)
+        assert not (np.isfinite(cells) & (cells != 0.0)).any()
+
+
+def inexact_near_ties():
+    """Doubles x > 0 whose |x| 10^(16 - d) lies within 2^-44 of a
+    half-integer, though 10^(16 - d) is not a double (d the decimal exponent
+    of x): the exact ties at d = -7 and -8, and for d <= -7 and 35 <= d <= 38
+    near-ties built by modular arithmetic."""
+    ties = []
+    for p, odd in ((23, range(3, 17, 2)), (24, (1, 3))):
+        ties += [q / 2.0 ** (p + 1) for q in odd]
+    # x = M 2^-(s + p): x 10^p = M 5^p / 2^s, and M 5^p = 2^(s - 1) + delta
+    # modulo 2^s puts it delta / 2^s from a half-integer
+    for p in range(23, 33):
+        for s in range(45, 54):
+            for delta in (-1, 1):
+                m = (2 ** (s - 1) + delta) * pow(5**p, -1, 2**s) % 2**s
+                ties += [math.ldexp(m + t * 2**s, -s - p) for t in range(2 ** (53 - s))
+                         if 10**16 * 2**s <= (m + t * 2**s) * 5**p < 10**17 * 2**s][:3]
+    # x = M 2^(j + q): x 10^-q = M 2^j / 5^q, and M 2^j = (5^q -+ 1) / 2 modulo
+    # 5^q puts it 1 / (2 5^q) < 2^-44 from a half-integer
+    for q in range(19, 23):
+        for j in range(0, 12):
+            for r in ((5**q - 1) // 2, (5**q + 1) // 2):
+                m = r * pow(2**j, -1, 5**q) % 5**q
+                ties += [math.ldexp(m + t * 5**q, j + q) for t in range(2**53 // 5**q)
+                         if 10**16 * 5**q <= (m + t * 5**q) * 2**j < 10**17 * 5**q][:3]
+    for x in ties:
+        d = len(str(int(Fraction(x) * 10**400))) - 401
+        scaled = Fraction(x) * Fraction(10) ** (16 - d)
+        assert 10**16 <= scaled < 10**17 and not _cells._EXACT[d - _cells._D_MIN]
+        assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 2**44)
+    return ties
 
 
 def broadcast_log_partition_pure(N, fields):
