@@ -32,10 +32,10 @@ atoms in increasing S through a reversed view.  Its one writer streams the
 atoms as CSV or JSON in chunks of _CSV_ROWS, evaluating the columns chunk
 by chunk, so writing a law takes O(_CSV_ROWS) memory beyond its
 probabilities.  The CSV cells have the bytes of %d and %.17g and come from
-a NumPy kernel, ``_cells``: every float with 1e-4 <= |x| < 1e16 from its 17
-correctly rounded digits in int64 arithmetic, exact by Dekker's product, and
-the others (smaller or larger, zeros, subnormals, infinities, NaN) from
-Python's %.17g.
+a NumPy kernel, ``_cells``: every finite non-zero float, subnormals included,
+from its 17 correctly rounded digits, taken from a double-double table of
+powers of ten by Dekker's product, and zeros, infinities, NaN and the rare
+cell within the table's error bound of a rounding tie from Python's %.17g.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, logsumexp, zeta
 
 from ._brent import brentq
-from .quadrature import N_PROBE, log_integral, peaked_components
+from .quadrature import N_PROBE, peaked_components
 from .thermo import _H_MAX, ModelParams
 
 __all__ = [
@@ -419,7 +419,8 @@ def _pure_windows(base, s, hs):
     finds where it crosses the threshold, evaluating base + h s at the atoms
     with the same floating-point operations as the block."""
     n = len(base)
-    top, peak = _pure_peaks(base, s, hs)
+    top = np.searchsorted(-np.diff(base), -2.0 * hs)
+    peak = hs * s[top] + base[top]
     floor = peak - _WINDOW_DROP
 
     def below(i):
@@ -442,13 +443,6 @@ def _first_reached(a, b, reached):
         hit = reached(mid)
         b = np.where(active & hit, mid, b)
         a = np.where(active & ~hit, mid + 1, a)
-
-
-def _pure_peaks(base, s, hs):
-    """The peak atom k* of base + h s for every field h (the number of its
-    increments above 2h), and the value there, by the block's operations."""
-    top = np.searchsorted(-np.diff(base), -2.0 * hs)
-    return top, hs * s[top] + base[top]
 
 
 def _logsumexp_rows(a: np.ndarray, windows) -> np.ndarray:
@@ -496,14 +490,15 @@ class SmoothedDensity:
       (S_k - N u)/N^{1-eta} and common variance N^{2eta-1}/(2J), weighted by
       the exact monomer law;
     * ``analytic``: C_N exp(N F_N(x/N^eta + u)) with
-      F_N(y) = -J y^2 + log(Z0_N(2Jy + h - J))/N and the normalizer C_N
-      obtained by adaptive quadrature.
+      F_N(y) = -J y^2 + log(Z0_N(2Jy + h - J))/N, through the pure partition
+      function, and the normalizer C_N in closed form from log Z_N.
 
-    The two routes share nothing beyond the matching counts, so their
-    pointwise agreement is a strong consistency check of the whole stack.
-    Only ``law`` and the y-integral behind C_N depend on (N, params) alone;
-    ``rescaled(eta, u)`` gives a sibling sharing both by reference, so the
-    integral is computed once for all siblings; the routes share no more.
+    Both routes divide by the same Z_N, so their pointwise agreement checks
+    the shape: the Gaussian identity behind F_N, on the pure partition
+    function against the law's log weights.  Criterion 5 checks C_N apart,
+    by integrating the analytic density with the quadrature.  Only ``law``
+    depends on (N, params) alone; ``rescaled(eta, u)`` gives a sibling
+    sharing it by reference.
     """
 
     def __init__(self, N: int, params: ModelParams, eta: float = 0.0, u: float = 0.0):
@@ -512,11 +507,10 @@ class SmoothedDensity:
         self.N = int(N)
         self.params = params
         self.law = monomer_law(N, params)
-        self._log_int_y = []  # [log of the y-integral] once computed
         self._scale(eta, u)
 
     def rescaled(self, eta: float = 0.0, u: float = 0.0) -> SmoothedDensity:
-        """This density at (eta, u): a sibling sharing its law and y-integral."""
+        """This density at (eta, u): a sibling sharing its law."""
         sibling = copy.copy(self)
         sibling._scale(eta, u)
         return sibling
@@ -560,30 +554,16 @@ class SmoothedDensity:
     # -- analytic route ----------------------------------------------------
     @property
     def log_normalizer(self) -> float:
-        """log C_N with C_N^{-1} = integral of exp(N F_N(x/N^eta + u)) dx.
+        """log C_N with C_N^{-1} = integral of exp(N F_N(x/N^eta + u)) dx,
+        in closed form: -(eta log N + log Z_N + log sqrt(pi/(N J))).
 
-        N F_N is a difference of terms of size N J, rounded to about 1e-10
-        near its peak at N J = 1e6; (N, J) = (1e3, 1e3) and (1e4, 300) raise
-        IntegrationDomainError, (1e4, 100) and (1e5, 10) still converge."""
-        if not self._log_int_y:
-            # the probe's bound: log Z0_N(h) is at most the peak log weight
-            # at h plus log(N//2 + 1); the 1 added covers the rounding
-            base, s = _pure_atoms(self.N)
-            slack = math.log(len(s)) + 1.0
-
-            def upper(y):
-                fields = 2.0 * self.params.J * y + self.params.h - self.params.J
-                return -self.N * self.params.J * y * y + (_pure_peaks(base, s, fields)[1] + slack)
-
-            def shape(y):
-                return _n_log_shape(self.N, self.params, y)
-
-            pieces = peaked_components(shape, -1.0, 2.0, upper=upper)
-            if not pieces:
-                raise ValueError("normalization failed: no density mass located")
-            log_int_y = logsumexp([log_integral(shape, a, b) for a, b in pieces])
-            self._log_int_y.append(float(log_int_y))
-        return -(self.eta * math.log(self.N) + self._log_int_y[0])
+        Completing the square in -N J y^2 + 2 J y S_k gives
+        exp(N F_N(y)) = sum_k w_k exp(-N J (y - S_k/N)^2) with the law's
+        weights w_k, a Gaussian of integral sqrt(pi/(N J)) per atom, so the
+        y-integral is Z_N sqrt(pi/(N J)), and x = N^eta (y - u) multiplies
+        it by N^eta.  Exact at every (N, J), with no quadrature."""
+        return -(self.eta * math.log(self.N) + self.law.log_Z
+                 + 0.5 * math.log(math.pi / (self.N * self.params.J)))
 
     def log_analytic(self, x):
         xx = np.asarray(x, dtype=np.float64)

@@ -9,16 +9,9 @@ two with their signs, where it also checks their cancellation.  Composite
 Gauss-Legendre with panel doubling is used throughout: every integrand in
 this package is analytic on the integration window, so the rule converges
 spectrally and the doubling test is a reliable error estimate.  The panels
-run 4, 8, ..., 65 536: cut to its e^-80 super-level set, every integrand of
-verify and of the large-N studies passes at the first pair (4, 8); from 2,
-criterion 5's and the N = 1e3 smoothed normalizer need a third level.
-
-``peaked_components`` finds the super-level set {log f > max - drop} on a
-probe grid.  Given a pointwise upper bound ``upper`` of log f, it evaluates
-log f at the bound's argmax (value v0), then only where the bound exceeds
-v0 - drop or is NaN, and takes -inf elsewhere: every point of the set, and
-the grid maximum vmax >= v0, has bound >= value > vmax - drop >= v0 - drop,
-so it is evaluated, and the pieces keep their bits.
+run 4, 8, ..., 65 536: cut to its e^-80 super-level set
+(``peaked_components``, on a probe grid), every integrand of verify passes
+at the first pair (4, 8); from 2, criteria 3 and 5 need a third level.
 """
 
 from __future__ import annotations
@@ -86,7 +79,7 @@ def signed_log_integral(log_f, a: float, b: float):
             return -math.inf, 0.0
         terms = w * np.exp(lf - m)
         # a dot with ones, not terms.sum(): its summation order fixes the
-        # bits of SmoothedDensity.log_normalizer
+        # bits of imd laplace's quadrature column
         total = float(np.dot(np.ones_like(lf), terms))
         logs.append(m + math.log(total))  # total >= the weight at the maximum
         if len(logs) > 1 and abs(logs[-1] - logs[-2]) <= _REL_TOL:
@@ -106,24 +99,16 @@ def log_integral(log_f, a: float, b: float) -> float:
     return log_abs
 
 
-def peaked_components(log_f, lo: float, hi: float, drop: float = TAIL_DROP,
-                      upper=None):
+def peaked_components(log_f, lo: float, hi: float, drop: float = TAIL_DROP):
     """Disjoint intervals covering {x : log_f(x) > max log_f - drop}.
 
     The probe window [lo, hi] is grown geometrically while the super-level
     set touches its boundary, so callers only need a window containing the
     peak region, not the whole decay range.
-
-    ``upper(xs)``, when given, bounds log_f from above pointwise (NaN where
-    it knows no bound), and log_f is evaluated only where the bound can reach
-    the super-level set (see the module docstring); the pieces are the same.
     """
     for _ in range(_MAX_EXPAND):
         xs = np.linspace(lo, hi, N_PROBE)
-        if upper is None:
-            vals = np.asarray(log_f(xs), dtype=np.float64)
-        else:
-            vals = _bounded_probe(log_f, upper, xs, drop)
+        vals = np.asarray(log_f(xs), dtype=np.float64)
         vmax = float(np.max(vals))
         if not math.isfinite(vmax):
             raise IntegrationDomainError("integrand has no finite values on the window")
@@ -150,18 +135,3 @@ def _pieces(xs, idx):
     starts, ends = [idx[0], *idx[gap + 1]], [*idx[gap], idx[-1]]
     return [(xs[max(a - 1, 0)], xs[min(b + 1, N_PROBE - 1)]) for a, b in zip(starts, ends)]
 
-
-def _bounded_probe(log_f, upper, xs, drop):
-    """log_f on the probe points whose bound ``upper`` can reach the
-    super-level set, -inf on the others (see peaked_components)."""
-    bound = np.asarray(upper(xs), dtype=np.float64)
-    unknown = np.isnan(bound)
-    top = int(np.argmax(np.where(unknown, -np.inf, bound)))
-    v0 = float(np.asarray(log_f(xs[top:top + 1]), dtype=np.float64)[0])
-    vals = np.full(len(xs), -np.inf)
-    vals[top] = v0
-    todo = (bound > v0 - drop) | unknown
-    todo[top] = False
-    if todo.any():
-        vals[todo] = log_f(xs[todo])
-    return vals

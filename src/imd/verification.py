@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exact, laplace, limits, phase, thermo
+from . import exact, laplace, limits, phase, quadrature, thermo
 from .parallel import parallel_map
 from .thermo import ModelParams
 
@@ -150,7 +150,7 @@ def criterion_5() -> CriterionResult:
     res = CriterionResult(5, "exact", "Gaussian-smoothed law: analytic form vs finite mixture")
     params = ModelParams(0.0, 1.0)
     m_star = phase.classify(params).maximizers[0]
-    worst = 0.0
+    worst = mass = 0.0
     for N in (4, 20, 100):
         base = exact.SmoothedDensity(N, params)
         for eta, u in itertools.product((0.0, 0.25, 0.5), (0.0, m_star)):
@@ -158,7 +158,15 @@ def criterion_5() -> CriterionResult:
             means, sig = sd.component_means, math.sqrt(sd.component_var)
             grid = np.linspace(means.min() - 3 * sig, means.max() + 3 * sig, 201)
             worst = max(worst, float(np.max(np.abs(sd.analytic(grid) / sd.mixture(grid) - 1.0))))
+        # the closed-form normalizer against the quadrature of the eta = 0,
+        # u = 0 analytic density, which reads Z_N through Z0_N only
+        pieces = quadrature.peaked_components(base.log_analytic, -1.0, 2.0)
+        log_mass = np.logaddexp.reduce([quadrature.log_integral(base.log_analytic, a, b)
+                                        for a, b in pieces])
+        mass = max(mass, abs(float(log_mass)))
     res.check(f"max relative gap over 18 (N, eta, u) cases = {worst:.2e} < 1e-8", worst < 1e-8)
+    res.check(f"max |log integral of the analytic density| over N = 4, 20, 100 "
+              f"= {mass:.2e} < 1e-10", mass < 1e-10)
     return res
 
 

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from imd import exact, verification
+from imd import exact, quadrature, verification
 from imd.cli import main
 
 
@@ -29,7 +29,7 @@ def test_criterion(number):
 
 # sha256 of the `imd verify --suite all` text with every criterion's
 # timing stripped (_strip_timing), one "\n" after each line
-VERIFY_DIGEST = "7c9e886cb6d95c627205c6b8a5764aff759d7cf4523accb3d8366214ae078b94"
+VERIFY_DIGEST = "e0e9beaa866b8a78162e61b22b87bccf07e77d4834f438dce5d7976bbd1b10a5"
 
 
 def _strip_timing(line):
@@ -58,8 +58,9 @@ def _counted(monkeypatch, module, name):
 
 
 def test_criterion_5_builds_one_law_and_integral_per_size(monkeypatch):
-    # 3 sizes N, each with 6 (eta, u) cases derived from one density
-    integrals = _counted(monkeypatch, exact, "log_integral")
+    # 3 sizes N, each with 6 (eta, u) cases derived from one density, whose
+    # normalization check integrates its one piece
+    integrals = _counted(monkeypatch, quadrature, "log_integral")
     laws = _counted(monkeypatch, exact, "monomer_law")
     assert verification.run_criterion(5).passed
     assert (len(integrals), len(laws)) == (3, 3)
