@@ -13,14 +13,16 @@ log-sum-exp shift.
 
 Only a window of atoms carries probability: every atom whose log weight lies
 more than 750 below the largest has probability exactly 0 in double precision
-(exp underflows below -745.2).  ``monomer_law`` finds that window with the
-package's tail finder, ``quadrature.peaked_components``, on the continuous
-(gammaln) log weight, and evaluates gammaln, exp and the normalization only
-inside it: O(sqrt(N)) atoms away from coexistence.  At coexistence the
-window is one interval per phase: two intervals around the valley between
-the phases, whose atoms lie more than 750 below both peaks, or one when the
-two meet.  ``log_partition_pure`` evaluates each field's window in the same
-way, found on the atoms since the J = 0 weights are log-concave in k.  Both
+(exp underflows below -745.2).  ``monomer_law`` finds that window on the
+atoms: the increments of the log weight are closed-form and change
+direction at most twice, so integer bisections find its one or two peaks
+and the edge atoms 750 below the highest.  It evaluates gammaln, exp and the
+normalization only inside the window: O(sqrt(N)) atoms away from
+coexistence.  At coexistence the window is one interval per phase: two
+intervals around the valley between the phases, whose atoms lie more than
+750 below both peaks, or one when the two meet.  ``log_partition_pure``
+finds each field's window on the atoms too, by one row-vectorized bisection
+for all its fields, since the J = 0 weights are log-concave in k.  Both
 reduce their windows through one windowed log-sum-exp, ``_logsumexp_rows``,
 over rows that are zero outside the window, which gives scipy's logsumexp
 over the full support bit for bit.
@@ -40,16 +42,15 @@ cell within the table's error bound of a rounding tie from Python's %.17g.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import json
 import math
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp, zeta
+from scipy.special import gammaln, logsumexp
 
-from ._brent import brentq
-from .quadrature import N_PROBE, peaked_components
 from .thermo import _H_MAX, ModelParams
 
 __all__ = [
@@ -236,80 +237,74 @@ def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:
     )
 
 
-def _valley(N: int, params: ModelParams) -> float | None:
-    """The interior local minimum of the continuous log weight L(k) on
-    [0, N/2], or None when L is unimodal.
-
-    L'' = -4 psi'(N - 2k + 1) - psi'(k + 1) + 8J/N is concave (trigamma is
-    convex), so L' falls, then rises on the stretch [k1, k2] where L'' > 0,
-    then falls: L has two local maxima only if L' crosses zero upwards on that
-    stretch, at the valley.  As psi'(x) > 1/x, L'' < 0 everywhere when
-    8J/N <= (2 + sqrt 2)^2 / (N + 3), which covers every J <= J_c N/(N + 3).
-    psi' = zeta(2, .) and psi'' = -2 zeta(3, .) are scipy's polygamma, bit for bit.
-    """
-    J, half = params.J, N / 2.0
-    if 8.0 * J / N <= (2.0 + math.sqrt(2.0)) ** 2 / (N + 3.0):
-        return None
-
-    def d1(k):
-        return (2.0 * digamma(N - 2.0 * k + 1.0) - digamma(k + 1.0) - math.log(2.0 * N)
-                - 2.0 * (params.h - J) - 4.0 * J * (N - 2.0 * k) / N)
-
-    def d2(k):
-        return -4.0 * zeta(2.0, N - 2.0 * k + 1.0) - zeta(2.0, k + 1.0) + 8.0 * J / N
-
-    def d3(k):
-        return -16.0 * zeta(3.0, N - 2.0 * k + 1.0) + 2.0 * zeta(3.0, k + 1.0)
-
-    # d3 falls from about -psi''(1) > 0 at k = 0 to about 8 psi''(1) < 0 at N/2
-    top = brentq(d3, 0.0, half)
-    if (d2_top := d2(top)) <= 0.0:
-        return None
-    d2_0, d2_half = d2(0.0), d2(half)
-    k1 = brentq(d2, 0.0, top, fa=d2_0, fb=d2_top) if d2_0 < 0.0 else 0.0
-    k2 = brentq(d2, top, half, fa=d2_top, fb=d2_half) if d2_half < 0.0 else half
-    d1_k1, d1_k2 = d1(k1), d1(k2)
-    if not d1_k1 < 0.0 < d1_k2:
-        return None
-    return brentq(d1, k1, k2, fa=d1_k1, fb=d1_k2)
+def _first_atom(a: int, b: int, reached) -> int:
+    """The first integer i in [a, b) at which reached(i) holds, or b if none,
+    by bisection on plain ints: reached is False and then True on [a, b)."""
+    return bisect.bisect_left(range(b), True, lo=a, key=reached)
 
 
 def _window(N: int, params: ModelParams) -> list[tuple[int, int, np.ndarray]]:
     """The disjoint, increasing intervals [lo, hi) of dimer counts whose log
-    weight may lie within _WINDOW_DROP of the largest, one or two, each with
+    weight L lies within _WINDOW_DROP of the largest, one or two, each with
     its atoms' log weights; every other atom's probability is 0.
 
-    The log weight is split at its valley into unimodal sides, and on each
-    side peaked_components returns grid points below its grid peak minus the
-    drop on both flanks of the peak, so every atom beyond them is lower still.
-    A side whose atoms all lie more than the drop below the other's is left
-    out; two kept sides give two intervals around the valley, or one when
-    they touch, whose log weights are the two sides' spliced.  Up to N_PROBE
-    atoms the window is the whole support.
+    Found on the atoms by integer bisections.  The increments
+    D(k) = L(k+1) - L(k) = log[(N-2k)(N-2k-1)/(2(k+1)N)] - 2(h-J) - 4J(N-2k-1)/N
+    have concave differences C(k), so D falls, rises on the one run [d1, d2)
+    where C > 0, and falls again: L has one peak, or two around the valley
+    atom where D turns positive on that run.  C(k) averages the continuous
+    L'' = -4 psi'(N-2k+1) - psi'(k+1) + 8J/N over [k, k+2], and as
+    psi'(x) > 1/x, L'' < 0 everywhere when 8J/N <= (2 + sqrt 2)^2 / (N + 3):
+    then C is not searched.  L rises to each side's peak and falls after it,
+    so a bisection on each flank finds the edge at _WINDOW_DROP below the
+    highest peak.  A side whose peak lies below that floor is left out; two
+    kept sides give two intervals, or one when they touch.  The finder
+    evaluates L in Python floats with math.lgamma: the window need only hold
+    every atom within 745.13 of the largest, where exp underflows, so
+    rounding that moves the floor by less than 4.87 changes no bit.
     """
-    size = N // 2 + 1
-    if size <= N_PROBE:
-        return [(0, size, _log_weights(N, params, np.arange(size)))]
-    valley = _valley(N, params)
-    sides = [(0.0, N / 2.0)] if valley is None else [(0.0, valley), (valley, N / 2.0)]
-    windows = []
-    for a, b in sides:
-        def log_w(x, a=a, b=b):
-            out = np.full(len(x), -np.inf)
-            inside = (x >= a) & (x <= b)
-            out[inside] = _log_weights(N, params, x[inside])
-            return out
+    h, J, K = params.h, params.J, N // 2
+    lg_N, log_2N = math.lgamma(N + 1.0), math.log(2.0 * N)
 
-        pieces = peaked_components(log_w, a, b, _WINDOW_DROP)
-        lo = max(0, math.floor(pieces[0][0]))
-        hi = min(size, math.ceil(pieces[-1][1]) + 1)
-        windows.append((lo, hi, _log_weights(N, params, np.arange(lo, hi))))
-    peaks = [float(np.max(w[2])) for w in windows]
-    kept = [w for w, peak in zip(windows, peaks) if peak > max(peaks) - _WINDOW_DROP]
-    if len(kept) == 2 and kept[0][1] >= kept[1][0]:
-        (lo, hi, lw), (c, d, lw2) = kept
-        kept = [(lo, d, np.concatenate([lw, lw2[hi - c:]]))]
-    return kept
+    def L(k):
+        m = (N - 2 * k) / N
+        return (lg_N - math.lgamma(N - 2 * k + 1.0) - math.lgamma(k + 1.0) - k * log_2N
+                + N * ((h - J) * m + J * m * m))
+
+    def D(k):
+        a = N - 2 * k
+        return math.log(a * (a - 1) / (2 * (k + 1) * N)) - 2.0 * (h - J) - 4.0 * J * (a - 1) / N
+
+    def C(k):  # D(k + 1) - D(k)
+        a = N - 2 * k
+        return math.log1p(-2 / a) + math.log1p(-2 / (a - 1)) - math.log1p(1 / (k + 1)) + 8.0 * J / N
+
+    sides = [(0, K + 1)]  # [first atom, one past the last) per side
+    if K >= 2 and 8.0 * J / N > (2.0 + math.sqrt(2.0)) ** 2 / (N + 3.0):
+        top = _first_atom(0, K - 2, lambda k: C(k + 1) <= C(k))
+        if C(top) > 0.0:
+            d1 = _first_atom(0, top, lambda k: C(k) > 0.0)
+            d2 = _first_atom(top, K - 1, lambda k: C(k) <= 0.0)
+            # D falls on [0, d1], rises on [d1, d2] and falls on [d2, K)
+            if D(d1) < 0.0 < D(d2):
+                v = _first_atom(d1, d2, lambda k: D(k) > 0.0)
+                sides = [(0, v + 1), (v + 1, K + 1)]
+    # each side's peak: the first atom after which L does not rise
+    tops = [_first_atom(a, b - 1, lambda k: D(k) <= 0.0) for a, b in sides]
+    peaks = [L(p) for p in tops]
+    floor = max(peaks) - _WINDOW_DROP
+    kept = []
+    for (a, b), p, peak in zip(sides, tops, peaks):
+        # at |h| near 4e306 the floor rounds to the peak: a side is dropped
+        # only when its peak lies below the floor
+        if peak < floor:
+            continue
+        lo = _first_atom(a, p, lambda k: L(k) >= floor)
+        hi = _first_atom(p + 1, b, lambda k: L(k) < floor)
+        if kept and kept[-1][1] >= lo:
+            lo = kept.pop()[0]
+        kept.append((lo, hi))
+    return [(lo, hi, _log_weights(N, params, np.arange(lo, hi))) for lo, hi in kept]
 
 
 def monomer_law(N: int, params: ModelParams) -> AtomLaw:
@@ -356,6 +351,8 @@ def pressure(N: int, params: ModelParams) -> float:
 # (field or point, atom) cells per block in log_partition_pure and
 # SmoothedDensity.log_mixture: 256 KB per temporary
 _CELLS = 1 << 15
+# up to this many atoms, log_partition_pure takes whole rows
+_FULL_ROWS = 2001
 
 
 def log_partition_pure(N: int, fields) -> np.ndarray | float:
@@ -368,7 +365,7 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     are not handed back to the allocator block by block; each field's result
     is bitwise the same as from a single fields x atoms broadcast.
 
-    Beyond N_PROBE atoms, a block writes its log weights, and takes their
+    Beyond _FULL_ROWS atoms, a block writes its log weights, and takes their
     maximum, multiplicity and exp, only on the union of its fields' windows
     (_pure_windows) and holds 0 elsewhere, which is what exp gives there; the
     row sums still run over the whole row, so NumPy's pairwise summation sees
@@ -380,7 +377,7 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     rows = max(1, _CELLS // n)
     out = np.empty(len(hs))
     block = np.empty((min(rows, len(hs)), n))
-    windowed = n > N_PROBE
+    windowed = n > _FULL_ROWS
     if windowed:
         lo, hi, peak = _pure_windows(base, s, hs)
     for i in range(0, len(hs), rows):

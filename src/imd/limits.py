@@ -23,21 +23,24 @@ it evaluates the limit CDF by bracketing: every limit CDF (and any
 increase with the atom index, so the end atoms of a block bound every gap
 inside it.  Blocks whose bound is below the largest gap found, less a 1e-12
 slack for ulp-level non-monotonicity, are dropped unread; at the critical
-point, N = 1e6, the quartic CDF is evaluated at 7 797 of 163 751 atoms.  The
-limit laws reject parameters that would make their CDF NaN or leave [0, 1].
+point, N = 1e6, the quartic CDF is evaluated at 7 797 of 163 518 atoms.  The
+mass below a limit law's atom, and ``coexistence_masses``' cut, end at an
+atom index found by ``exact._first_atom``, a bisection on plain ints, and
+are summed over the full-support prefix or suffix.  The limit laws reject
+parameters that would make their CDF NaN or leave [0, 1].
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, gamma, gammainc
 
 from . import exact, phase
-from .parallel import parallel_map
 from .thermo import ModelParams
 
 __all__ = [
@@ -180,9 +183,8 @@ def _mass_below(scaled: exact.AtomLaw, x: float, side: str) -> float:
     summed over the full-support prefix so that the pairwise summation sees
     the same layout as a mask over every atom.  The positions increase, so
     the prefix ends where a bisection on the atom index finds them reach x."""
-    beyond = np.greater_equal if side == "left" else np.greater
-    j = exact._first_reached(np.array([0]), np.array([len(scaled.probabilities)]),
-                             lambda i: beyond(scaled.values_at(i), x))[0]
+    beyond = operator.ge if side == "left" else operator.gt
+    j = exact._first_atom(0, len(scaled.probabilities), lambda i: beyond(scaled.values_at(i), x))
     return float(np.sum(scaled.probabilities[:j]))
 
 
@@ -280,9 +282,7 @@ def convergence_study(params: ModelParams, eta: float, u: float, law, N_list) ->
     Ns = [int(n) for n in N_list]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError(f"N_list must be strictly increasing, got {N_list}")
-    distances = parallel_map(
-        lambda n: ks_distance(scaled_law(n, params, eta, u), law), Ns
-    )
+    distances = [ks_distance(scaled_law(n, params, eta, u), law) for n in Ns]
     rows = []
     prev = None
     for n, d in zip(Ns, distances):
@@ -312,7 +312,6 @@ def coexistence_masses(N: int, point: phase.GammaPoint) -> tuple[float, float]:
     # the atoms below the cut are the k >= j; summed over the full-support
     # suffix, as a mask over every atom would be.  The density falls in k, so
     # a bisection finds j with the mask's comparison
-    j = exact._first_reached(np.array([0]), np.array([len(law.probabilities)]),
-                             lambda k: (N - 2 * k) / N < cut)[0]
+    j = exact._first_atom(0, len(law.probabilities), lambda k: (N - 2 * k) / N < cut)
     mass1 = float(np.sum(law.probabilities[j:]))
     return mass1, 1.0 - mass1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from imd import exact, phase, thermo
+from imd import phase, thermo
 from imd._brent import brentq
 from imd.thermo import ModelParams
 
@@ -83,22 +83,6 @@ def test_critical_point_and_its_polish():
     assert (calls[0][0], calls[0][1]) == (-3.0, 3.0)
     # the polish is handed the third derivatives its sign test computed
     assert [held for *_, held in calls] == [(False, False), (True, True)]
-
-
-@pytest.mark.parametrize("n, h, J", [(100, -0.41281739308863996, 2.0),
-                                     (10**4, -0.41281739308863996, 2.0),
-                                     (10**6, -0.41281739308863996, 2.0),
-                                     (1000, -0.5, 8.0), (4000, 0.3, 1e3)])
-def test_valley_digamma_solves(n, h, J):
-    # exact._valley's d1, d2 and d3 return np.float64 from digamma/zeta
-    both, calls = cross_checked()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "brentq", both)
-        valley = exact._valley(n, ModelParams(h, J))
-    assert valley is not None
-    assert len(calls) >= 2
-    # the d3 solve holds no values; the d2 and d1 solves hold both ends'
-    assert [held for *_, held in calls] == [(False, False)] + [(True, True)] * (len(calls) - 1)
 
 
 FAMILIES = {

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -32,7 +33,6 @@ from imd.exact import (
 )
 from imd.limits import scaled_law
 from imd.phase import classify
-from imd.quadrature import N_PROBE
 from imd.thermo import ModelParams, consistency_roots, g, g_derivative, p0
 
 from oracles import (
@@ -242,6 +242,8 @@ class TestWindow:
     @example(7.0, -0.4999962732210501, 12.0)  # gamma(12): wells at both edges
     @example(4.0, -30.0, 0.0)
     @example(5.0, 30.0, 1e3)
+    @example(1.0, 4.4e306, 2.0**50)  # the floor 750 below the peak rounds to the peak
+    @example(5.0, -0.34411320322979877, 1.4571077811865474)  # (h_c, J_c + 1e-6)
     def test_window_over_cli_domain(self, log_n, h, J):
         n = int(round(10.0**log_n))
         with warnings.catch_warnings():
@@ -278,8 +280,8 @@ class TestWindow:
 
     @pytest.mark.parametrize("n, at_critical", [(10**6, True), (10**7, False)])
     def test_each_window_atom_is_evaluated_once(self, monkeypatch, n, at_critical):
-        # the window's log weights are evaluated once, for its peak and for
-        # the law: beyond the window's atoms, only the tail finder's probes
+        # the window's log weights are evaluated once, for the law: the
+        # finder works on the atoms without them
         if at_critical:
             cp = phase.find_critical_point()
             params = ModelParams(cp.h_c, cp.J_c)
@@ -295,7 +297,26 @@ class TestWindow:
         monkeypatch.setattr(exact, "_log_weights", counted)
         law = monomer_law(n, params)
         atoms = sum(b - a for a, b in law.windows)
-        assert sum(points) <= atoms + 2 * N_PROBE
+        assert sum(points) == atoms
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 4002, 10**4 + 1, 10**5])
+    @pytest.mark.parametrize("h, J", [
+        (0.0, 0.0), (0.3, 0.5), (-30.0, 0.0), (30.0, 1e3), (-500.0, 1e3),
+        (-0.34411320322979877, 1.4571067811865475),  # the critical point
+        (-0.41281739308863996, 2.0), (-0.4999962732210501, 12.0),  # gamma(2), gamma(12)
+        (-0.5, 50.0), (2.0, 10.0),
+    ])
+    def test_window_is_exact_on_the_atoms(self, n, h, J):
+        # every atom outside the window lies more than _WINDOW_DROP below
+        # the largest log weight, and each interval's end atoms do not
+        log_w = exact._log_weights(n, ModelParams(h, J), np.arange(n // 2 + 1))
+        floor = log_w.max() - exact._WINDOW_DROP
+        inside = np.zeros(len(log_w), dtype=bool)
+        for lo, hi, lw in exact._window(n, ModelParams(h, J)):
+            assert np.array_equal(lw, log_w[lo:hi])
+            assert log_w[lo] >= floor <= log_w[hi - 1]
+            inside[lo:hi] = True
+        assert np.all(log_w[~inside] < floor)
 
     def test_window_is_small_away_from_coexistence(self):
         law = monomer_law(10**7, ModelParams(0.0, 0.0))
@@ -330,44 +351,6 @@ class TestWindow:
                              text=True, env=env, check=True).stdout.split()
         assert abs(float(out[0])) < 1e-12
         assert int(out[1]) < 200 * 1024  # kB
-
-
-class TestValley:
-    NS = (4002, 10**4, 10**5, 10**6, 10**7)
-
-    def test_zeta_forms_are_the_polygamma_forms(self):
-        # _valley's L'' and L''' call zeta(2, x) for psi'(x) and -2 zeta(3, x)
-        # for psi''(x); polygamma(n, x) forms (-1)^(n+1) n! zeta(n+1, x)
-        from scipy.special import polygamma, zeta
-
-        for n in self.NS:
-            k = np.concatenate([np.linspace(0.0, n / 2.0, 1001), [0.5, 1.0, 1.5, n / 2.0 - 0.5]])
-            for x in (n - 2.0 * k + 1.0, k + 1.0):
-                assert np.array_equal(zeta(2.0, x), polygamma(1, x))
-                assert np.array_equal(-2.0 * zeta(3.0, x), polygamma(2, x))
-            for k_ in k.tolist():
-                a, b = n - 2.0 * k_ + 1.0, k_ + 1.0
-                d2 = -4.0 * zeta(2.0, a) - zeta(2.0, b) + 8.0 * 2.0 / n
-                d2_ref = -4.0 * polygamma(1, a) - polygamma(1, b) + 8.0 * 2.0 / n
-                d3 = -16.0 * zeta(3.0, a) + 2.0 * zeta(3.0, b)
-                d3_ref = 8.0 * polygamma(2, a) - polygamma(2, b)
-                assert float(d2).hex() == float(d2_ref).hex(), (n, k_)
-                assert float(d3).hex() == float(d3_ref).hex(), (n, k_)
-
-    @pytest.mark.parametrize("params, pins", [
-        (("-0x1.605f3627f9a36p-2", "0x1.7504f333f9de6p+0"), [None] * 5),  # the critical point
-        (("-0x1.a6b99a4a248aap-2", "0x1p+1"),  # gamma(2)
-         ["0x1.b50b2eadbcd86p+9", "0x1.10fe58bd840d1p+11", "0x1.5539a6b1b75f5p+14",
-          "0x1.aa878741318f3p+17", "0x1.0a94abf6cd3ddp+21"]),
-        (("-0x1p+0", "0x1.8p+1"),
-         ["0x1.1c79dc439fec7p+9", "0x1.6358f9bc32223p+10", "0x1.bc21cd12ef8a0p+13",
-          "0x1.1594496158d40p+17", "0x1.5af940e00f7c6p+20"]),
-    ])
-    def test_valley_keeps_its_bits(self, params, pins):
-        # computed with scipy's polygamma and brentq evaluating every end
-        h, J = map(float.fromhex, params)
-        found = [exact._valley(n, ModelParams(h, J)) for n in self.NS]
-        assert [None if v is None else float(v).hex() for v in found] == pins
 
 
 @pytest.fixture(scope="module")
@@ -419,7 +402,10 @@ class TestTwoIntervalWindow:
         # the two sides' windows meet and make one interval over both wells
         n, point = 10**4, gamma_points[2.0]
         params = ModelParams(point.h, 2.0)
-        assert exact._valley(n, params) is not None
+        log_w, log_z, probs = full_support_law(n, point.h, 2.0)
+        # two peaks, so the finder splits the atoms into two sides
+        rises = np.diff(log_w) > 0.0
+        assert np.count_nonzero(rises[:-1] & ~rises[1:]) == 2
         windows = [(lo, hi) for lo, hi, _ in exact._window(n, params)]
         assert len(windows) == 1
         law = monomer_law(n, params)
@@ -427,7 +413,6 @@ class TestTwoIntervalWindow:
         lo, hi = hull(law)
         wells = [round(n * (1.0 - m) / 2.0) for m in (point.m1, point.m2)]
         assert all(lo <= k < hi for k in wells)
-        log_w, log_z, probs = full_support_law(n, point.h, 2.0)
         assert law.log_Z == log_z
         assert np.array_equal(law.probabilities, probs)
         assert np.array_equal(law.log_weights, log_w)
@@ -655,7 +640,7 @@ class TestLogPartitionPureBlocks:
     ], ids=["1", "rows-1", "rows", "rows+1", "2001"])
     def test_bitwise_equal_to_broadcast(self, N, count):
         # rows: the number of fields log_partition_pure puts in one block;
-        # beyond N_PROBE atoms each block works on its fields' windows
+        # beyond exact._FULL_ROWS atoms each block works on its fields' windows
         n_fields = count(max(1, exact._CELLS // (N // 2 + 1)))
         fields = np.random.default_rng(n_fields).uniform(-30.0, 30.0, n_fields)
         spots = np.arange(n_fields)[1::max(1, n_fields // len(SPECIAL_FIELDS))]
@@ -710,13 +695,14 @@ class TestLogPartitionPureBlocks:
 
 def linear_scan(a, b, reached):
     """The first i in [a, b) with reached(i), b if none: the reference for
-    exact._first_reached."""
+    exact._first_reached and exact._first_atom."""
     return next((i for i in range(a, b) if reached(i)), b)
 
 
 class TestSharedReductions:
-    """The one bisection over atom indices and the one windowed log-sum-exp
-    that exact, limits and the smoothed law share."""
+    """The bisections over atom indices, row-vectorized for the J = 0 windows
+    and on plain ints for the law's window and limits, and the one windowed
+    log-sum-exp that exact, limits and the smoothed law share."""
 
     @given(st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70), st.integers(-3, 75)),
                     min_size=1, max_size=8))
@@ -727,23 +713,24 @@ class TestSharedReductions:
         b = np.array([max(lo, hi) for lo, hi, _ in rows])
         t = np.array([t for _, _, t in rows])
         got = exact._first_reached(a, b, lambda i: i >= t)
-        assert got.tolist() == [linear_scan(lo, hi, lambda i, t=tt: i >= t)
-                                for lo, hi, tt in zip(a.tolist(), b.tolist(), t.tolist())]
+        ref = [linear_scan(lo, hi, lambda i, t=tt: i >= t)
+               for lo, hi, tt in zip(a.tolist(), b.tolist(), t.tolist())]
+        assert got.tolist() == ref
+        assert [exact._first_atom(lo, hi, lambda i, t=tt: i >= t)
+                for lo, hi, tt in zip(a.tolist(), b.tolist(), t.tolist())] == ref
 
     @given(st.floats(-40.0, 40.0), st.floats(0.0, 1.0))
     @example(0.0, 0.5)
     def test_one_row_calls_from_limits(self, x, cut):
         # limits reads the mass below a limit atom, and coexistence_masses its
-        # cut index, through one-row calls on the atom index
+        # cut index, through the plain-int bisection on the atom index
         scaled = scaled_law(1001, ModelParams(0.2, 0.5), 0.5, 0.6)
         n = len(scaled.probabilities)
-        for beyond in (np.greater_equal, np.greater):
-            got = exact._first_reached(np.array([0]), np.array([n]),
-                                       lambda i: beyond(scaled.values_at(i), x))
-            assert got.tolist() == [linear_scan(0, n, lambda i: beyond(scaled.positions[i], x))]
-        got = exact._first_reached(np.array([0]), np.array([n]),
-                                   lambda k: (1001 - 2 * k) / 1001 < cut)
-        assert got.tolist() == [linear_scan(0, n, lambda k: (1001 - 2 * k) / 1001 < cut)]
+        for beyond in (operator.ge, operator.gt):
+            got = exact._first_atom(0, n, lambda i: beyond(scaled.values_at(i), x))
+            assert got == linear_scan(0, n, lambda i: beyond(scaled.positions[i], x))
+        got = exact._first_atom(0, n, lambda k: (1001 - 2 * k) / 1001 < cut)
+        assert got == linear_scan(0, n, lambda k: (1001 - 2 * k) / 1001 < cut)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_two_interval_rows_equal_scipy_bitwise(self, seed):

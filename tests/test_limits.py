@@ -348,8 +348,8 @@ class TestWindowedKs:
         assert coexistence_masses(n, gamma_at_2) == full_support_masses(n, params, cut)
 
     def test_ks_reads_only_the_intervals(self, critical, gamma_at_2):
-        # at gamma(2), N = 1e6 the two intervals hold 38 535 atoms and their
-        # hull 412 892: the positions are evaluated at fewer than a tenth of
+        # at gamma(2), N = 1e6 the two intervals hold 38 270 atoms and their
+        # hull 412 769: the positions are evaluated at fewer than a tenth of
         # the interval atoms (the blocks the bracketing keeps), at the end
         # atoms of the zero-probability runs and at the bisection steps of
         # the masses below the limit law's two atoms
@@ -360,7 +360,7 @@ class TestWindowedKs:
         positions = scaled.values_at
 
         def counted(i):
-            evaluated.append(len(i))
+            evaluated.append(np.size(i))
             return positions(i)
 
         scaled.values_at = counted
@@ -369,7 +369,7 @@ class TestWindowedKs:
         assert sum(evaluated) < inside / 10 + 6 + 4 * 20
 
     def test_quartic_cdf_read_at_under_a_tenth_of_the_window(self, critical, gamma_at_2):
-        # at the critical point, N = 1e6, the window holds 163 751 atoms;
+        # at the critical point, N = 1e6, the window holds 163 518 atoms;
         # the bracketing calls the limit CDF at under 10 % of them (7 797
         # when this was written), and still gives the full-support bits
         params, eta, u, law = ladders(critical, gamma_at_2)["critical_quartic"]
