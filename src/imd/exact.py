@@ -51,6 +51,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .quadrature import TAIL_DROP
 from .thermo import _H_MAX, ModelParams
 
 __all__ = [
@@ -493,9 +494,9 @@ class SmoothedDensity:
     Both routes divide by the same Z_N, so their pointwise agreement checks
     the shape: the Gaussian identity behind F_N, on the pure partition
     function against the law's log weights.  Criterion 5 checks C_N apart,
-    by integrating the analytic density with the quadrature.  Only ``law``
-    depends on (N, params) alone; ``rescaled(eta, u)`` gives a sibling
-    sharing it by reference.
+    by integrating the analytic density with the quadrature over
+    ``integration_domain()``.  Only ``law`` depends on (N, params) alone;
+    ``rescaled(eta, u)`` gives a sibling sharing it by reference.
     """
 
     def __init__(self, N: int, params: ModelParams, eta: float = 0.0, u: float = 0.0):
@@ -561,6 +562,21 @@ class SmoothedDensity:
         it by N^eta.  Exact at every (N, J), with no quadrature."""
         return -(self.eta * math.log(self.N) + self.law.log_Z
                  + 0.5 * math.log(math.pi / (self.N * self.params.J)))
+
+    def integration_domain(self) -> tuple[float, float]:
+        """The x-interval outside which the analytic density lies at least
+        quadrature.TAIL_DROP below its maximum, in closed form.
+
+        In y = x/N^eta + u, exp(N F_N(y)) = sum_k w_k exp(-N J (y - S_k/N)^2)
+        with every S_k/N in [0, 1].  Its maximum is at least
+        max_k w_k >= Z_N/(N//2 + 1), and farther than
+        delta = sqrt((TAIL_DROP + log(N//2 + 1))/(N J)) from [0, 1] it is at
+        most Z_N e^{-N J delta^2}, e^-TAIL_DROP of that; x = N^eta (y - u).
+        """
+        delta = math.sqrt((TAIL_DROP + math.log(self.N // 2 + 1))
+                          / (self.N * self.params.J))
+        scale = self.N**self.eta
+        return (-delta - self.u) * scale, (1.0 + delta - self.u) * scale
 
     def log_analytic(self, x):
         xx = np.asarray(x, dtype=np.float64)

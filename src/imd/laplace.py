@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import log_partition_pure
-from .quadrature import (TAIL_DROP, IntegrationDomainError, peaked_components,
-                         signed_log_integral)
+from .quadrature import TAIL_DROP, IntegrationDomainError, signed_log_integral
 from .thermo import g, p0
 
 __all__ = [
@@ -90,31 +89,27 @@ _CANCELLATION = 1e-4
 
 
 def _integration_pieces(a: float, xhat: float, n: int):
-    """Integration domain for Psi^n as (lo, hi, sign) pieces: on each side of
-    the cut x = -a, the span where n log|Psi| lies within
-    quadrature.TAIL_DROP of that side's peak, clipped at the cut.
+    """The lobes of Psi^n as (lo, hi, sign, peak, drop) pieces, with each
+    domain in closed form and drop = n (f(xhat) - f(peak)) >= 0.
 
     The lobes peak at the roots xhat and -t = -1/xhat of x^2 + a x - 1 = 0,
-    with heights -log|x| - x^2/2 since x (x + a) = 1.  The right lobe comes
-    first; the left lobe, of sign (-1)^n, is left out when its peak is
-    TAIL_DROP below the right one's.
+    one on each side of the cut x = -a.  There f = log|x + a| - x^2/2 has
+    f'' = -1/(x + a)^2 - 1 <= -1, so n f(x) <= n f(peak) - n (x - peak)^2 / 2:
+    outside peak +- sqrt(2 TAIL_DROP / n), clipped at the cut, n f lies
+    quadrature.TAIL_DROP or more below its lobe's peak.  The right lobe
+    comes first; the left lobe, of sign (-1)^n, is left out when its peak is
+    TAIL_DROP below the right one's.  That gap, f(xhat) - f(-t), is
+    2 log t + a (t + xhat)/2 with t + xhat = sqrt(a^2 + 4), and
+    t - 1 = a (1 + a / (sqrt(a^2 + 4) + 2)) / 2 without cancellation.
     """
     cut = -a
-
-    def span(lo, hi, side):
-        def nlog(x):  # -inf off this side of the cut
-            vals = n * _log_psi(x, a)
-            return np.where(side * (x - cut) > 0, vals, -np.inf)
-
-        pieces = peaked_components(nlog, lo, hi)
-        lo, hi = pieces[0][0], pieces[-1][1]
-        return (max(lo, cut), hi) if side > 0 else (lo, min(hi, cut))
-
-    pieces = [(*span(xhat / 4.0, xhat + 1.0, 1), 1.0)]
-    t = 1.0 / xhat
-    gap = 2.0 * math.log(t) + (t * t - 1.0 / (t * t)) / 2.0  # peak+ - peak-
+    r = math.sqrt(2.0 * TAIL_DROP / n)
+    pieces = [(max(xhat - r, cut), xhat + r, 1.0, xhat, 0.0)]
+    root = math.hypot(a, 2.0)
+    gap = 2.0 * math.log1p(a * (1.0 + a / (root + 2.0)) / 2.0) + a * root / 2.0
     if n * gap <= TAIL_DROP:
-        pieces.append((*span(-t - 1.0, cut, -1), (-1.0) ** n))
+        t = 1.0 / xhat
+        pieces.append((-t - r, min(-t + r, cut), (-1.0) ** n, -t, n * gap))
     return pieces
 
 
@@ -123,13 +118,28 @@ def _check_size(n: int) -> None:
         raise ValueError(f"system size must be positive, got N={n}")
 
 
-def _log_integral(a: float, xhat: float, n: int) -> float:
-    """quad_log_integral at a = e^h, given the maximizer xhat."""
-    def nlog(x):
-        return n * _log_psi(x, a)
+def _n_peak(a: float, xhat: float, n: int) -> float:
+    """n f(xhat), the log of Psi^n at its maximum."""
+    return n * float(_log_psi(np.asarray([xhat]), a)[0])
 
-    lobes = [(signed_log_integral(nlog, lo, hi)[0], sign)
-             for lo, hi, sign in _integration_pieces(a, xhat, n)]
+
+def _log_lobes(a: float, xhat: float, n: int) -> float:
+    """log of integral (Psi(x)/Psi(xhat))^n dx at a = e^h, an O(1) number.
+
+    Each lobe is integrated relative to its own peak p, with the integrand
+    n (f(x) - f(p)) written without terms of size n: both peaks solve
+    p (p + a) = 1, so (x + a)/(p + a) = 1 + p (x - p) and
+    f(x) - f(p) = log1p(p (x - p)) - (x - p)(x + p)/2.
+    """
+    def lobe(p):
+        def nlog(x):
+            d = x - p
+            with np.errstate(divide="ignore"):
+                return n * (np.log1p(p * d) - d * (x + p) / 2.0)
+        return nlog
+
+    lobes = [(signed_log_integral(lobe(peak), lo, hi)[0] - drop, sign)
+             for lo, hi, sign, peak, drop in _integration_pieces(a, xhat, n)]
     top = max(la for la, _ in lobes)
     if not math.isfinite(top):
         raise IntegrationDomainError("integrand vanished on the whole domain")
@@ -149,7 +159,7 @@ def quad_log_integral(h: float, n: int) -> float:
     their sum."""
     a, xhat = _maximizer(h)
     _check_size(n)
-    return _log_integral(a, xhat, n)
+    return _n_peak(a, xhat, n) + _log_lobes(a, xhat, n)
 
 
 def gaussian_rep_log_partition(N: int, h: float) -> float:
@@ -165,11 +175,9 @@ class LaplaceResult:
     log_asymptote: float
     maximizer: float
     second_derivative: float
-
-    @property
-    def log_ratio(self) -> float:
-        """Quadrature minus asymptote: tends to 0 as n grows."""
-        return self.log_integral_quadrature - self.log_asymptote
+    log_ratio: float
+    """Quadrature over asymptote, from the O(1) integral of
+    (Psi/Psi(xhat))^n: tends to 0 as n grows."""
 
 
 def laplace_approx(h: float, n: int) -> LaplaceResult:
@@ -178,13 +186,15 @@ def laplace_approx(h: float, n: int) -> LaplaceResult:
     a, xhat = _maximizer(h)
     _check_size(n)
     curv = _curvature(xhat, a)
-    log_asym = (n * float(_log_psi(np.asarray([xhat]), a)[0])
-                + 0.5 * math.log(2.0 * math.pi / (-n * curv)))
+    peak = _n_peak(a, xhat, n)
+    log_width = 0.5 * math.log(2.0 * math.pi / (-n * curv))
+    log_lobes = _log_lobes(a, xhat, n)
     return LaplaceResult(
-        log_integral_quadrature=_log_integral(a, xhat, n),
-        log_asymptote=log_asym,
+        log_integral_quadrature=peak + log_lobes,
+        log_asymptote=peak + log_width,
         maximizer=xhat,
         second_derivative=curv,
+        log_ratio=log_lobes - log_width,
     )
 
 

@@ -304,16 +304,15 @@ def cut_scan_consistency_roots(h, J):
     return out
 
 
-def loop_pieces(xs, idx):
-    """peaked_components' split of the super-level indices idx into pieces,
-    walked index by index: one (xs[start - 1], xs[end + 1]) per run of
-    consecutive indices, clamped to the probe grid of len(xs) points."""
-    last = len(xs) - 1
-    pieces = []
-    start = idx[0]
-    for j, i in enumerate(idx):
-        if j and i != idx[j - 1] + 1:
-            pieces.append((xs[max(start - 1, 0)], xs[min(idx[j - 1] + 1, last)]))
-            start = i
-    pieces.append((xs[max(start - 1, 0)], xs[min(idx[-1] + 1, last)]))
-    return pieces
+def log_pure_integral_mp(n, h, dps=50):
+    """log of integral Psi(x)^n dx, Psi(x) = (x + e^h) e^{-x^2/2}, at dps
+    digits through its binomial expansion: the odd moments vanish and
+    the even ones give log Z0_n(h) - log sqrt(n / 2 pi), with
+    Z0_n(h) = sum_k n! / (k! (n - 2k)! 2^k) n^-k e^{h (n - 2k)}, term by term
+    over the matchings of K_n with k dimers."""
+    with mpmath.workdps(dps):
+        a, big_n = mpmath.exp(mpmath.mpf(h)), mpmath.mpf(n)
+        z = mpmath.fsum(mpmath.factorial(n) / (mpmath.factorial(k) * mpmath.factorial(n - 2 * k)
+                                               * 2**k * big_n**k) * a ** (n - 2 * k)
+                        for k in range(n // 2 + 1))
+        return mpmath.log(z) - mpmath.log(big_n / (2 * mpmath.pi)) / 2

@@ -29,7 +29,7 @@ def test_criterion(number):
 
 # sha256 of the `imd verify --suite all` text with every criterion's
 # timing stripped (_strip_timing), one "\n" after each line
-VERIFY_DIGEST = "e0e9beaa866b8a78162e61b22b87bccf07e77d4834f438dce5d7976bbd1b10a5"
+VERIFY_DIGEST = "1816fa382cd64603bf1c4fac1bbc7333bd0e94b845b24d0df7dbb363b7f40398"
 
 
 def _strip_timing(line):
@@ -59,7 +59,7 @@ def _counted(monkeypatch, module, name):
 
 def test_criterion_5_builds_one_law_and_integral_per_size(monkeypatch):
     # 3 sizes N, each with 6 (eta, u) cases derived from one density, whose
-    # normalization check integrates its one piece
+    # normalization check integrates over its one closed-form domain
     integrals = _counted(monkeypatch, quadrature, "log_integral")
     laws = _counted(monkeypatch, exact, "monomer_law")
     assert verification.run_criterion(5).passed

@@ -318,17 +318,16 @@ class TestDistCommand:
 
 class TestLaplaceCommand:
     def test_bytes_keep_their_digest(self, capsys):
-        # sha256 of the artifact, made with scipy's bounded minimizer locating
-        # xhat and kept by the closed-form root with one Newton step that
-        # replaced the search: at h = 0 both give the same xhat and so the
-        # same bytes.  Re-pinned when the quadrature started
-        # at 4 panels: the N = 100 row's log_quadrature
-        # moved 1 ulp, 27.477083586219596 -> 27.477083586219599 (mpmath at 40
-        # digits: 27.477083586219596809), and its ratio with it
+        # sha256 of the artifact.  Re-pinned when the lobes got closed-form
+        # domains and the ratio came from the O(1) integral of
+        # (Psi/Psi(xhat))^N: against mpmath at 60 digits the ratio cells went
+        # from +0.4, -26.2 and -953.8 ulps to -1.7, +1.7 and +18.3 (N = 10,
+        # 100, 1000), and log_quadrature at N = 100 and 1000 from +0.6 and
+        # -0.4 ulps to +1.7 and +0.5; log_asymptote kept every bit
         code, out, _ = run_cli(capsys, "laplace", "--N", "10,100,1000", "--h", "0")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b417c47b6c5c2f4b0f4a240d942627bafb11bd8513fe2cef1f517c4eb2bcc34f")
+            "3ec41e2f4c058db33c45113598dd6afa9857ad92cc955945d41b09dfba72c7d0")
 
     def test_row_schema(self, capsys):
         code, out, _ = run_cli(capsys, "laplace", "--N", "10,100", "--h", "0")
@@ -343,7 +342,7 @@ class TestLaplaceCommand:
     @pytest.mark.parametrize("h", ["25", "30"])
     def test_large_field_maximizer_is_interior(self, capsys, h):
         # xhat = e^{-h} g(h) is about 1e-11 and 1e-13: far below an absolute
-        # 1e-9 margin, yet well inside the window [xhat/4, xhat + 1]
+        # 1e-9 margin, yet the centre of its domain xhat +- sqrt(160 / N)
         code, out, err = run_cli(capsys, "laplace", "--N", "5,50", "--h", h)
         assert code == EXIT_OK, err
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]

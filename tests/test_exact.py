@@ -967,22 +967,51 @@ class TestSmoothedDensity:
     def test_full_partition_identity(self, panels):
         # the closed-form normalizer against the quadrature: the eta = 0,
         # u = 0 analytic density, whose shape reads Z_N through Z0_N only,
-        # integrates to one; at the large-N benchmark's sizes too, and every
-        # integral stops at the first pair of panel levels, (4, 8), but the
-        # one piece that spans both wells and their valley at coexistence at
-        # N = 1e3, which takes a third level
+        # integrates to one over its closed-form domain; at the large-N
+        # benchmark's sizes too.  That domain, [-delta, 1 + delta], is O(1)
+        # wide around peaks of width about N^-1/2, so the integral stops at
+        # the first pair of panel levels, (4, 8), up to N = 50 and takes the
+        # measured levels beyond
         gamma2 = phase.trace_gamma([2.0])[0].h
-        large = [(n, h, J) for n in (1000, 10000)
-                 for h, J in [(0.0, 1.0), (0.3, 0.5), (gamma2, 2.0)]]
-        for n, h, J in [(4, 0.0, 1.0), (20, -0.5, 2.0), (50, 0.3, 0.7), *large]:
+        cases = {(4, 0.0, 1.0): [4, 8], (20, -0.5, 2.0): [4, 8], (50, 0.3, 0.7): [4, 8],
+                 (1000, 0.0, 1.0): [4, 8, 16], (1000, 0.3, 0.5): [4, 8, 16],
+                 (1000, gamma2, 2.0): [4, 8, 16], (10000, 0.0, 1.0): [4, 8, 16, 32],
+                 (10000, 0.3, 0.5): [4, 8, 16], (10000, gamma2, 2.0): [4, 8, 16, 32]}
+        for (n, h, J), levels in cases.items():
             sd = SmoothedDensity(n, ModelParams(h, J), eta=0.0, u=0.0)
             panels.clear()
-            pieces = quadrature.peaked_components(sd.log_analytic, -1.0, 2.0)
-            log_mass = logsumexp([quadrature.log_integral(sd.log_analytic, a, b)
-                                  for a, b in pieces])
+            log_mass = quadrature.log_integral(sd.log_analytic, *sd.integration_domain())
             assert abs(log_mass) < 1e-10, f"N={n}, h={h}, J={J}"
-            first_pair = [4, 8] * len(pieces)
-            assert panels == ([4, 8, 16] if (n, J) == (1000, 2.0) else first_pair), f"N={n}"
+            assert panels == levels, f"N={n}, h={h}, J={J}"
+
+    @staticmethod
+    def domain_margins(sd, points=4001):
+        """How far below its maximum over a fine grid of the closed-form
+        domain and the component means (the atoms S_k/N in y, where the
+        domain's bound is taken) the analytic density lies at the domain's
+        two ends."""
+        lo, hi = sd.integration_domain()
+        grid = np.concatenate([np.linspace(lo, hi, points), sd.component_means])
+        log_a = sd.log_analytic(grid)
+        return log_a.max() - log_a[0], log_a.max() - log_a[points - 1]
+
+    @pytest.mark.parametrize("N", [4, 20, 100])
+    def test_integration_domain_holds_criterion_5_mass(self, N):
+        params = ModelParams(0.0, 1.0)
+        base = SmoothedDensity(N, params)
+        for eta, u in itertools.product((0.0, 0.25, 0.5), (0.0, classify(params).maximizers[0])):
+            margins = self.domain_margins(base.rescaled(eta, u), 20001)
+            assert min(margins) >= quadrature.TAIL_DROP, (eta, u, margins)
+
+    @given(st.integers(1, 1000), st.floats(-3.0, 3.0), st.floats(0.05, 10.0),
+           st.floats(0.0, 0.5), st.floats(-1.0, 2.0))
+    # N = 1: one atom at y = 1, at exactly TAIL_DROP above the upper end
+    @example(1, 0.0, 1.0, 0.0, 0.0)
+    def test_integration_domain_is_sound(self, N, h, J, eta, u):
+        # the bound is exact for one atom, so allow the rounding of
+        # log_analytic's terms of size TAIL_DROP + N J
+        margins = self.domain_margins(SmoothedDensity(N, ModelParams(h, J), eta=eta, u=u))
+        assert min(margins) >= quadrature.TAIL_DROP - 1e-12 * (quadrature.TAIL_DROP + N * J)
 
     def test_requires_positive_coupling(self):
         with pytest.raises(ValueError):

@@ -2,23 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
 
-from imd import quadrature
 from imd.exact import SmoothedDensity
 from imd.laplace import gaussian_rep_log_partition
 from imd.phase import classify
-from imd.quadrature import (
-    N_PROBE,
-    IntegrationDomainError,
-    log_integral,
-    peaked_components,
-)
+from imd.quadrature import IntegrationDomainError, log_integral
 from imd.thermo import ModelParams
-
-from oracles import loop_pieces
 
 
 class TestLogIntegral:
@@ -37,57 +27,29 @@ class TestLogIntegral:
             log_integral(lambda x: -x * x, 1.0, 1.0)
 
 
-class TestWindowTools:
-    def test_components_detect_non_decay(self):
-        # a flat integrand fills every expanded window up to its edges
-        with pytest.raises(IntegrationDomainError):
-            peaked_components(lambda x: np.zeros_like(x), -1.0, 1.0, drop=10.0)
-
-    def test_components_reject_unresolvable_peak(self):
-        # at 1e300 a drop of 80 is below one ulp, so no point is above the cut
-        with pytest.raises(IntegrationDomainError, match="super-level set is empty"):
-            peaked_components(lambda x: 1e300 - x * x, -1.0, 1.0)
-
-    def test_components_of_bimodal_integrand(self):
-        # two sharp wells separated by a deep barrier
-        def log_f(x):
-            return np.maximum(-200.0 * (x - 1.0) ** 2, -200.0 * (x + 1.0) ** 2)
-
-        pieces = peaked_components(log_f, -2.0, 2.0, drop=60.0)
-        assert len(pieces) == 2
-        (a1, b1), (a2, b2) = pieces
-        assert a1 < -1.0 < b1 < a2 < 1.0 < b2
-        total = math.exp(
-            np.logaddexp(log_integral(log_f, a1, b1), log_integral(log_f, a2, b2))
-        )
-        assert abs(total - 2.0 * math.sqrt(math.pi / 200.0)) < 1e-12
-
-    def test_components_expand_beyond_initial_window(self):
-        pieces = peaked_components(lambda x: -0.5 * (x - 30.0) ** 2, -1.0, 1.0, drop=40.0)
-        assert len(pieces) == 1
-        lo, hi = pieces[0]
-        assert lo < 30.0 - 8.0 and hi > 30.0 + 8.0
-
-
 class TestPanelSchedule:
-    """The doubling runs 4, 8, ..., 65 536 panels: the package's integrands
-    stop at the first pair, and a stalled one only after the last level."""
+    """The doubling runs 4, 8, ..., 65 536 panels: the Gaussian
+    representation's lobes stop at the first pair, the smoothed density's
+    one domain, [-delta, 1 + delta] in y around a peak of width about
+    N^-1/2, at one more level per decade of N from 1e3, and a stalled
+    integrand only after the last level."""
 
     @staticmethod
     def assert_first_pair(levels):
         # every integral ends at (4, 8): 3 * 4 * 24 = 288 nodes per piece
         assert levels and levels == [4, 8] * (len(levels) // 2)
 
-    @pytest.mark.parametrize("n", [1000, 10000])
-    def test_smoothed_normalizer_converges_at_first_pair(self, panels, n):
+    @pytest.mark.parametrize("n, levels", [(1000, [4, 8, 16]), (10000, [4, 8, 16, 32])],
+                             ids=["1000", "10000"])
+    def test_smoothed_normalizer_converges_at_first_pair(self, panels, n, levels):
         # the benchmark's rescaled densities (eta = 0.5, u = m*) integrate to
-        # one in x, which checks the closed-form normalizer's eta log N too
+        # one in x, which checks the closed-form normalizer's eta log N too;
+        # their closed-form domain is about N^eta wide, so they take the
+        # measured levels past the first pair
         params = ModelParams(0.0, 1.0)
         sd = SmoothedDensity(n, params, eta=0.5, u=classify(params).maximizers[0])
-        pieces = peaked_components(sd.log_analytic, -1.0, 1.0)
-        log_mass = np.logaddexp.reduce([log_integral(sd.log_analytic, a, b) for a, b in pieces])
-        assert abs(log_mass) < 1e-10
-        self.assert_first_pair(panels)
+        assert abs(log_integral(sd.log_analytic, *sd.integration_domain())) < 1e-10
+        assert panels == levels
 
     def test_gaussian_representation_converges_at_first_pair(self, panels):
         # criterion 3's 18 (N, h) cases, one or two lobes each
@@ -106,41 +68,3 @@ class TestPanelSchedule:
                            match=r"last 3 doublings: 1\.0e-09, 1\.0e-09, 1\.0e-09$"):
             log_integral(log_f, -12.0, 12.0)
         assert panels == [4 * 2**k for k in range(15)]  # up to 65 536
-
-
-def _runs_mask(start, runs):
-    """A probe mask of N_PROBE points: False up to start, then alternating
-    runs of True and False of the given lengths, cut at N_PROBE."""
-    mask = np.zeros(N_PROBE, dtype=bool)
-    at, inside = start, True
-    for length in runs:
-        mask[at:at + length] = inside
-        at, inside = at + length, not inside
-    return mask
-
-
-class TestPieceSplit:
-    """The vectorized split of the super-level set into pieces returns the
-    floats of the index-by-index walk (oracles.loop_pieces)."""
-
-    @given(st.integers(0, N_PROBE - 1),
-           st.lists(st.integers(1, 40) | st.integers(1, N_PROBE), min_size=1, max_size=60))
-    # one point at either edge of the grown window, and at the grid ends
-    @example(1, [1])
-    @example(N_PROBE - 2, [1])
-    @example(0, [1])
-    @example(N_PROBE - 1, [1])
-    # sets reaching either edge after growth: indices 1.. and ..N_PROBE - 2
-    @example(1, [5, 3, 7])
-    @example(N_PROBE - 9, [3, 2, 3])
-    # gaps of one point, every other point, and the full width
-    @example(10, [4, 1, 4, 1, 4])
-    @example(0, [1] * N_PROBE)
-    @example(0, [N_PROBE])
-    def test_matches_index_walk(self, start, runs):
-        mask = _runs_mask(start, runs)
-        xs = np.linspace(-3.0, 5.0, N_PROBE)
-        idx = np.flatnonzero(mask)
-        got, ref = quadrature._pieces(xs, idx), loop_pieces(xs, idx)
-        assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in ref]
-        assert all(type(x) is np.float64 for piece in got for x in piece)
