@@ -1,16 +1,15 @@
-"""Deterministic, optionally threaded mapping over independent work items.
+"""The IMD_THREADS thread cap.
 
 The environment variable IMD_THREADS (a positive integer) caps the thread
-count; unset it defaults to 1, i.e. plain sequential evaluation.  Results are
-always returned in submission order, so output never depends on scheduling.
+count; unset it defaults to 1.  No computation in the package runs threads;
+the benchmark worker records the value with each run.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["thread_count", "parallel_map"]
+__all__ = ["thread_count"]
 
 
 def thread_count() -> int:
@@ -25,11 +24,3 @@ def thread_count() -> int:
         raise ValueError(f"IMD_THREADS must be a positive integer, got {raw!r}")
     return n
 
-
-def parallel_map(fn, items):
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))

@@ -24,8 +24,6 @@ import csv
 import math
 from dataclasses import astuple, dataclass, fields
 
-import numpy as np
-
 from ._brent import brentq
 from .thermo import (ModelParams, _maximum_roots, _spinodal, consistency_roots, g, g_derivative,
                      tilde_p)
@@ -260,10 +258,11 @@ def _equal_height_field(J: float, h_center: float, width: float):
 
     The gap ptilde(m2) - ptilde(m1) increases strictly in h (its h-derivative
     is m2 - m1 > 0 by the envelope theorem), so a sign-bracketing bisection is
-    exact; the initial bracket is grown inside the two-maxima window, halving
-    the step whenever a probe loses one maximum.  Every field's gap is
-    computed once and kept with the field; each probe's walks start from
-    the maxima of the last probe that found two.
+    exact.  The bracket starts at (h_center, width), or, where that field has
+    one maximum, at the closed-form spinodal window's centre and half-width.
+    It grows inside the window, halving the step whenever a probe loses one
+    maximum.  Each field's gap is computed once; each probe's walks start
+    from the maxima of the last probe that found two.
     """
     hints = ()
 
@@ -275,23 +274,15 @@ def _equal_height_field(J: float, h_center: float, width: float):
 
     probe = gap_at(h_center)
     if probe is None:
-        # walk the center into the two-maxima region
-        for h in (h_center + np.linspace(-width, width, 41)).tolist():
-            probe = gap_at(h)
-            if probe is not None:
-                h_center = h
-                break
-        else:
-            # near J_c the window is narrower than the probe spacing
-            h_lo, h_hi = _spinodal_window(J)
-            h_center, width = 0.5 * (h_lo + h_hi), 0.5 * (h_hi - h_lo)
-            probe = gap_at(h_center)
-            if probe is None:
-                raise ValueError(
-                    f"no two-maxima window resolved at J={J}: the window "
-                    f"[{h_lo:.17g}, {h_hi:.17g}] is too narrow for double "
-                    f"precision (J is too close to J_c)"
-                )
+        h_lo, h_hi = _spinodal_window(J)
+        h_center, width = 0.5 * (h_lo + h_hi), 0.5 * (h_hi - h_lo)
+        probe = gap_at(h_center)
+        if probe is None:
+            raise ValueError(
+                f"no two-maxima window resolved at J={J}: the window "
+                f"[{h_lo:.17g}, {h_hi:.17g}] is too narrow for double "
+                f"precision (J is too close to J_c)"
+            )
     gap0 = probe[0]
 
     def grow(direction):
@@ -360,7 +351,8 @@ def _weights(lambda1: float, m1: float, lambda2: float, m2: float) -> tuple[floa
 
 def trace_gamma(J_values) -> list[GammaPoint]:
     """Locate h = gamma(J) for each J > J_c by equal-height bisection, using
-    continuation in increasing J to seed each bracket."""
+    continuation in increasing J to seed each bracket.  Each distinct J is
+    solved once, so equal J values in one call get the same point."""
     J_list = [float(J) for J in J_values]
     crit = find_critical_point()
     for J in J_list:
@@ -368,17 +360,15 @@ def trace_gamma(J_values) -> list[GammaPoint]:
             raise ValueError(
                 f"no coexistence below the critical coupling: J={J} <= J_c={crit.J_c:.6f}"
             )
-    order = np.argsort(J_list)
-    results: dict[int, GammaPoint] = {}
+    results: dict[float, GammaPoint] = {}
     h_seed, width = crit.h_c, 0.02
-    for idx in order:
-        J = J_list[idx]
+    for J in sorted(set(J_list)):
         h, ((m1, lambda1), (m2, lambda2)) = _equal_height_field(J, h_seed, width)
         rho1, rho2 = _weights(lambda1, m1, lambda2, m2)
-        results[idx] = GammaPoint(J=J, h=h, m1=m1, m2=m2, lambda1=lambda1, lambda2=lambda2,
-                                  rho1=rho1, rho2=rho2)
+        results[J] = GammaPoint(J=J, h=h, m1=m1, m2=m2, lambda1=lambda1, lambda2=lambda2,
+                                rho1=rho1, rho2=rho2)
         h_seed, width = h, max(0.01, abs(h - crit.h_c) * 0.5)
-    return [results[i] for i in range(len(J_list))]
+    return [results[J] for J in J_list]
 
 
 def mixture_ratio_closed_form(point: GammaPoint) -> float:

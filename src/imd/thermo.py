@@ -144,6 +144,13 @@ def _g_rational(e, sqrt):
     return 2.0 / (1.0 + sqrt(1.0 + 4.0 * e))
 
 
+def _g_prime_rational(e, sqrt):
+    """g' from e = e^{-2h}: with r = sqrt(1 + 4e) and g = 2/(1 + r),
+    2g(1-g)/(2-g) reduces to 4e / (1 + 4e + r(1 + 2e)), free of cancellation."""
+    t = 1.0 + 4.0 * e
+    return 4.0 * e / (t + sqrt(t) * (1.0 + 2.0 * e))
+
+
 def _g_deep(eh, sqrt):
     """g from eh = e^h."""
     return eh * (sqrt(eh * eh + 4.0) - eh) / 2.0
@@ -199,12 +206,21 @@ def g_derivative(h, k=1):
     g' = 2g(1-g)/(2-g) =: G(g); then g'' = G'(g) g' and
     g''' = G''(g) g'^2 + G'(g) g'' with
     G'(g) = 2 (g^2 - 4g + 2)/(2-g)^2 and G''(g) = -8/(2-g)^3.
+    For h > 0, g' comes from e = e^{-2h} (_g_prime_rational), since 1 - g
+    formed from g rounds to 0 from h ~ 19.  g'' and g''' keep that form: the
+    critical point's brentq reads g'' at x = 3, and its bits follow.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
-    gg = g(h)
+    a = _checked(h, "h")
+    if k == 1 and isinstance(a, float) and a > 0.0:
+        return _g_prime_rational(float(np.exp(-2.0 * a)), math.sqrt)
+    gg = g(a)
     d1 = 2.0 * gg * (1.0 - gg) / (2.0 - gg)
     if k == 1:
+        if not isinstance(a, float):
+            d1 = np.where(a > 0.0, _g_prime_rational(np.exp(-2.0 * np.maximum(a, 0.0)), np.sqrt),
+                          d1)
         return _scalar_like(h, d1)
     G1 = 2.0 * (gg * gg - 4.0 * gg + 2.0) / (2.0 - gg) ** 2
     d2 = G1 * d1

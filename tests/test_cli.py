@@ -119,7 +119,7 @@ class TestGammaCommand:
                                "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "49ba29a86b328364b57d0c3a2166c917346e0374008140ff41fbcf5fec327374")
+            "d337654185b11ee22cfaa8110d07fa016a291131866221a5bb1d0c30b541bc12")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "gamma", "--jmin", "2.0", "--jmax", "3.0", "--steps", "2")
@@ -612,9 +612,3 @@ class TestThreadCap:
         monkeypatch.setenv("IMD_THREADS", "soup")
         with pytest.raises(ValueError):
             thread_count()
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        from imd.parallel import parallel_map
-
-        monkeypatch.setenv("IMD_THREADS", "3")
-        assert parallel_map(lambda x: x * x, range(7)) == [x * x for x in range(7)]

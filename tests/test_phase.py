@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from imd import phase
 from imd.cli import EXIT_DOMAIN, EXIT_OK, main
+from imd.limits import Gaussian
 from imd.phase import (
     CriticalPoint,
     NearDegenerateError,
@@ -33,14 +34,14 @@ from oracles import fixed_point_density
 CRITERION_9_GRID = [1.5, 1.6, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0,
                     40.0, 50.0]
 CRITERION_9_H = [
-    "-0x1.67b6654698f76p-2", "-0x1.77696f661f660p-2", "-0x1.91c2311980906p-2",
-    "-0x1.a6b99a4a248adp-2", "-0x1.cad477cc92ce8p-2", "-0x1.e01b3cf0fb2b5p-2",
-    "-0x1.f46c75ddefb1ap-2", "-0x1.fbc67a88fea3fp-2", "-0x1.ff6eae8c6e705p-2",
-    "-0x1.fff8c7b36979ep-2", "-0x1.fffff38c746b6p-2", "-0x1.ffffffea85c22p-2",
-    "-0x1.ffffffffffbfcp-2", "-0x1.0000000000004p-1", "-0x1.0000000000004p-1",
+    "-0x1.67b6654698f88p-2", "-0x1.77696f661f672p-2", "-0x1.91c231198092ep-2",
+    "-0x1.a6b99a4a248b4p-2", "-0x1.cad477cc92cf2p-2", "-0x1.e01b3cf0fb2c1p-2",
+    "-0x1.f46c75ddefb08p-2", "-0x1.fbc67a88fea50p-2", "-0x1.ff6eae8c6e715p-2",
+    "-0x1.fff8c7b3697aep-2", "-0x1.fffff38c746c6p-2", "-0x1.ffffffea85c32p-2",
+    "-0x1.ffffffffffc0cp-2", "-0x1.fffffffffffc9p-2", "-0x1.fffffffffffc9p-2",
 ]
 # sha256 of every field of those 15 points, float.hex, comma-joined
-CRITERION_9_DIGEST = "f29a9e00ae8dddf4dd765cb9a175c41d2beaa58bed638ce1dd2f824504a0bddc"
+CRITERION_9_DIGEST = "6a5df5aec1bf3186dec9f12e226623419759639f04cecbbda541c96ae5d84962"
 # J - J_c = 1e-6 with h in the middle of the two-maxima window: the three
 # stationary points share one cell of the 401-point grid
 NARROW_WINDOW = (-0.34411337480261517, 1.4571077811865474)
@@ -203,8 +204,8 @@ class TestTraceGamma:
 
     def test_grid_walks_each_field_once(self, monkeypatch):
         # the probe, the bracket walk, the bisection and the returned point
-        # share their walks: no (h, J) is walked twice (673 walks, 643
-        # fields, when each step recomputed what the one before had found)
+        # share their walks: no (h, J) is walked twice (632 walks; 673 when
+        # each step recomputed what the one before had found)
         walks = []
         maximum_roots = phase._maximum_roots
 
@@ -218,8 +219,10 @@ class TestTraceGamma:
 
     def test_grid_within_its_evaluation_count(self, monkeypatch):
         # g's scalar route evaluates r for every walk of criterion 9's grid:
-        # 11 943 times when each probe starts from the last probe's maxima
-        # and brentq is handed its cells' end residuals (19 824 without)
+        # 11 138 times when each probe starts from the last probe's maxima,
+        # brentq is handed its cells' end residuals (19 824 without), a seed
+        # field outside the two-maxima window goes straight to the spinodal
+        # window, and g' at positive fields is taken from e^{-2h} alone
         from imd import thermo
 
         fields = []
@@ -231,7 +234,7 @@ class TestTraceGamma:
 
         monkeypatch.setattr(thermo, "_g_scalar", counted)
         trace_gamma(CRITERION_9_GRID)
-        assert len(fields) <= 11943
+        assert len(fields) <= 11138
 
     def test_bisection_evaluates_only_value_and_curvature(self, monkeypatch):
         # each bisection step needs ptilde'' at the roots and ptilde at the
@@ -294,8 +297,9 @@ class TestTraceGamma:
         assert gaps2 == sorted(gaps2, reverse=True)
 
     def test_near_critical_gap_follows_square_root_law(self, critical):
-        # the 41-point probe misses these windows; the spinodal window seeds
-        # them.  Quartic normal form: m2 - m1 ~ 2 sqrt(12 (J - J_c) / |lambda_c|)
+        # the seed field h_c lies outside these windows; the closed-form
+        # spinodal window seeds them.  Quartic normal form:
+        # m2 - m1 ~ 2 sqrt(12 (J - J_c) / |lambda_c|)
         law = 2.0 * math.sqrt(12.0 / -LAMBDA_C)
         ratios = []
         for d in (1e-4, 1e-5):
@@ -306,7 +310,7 @@ class TestTraceGamma:
         assert all(abs(r / law - 1.0) < 1e-3 for r in ratios)
 
     def test_near_critical_cli_trace(self, capsys):
-        # J - J_c = 2.9e-3 at the first point; the fixed probe used to miss it
+        # J - J_c = 2.9e-3 at the first point, seeded from the spinodal window
         assert main(["gamma", "--jmin", "1.46", "--jmax", "2", "--steps", "3"]) == EXIT_OK
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
@@ -341,8 +345,15 @@ class TestTraceGamma:
         points = trace_gamma([3.0, 2.0])
         assert points[0].J == 3.0 and points[1].J == 2.0
 
+    def test_duplicate_couplings_share_one_point(self):
+        # each distinct J is solved once, so repeats agree to the bit, and
+        # a repeat does not move the continuation seed of the J after it
+        points = trace_gamma([3.0, 2.0, 3.0, 2.0])
+        assert points[0] == points[2] and points[1] == points[3]
+        assert points[:2] == trace_gamma([3.0, 2.0])
+
     def test_points_carry_python_floats(self):
-        # the 41-point probe seeds from np.linspace on this grid
+        # J = 1.5 is seeded from the spinodal window, J = 2 by continuation
         for p in trace_gamma([1.5, 2.0]):
             fields = vars(p)
             assert all(type(v) is float for v in fields.values()), fields
@@ -398,6 +409,13 @@ class TestCltVariance:
     def test_degenerates_to_pure_derivative_at_zero_coupling(self):
         assert clt_variance(ModelParams(0.7, 0.0)) == g_derivative(0.7, 1)
         assert abs(clt_variance(ModelParams(0.7, 1e-8)) - g_derivative(0.7, 1)) < 1e-6
+
+    def test_saturated_field_keeps_a_positive_variance(self):
+        # g'(19) = 2e^{-38}(1 + O(e^{-38})): 1 - g formed from g read 0.0
+        # here, which the Gaussian limit rejects
+        var = clt_variance(ModelParams(19.0, 0.0))
+        assert abs(var / (2.0 * math.exp(-38.0)) - 1.0) < 1e-14
+        assert Gaussian(0.0, var).variance == var
 
     def test_diverges_approaching_critical_point(self):
         cp = find_critical_point()

@@ -45,7 +45,7 @@ TABLE_DIGESTS = {
     "clt_pure.csv": "7d1bd1f4ed18c53de47f0ee85a63444631c6aa5f913e03128ee827ce034e789d",
     "clt_unique.csv": "99f50e916e9ca6c238141140a5330ffba8c632a3fc49a21f461d5a7ff79e49eb",
     "critical_quartic.csv": "5bf3ede0cc422c97a31176ec4a79a3cb6779523228fa1388e5be5f10e1435ecd",
-    "coexistence_mixture.csv": "5f753b566371e671b683aa85cdb1f82d6ec0ad89fc7fb9e42dd115b5efa67753",
+    "coexistence_mixture.csv": "7230b082c1b3a3406b2073f99f4ecec943e638821c5191637af51b3416b2c5ee",
 }
 
 

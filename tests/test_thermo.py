@@ -184,6 +184,32 @@ class TestPureDensityDerivative:
         # it is ~2e-9, far from the 1e-15 of the saturated side
         assert abs(g_derivative(-20.0, 1)) < 1e-8
 
+    def test_first_derivative_within_4_ulps_of_mpmath(self):
+        # for h > 0, 1 - g formed from g cancels (g' read 0.0 from h ~ 19);
+        # with the form built on e^{-2h} there, g' holds a few ulps on
+        # all of |h| <= 30
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(50):
+            for h in FIELDS:
+                if abs(h) > 30.0:
+                    continue
+                e = mpmath.exp(-2 * mpmath.mpf(h))
+                gm = 2 / (1 + mpmath.sqrt(1 + 4 * e))
+                ref = 2 * gm * (1 - gm) / (2 - gm)
+                ulps = abs(mpmath.mpf(g_derivative(h, 1)) - ref) / math.ulp(float(ref))
+                worst = max(worst, float(ulps))
+        assert worst <= 4.0
+
+    def test_first_derivative_keeps_its_bits_for_nonpositive_fields(self):
+        # at h <= 0, 1 - g has no cancellation, and the critical point and
+        # gamma(2) were computed with g' formed from g
+        for h in FIELDS:
+            if h <= 0.0:
+                gg = g(h)
+                assert g_derivative(h, 1) == 2.0 * gg * (1.0 - gg) / (2.0 - gg)
+
     def test_second_derivative_vanishes_at_inflection(self):
         # g'' = 0 exactly where g^2 - 4g + 2 = 0, i.e. g = 2 - sqrt(2)
         h_star = 0.5 * math.log(2.0 * math.sqrt(2.0) - 2.0)
