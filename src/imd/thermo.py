@@ -21,7 +21,12 @@ walks the residual m - g((2m-1)J + h) piece by piece: the closed-form
 spinodal densities cut [0, 1] into at most three pieces on which the
 residual is monotone, so the signs at a piece's ends tell whether it holds
 a root, and a bisection over grid nodes (first those around any hinted
-roots) finds the cell that brentq solves.
+roots) finds the cell that brentq solves.  consistency_roots and
+variational_pressure take one ModelParams, whose walk runs on Python
+floats, or a sequence of them, which takes the lane route: each step of
+the walk for all rows at once in NumPy arrays, with brentq's lane-wise
+port.  Both routes do the same double operations, so a batch gives each
+row the scalar walk's bits, whatever the other rows are.
 The same limit is reproduced by the large-deviation route
 
     p(h, J) = sup_m [ (h - J) m + J m^2 - rate_function(m) ],
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import brentq
+from ._brent import brentq, brentq_lanes
 
 __all__ = [
     "ModelParams",
@@ -177,9 +182,14 @@ def g(h):
     a = _checked(h, "h")
     if isinstance(a, float):
         return _g_scalar(a)
-    val = np.where(a > _G_BRANCH, _g_rational(np.exp(-2.0 * np.maximum(a, _G_BRANCH)), np.sqrt),
-                   _g_deep(np.exp(np.minimum(a, _G_BRANCH)), np.sqrt))
-    return _scalar_like(h, val)
+    return _scalar_like(h, _g_array(a))
+
+
+def _g_array(a):
+    """g's array route on a finite float64 array, unchecked: the lane walk
+    calls it directly."""
+    return np.where(a > _G_BRANCH, _g_rational(np.exp(-2.0 * np.maximum(a, _G_BRANCH)), np.sqrt),
+                    _g_deep(np.exp(np.minimum(a, _G_BRANCH)), np.sqrt))
 
 
 def _log_one_minus_g_positive(h):
@@ -338,7 +348,8 @@ def _golden_maxima(f, lo, hi):
 
 # consistency walk: the grid whose cells bracket the roots, and Newton's
 # stopping residual
-_ROOT_GRID = np.linspace(0.0, 1.0, 401).tolist()
+_ROOT_NODES = np.linspace(0.0, 1.0, 401)
+_ROOT_GRID = _ROOT_NODES.tolist()
 _ROOT_TOL = 1e-13
 # the roots (3 +- 2 sqrt 2)/4 of the spinodal discriminant 16J^2 - 24J + 1
 _J_C = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
@@ -357,10 +368,10 @@ def _spinodal(J: float) -> tuple[tuple[float, float], ...]:
     return tuple((0.5 * math.log(m * m / (1.0 - m)), m) for m in (m_lo, m_hi))
 
 
-def _rounding_bound(h: float, J: float) -> float:
+def _rounding_bound(h, J):
     """A bound on the rounding error of the computed residual: the field
     (2m-1)J + h errs by at most 2^-53 (3J + |h|), g' <= 6 - 4 sqrt 2, and g
-    and the difference add a few ulps of 1."""
+    and the difference add a few ulps of 1.  Floats or arrays of them."""
     return 2.0**-52 * (3.0 + J + abs(h))
 
 
@@ -473,7 +484,133 @@ def _walk_roots(params: ModelParams, maxima_only: bool, hints=()) -> list[float]
     return out
 
 
-def consistency_roots(params: ModelParams) -> list[float]:
+def _opposite_lanes(ra, rb):
+    """_opposite, lane by lane."""
+    return ((ra < 0.0) & (rb > 0.0)) | ((rb < 0.0) & (ra > 0.0))
+
+
+def _lane_residual(m, h, J):
+    return m - _g_array((2.0 * m - 1.0) * J + h)
+
+
+def _lane_cells(h, J):
+    """The piece ends and the walk of _piece_roots for every row of the
+    float64 arrays h and J (J > 0) at once: the (row, m) of the roots found
+    at ends and nodes, and the (row, a, b, fa, fb) of the cells that brentq
+    solves."""
+    grid = _ROOT_NODES
+    # the ends 0, c-, c+, 1 of every row, the cuts outside (0, 1) left out;
+    # the cuts come from the scalar _spinodal (math.log), once per J
+    spinodal = {j: [x for x, _ in _spinodal(j)] or [math.nan] * 2 for j in set(J.tolist())}
+    x = np.array([spinodal[j] for j in J.tolist()]).reshape(-1, 2)
+    ends = np.zeros((J.size, 4))
+    ends[:, 1:3] = (x - h[:, None]) / (2.0 * J[:, None]) + 0.5
+    ends[:, 3] = 1.0
+    inside = np.ones(ends.shape, dtype=bool)
+    inside[:, 1:3] = (0.0 < ends[:, 1:3]) & (ends[:, 1:3] < 1.0)
+    er, col = np.nonzero(inside)
+    em = ends[er, col]
+    r_end = _lane_residual(em, h[er], J[er])
+    roots = [(er[r_end == 0.0], em[r_end == 0.0])]
+    # the monotone pieces: consecutive ends of one row
+    k = np.flatnonzero(er[:-1] == er[1:])
+    row, a, b, ra, rb = er[k], em[k], em[k + 1], r_end[k], r_end[k + 1]
+    lo = np.searchsorted(grid, a, side="right") - 1  # the nodes strictly inside
+    hi = np.searchsorted(grid, b, side="left")  # [a, b] are lo + 1 .. hi - 1
+    noise = 2.0 * _rounding_bound(h, J)[row]
+    cells = []
+
+    def at_nodes(i, nodes):
+        m = grid[nodes]
+        r = _lane_residual(m, h[row[i]], J[row[i]])
+        roots.append((row[i[r == 0.0]], m[r == 0.0]))
+        return m, r
+
+    # the walk-in from an end whose residual lies within noise of 0
+    while (i := np.flatnonzero((np.abs(ra) <= noise) & (hi - lo > 1))).size:
+        lo[i] += 1
+        m, r = at_nodes(i, lo[i])
+        c = _opposite_lanes(ra[i], r)
+        cells.append((row[i[c]], a[i[c]], m[c], ra[i[c]], r[c]))
+        a[i], ra[i] = m, r
+    while (i := np.flatnonzero((np.abs(rb) <= noise) & (hi - lo > 1))).size:
+        hi[i] -= 1
+        m, r = at_nodes(i, hi[i])
+        c = _opposite_lanes(r, rb[i])
+        cells.append((row[i[c]], m[c], b[i[c]], r[c], rb[i[c]]))
+        b[i], rb[i] = m, r
+    # the node bisection of the pieces whose ends differ in sign
+    pending = _opposite_lanes(ra, rb)
+    a_negative = ra < 0.0
+    while (i := np.flatnonzero(pending & (hi - lo > 1))).size:
+        mid = (lo[i] + hi[i]) // 2
+        m, r = at_nodes(i, mid)
+        pending[i[r == 0.0]] = False
+        up = (r != 0.0) & ((r < 0.0) == a_negative[i])
+        down = (r != 0.0) & ~up
+        lo[i[up]], a[i[up]], ra[i[up]] = mid[up], m[up], r[up]
+        hi[i[down]], b[i[down]], rb[i[down]] = mid[down], m[down], r[down]
+    cells.append((row[pending], a[pending], b[pending], ra[pending], rb[pending]))
+    return [np.concatenate(v) for v in zip(*roots)], [np.concatenate(v) for v in zip(*cells)]
+
+
+def _row_columns(row, n):
+    """For entries sorted by row in 0..n-1: the indices of every row's first
+    entry, then those of every row's second entry, and so on."""
+    place = np.arange(row.size) - np.searchsorted(row, np.arange(n))[row]
+    return [np.flatnonzero(place == j) for j in range(place.max(initial=-1) + 1)]
+
+
+def _lane_roots(h, J):
+    """_walk_roots(ModelParams(h[i], J[i]), False) for every row i of the
+    float64 arrays h and J at once, as (row, m) arrays sorted by row and
+    then by m.  Every step of the scalar walk is taken by all lanes in step
+    on the same double operations: the piece ends, the walk-in, the node
+    bisection, brentq (brentq_lanes), Newton and the merge."""
+    coupled = np.flatnonzero(J != 0.0)
+    hc, Jc = h[coupled], J[coupled]
+    (row, m), (crow, a, b, fa, fb) = _lane_cells(hc, Jc)
+    ch, cJ = hc[crow], Jc[crow]
+    solved = brentq_lanes(lambda x: _lane_residual(x, ch, cJ), a, b, xtol=1e-15, fa=fa, fb=fb)
+    row, m = np.concatenate([row, crow]), np.concatenate([m, solved])
+    i = np.arange(m.size)
+    for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
+        if not i.size:
+            break
+        x = (2.0 * m[i] - 1.0) * Jc[row[i]] + hc[row[i]]
+        r = m[i] - _g_array(x)
+        moving = ~(np.abs(r) < _ROOT_TOL)
+        i, x, r = i[moving], x[moving], r[moving]
+        d = 1.0 - 2.0 * Jc[row[i]] * g_derivative(x, 1)
+        moving = d != 0.0
+        i, r, d = i[moving], r[moving], d[moving]
+        with np.errstate(over="ignore"):
+            step = m[i] - r / d
+        step = np.where(0.0 > step, 0.0, step)  # min(max(step, 0.0), 1.0)
+        m[i] = np.where(1.0 < step, 1.0, step)
+    # at J = 0 the equation reads m = g(h)
+    uncoupled = np.flatnonzero(J == 0.0)
+    row = np.concatenate([uncoupled, coupled[row]])
+    m = np.concatenate([_g_array(h[uncoupled]), m])
+    order = np.lexsort((m, row))
+    row, m = row[order], m[order]
+    # merge each row's roots closer than 1e-9 to the last one kept
+    keep = np.zeros(row.size, dtype=bool)
+    last = np.full(h.size, -math.inf)
+    for i in _row_columns(row, h.size):
+        keep[i] = m[i] - last[row[i]] > 1e-9
+        last[row[i[keep[i]]]] = m[i[keep[i]]]
+    return row[keep], m[keep]
+
+
+def _lanes(params):
+    """The h and J of a sequence of ModelParams as float64 arrays."""
+    plist = list(params)
+    return (np.array([p.h for p in plist], dtype=np.float64),
+            np.array([p.J for p in plist], dtype=np.float64))
+
+
+def consistency_roots(params):
     """All solutions of m = g((2m-1)J + h) in [0, 1], in increasing order.
 
     The residual r(m) = m - g((2m-1)J + h) turns only at the spinodal
@@ -488,13 +625,27 @@ def consistency_roots(params: ModelParams) -> list[float]:
     zero of r at a piece end or at a node is a root, and roots closer than
     1e-9 are merged.  An end whose residual is within rounding noise of 0 is
     walked in node by node (_piece_roots), so the roots are those of a sign
-    scan over every node of the grid cut at c- and c+, to the bit.  r is
-    evaluated by g's scalar route only: the piece ends, at most 9 nodes per
-    bisection (2 if a hint, the gamma bisection's last maxima, hits the
-    cell; 2 more per hint if not) and brentq's inner points, as it is handed
-    the cell's end residuals.  At J = 0 the equation reads m = g(h).
+    scan over every node of the grid cut at c- and c+, to the bit.  For one
+    ModelParams r is evaluated by g's scalar route only: the piece ends, at
+    most 9 nodes per bisection (2 if a hint, the gamma bisection's last
+    maxima, hits the cell; 2 more per hint if not) and brentq's inner
+    points, as it is handed the cell's end residuals.  At J = 0 the
+    equation reads m = g(h).
+
+    A sequence of ModelParams takes the lane route and returns one list of
+    roots per row.  The cuts come from the scalar _spinodal (math.log, which
+    np.log does not match bit for bit), once per distinct J.  Every later
+    step runs on all rows in step with the scalar walk's double operations:
+    the residual at the piece ends, the walk-in, the node bisection,
+    brentq_lanes, Newton and the merge.  So each row's roots are those of
+    the one-row call, to the bit.
     """
-    return _walk_roots(params, maxima_only=False)
+    if isinstance(params, ModelParams):
+        return _walk_roots(params, maxima_only=False)
+    h, J = _lanes(params)
+    row, m = _lane_roots(h, J)
+    bounds = np.searchsorted(row, np.arange(h.size + 1)).tolist()
+    return [m[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
 
 
 def _maximum_roots(params: ModelParams, hints=()) -> list[float]:
@@ -519,14 +670,34 @@ def _maximum_roots(params: ModelParams, hints=()) -> list[float]:
     return _walk_roots(params, maxima_only=True, hints=hints)
 
 
-def variational_pressure(params: ModelParams) -> float:
+def variational_pressure(params):
     """Limiting pressure sup_m ptilde(m): the largest value of ptilde over the
     endpoints of [0, 1] and the consistency roots, where ptilde' vanishes.
     (The companion routine variational_pressure_via_rate maximizes a
     different functional with a derivative-free method, so the two suprema
     are independently computed.)
+
+    Takes one ModelParams (a float comes back) or a sequence of them (an
+    array of their sups).  A sequence takes consistency_roots' lane route
+    and evaluates ptilde once over every row's candidates; each row's sup
+    is the one-row call's, to the bit.
     """
-    return float(max(tilde_p(m, params) for m in (0.0, 1.0, *consistency_roots(params))))
+    if isinstance(params, ModelParams):
+        return float(max(tilde_p(m, params) for m in (0.0, 1.0, *consistency_roots(params))))
+    h, J = _lanes(params)
+    row, m = _lane_roots(h, J)
+    # ptilde at every row's candidates 0, 1 and its roots, in one pass
+    n = h.size
+    at = np.concatenate([np.arange(n), np.arange(n), row])
+    m = np.concatenate([np.zeros(n), np.ones(n), m])
+    value = -J[at] * m * m + p0((2.0 * m - 1.0) * J[at] + h[at])
+    # max() keeps the first of its largest values, so the candidates are
+    # taken in that order
+    sup = np.where(value[n:2 * n] > value[:n], value[n:2 * n], value[:n])
+    value = value[2 * n:]
+    for i in _row_columns(row, n):
+        sup[row[i]] = np.where(value[i] > sup[row[i]], value[i], sup[row[i]])
+    return sup
 
 
 def variational_pressure_via_rate(params):
@@ -541,22 +712,22 @@ def variational_pressure_via_rate(params):
     computed elementwise, so it does not depend on the other rows.
     """
     single = isinstance(params, ModelParams)
-    plist = [params] if single else list(params)
-    h = np.array([p.h for p in plist], dtype=np.float64)
-    J = np.array([p.J for p in plist], dtype=np.float64)
+    h, J = _lanes([params] if single else params)
 
-    def objective(h, J, m):
-        return (h - J) * m + J * m * m - rate_function(m)
+    def objective(h, J, m, rate):
+        return (h - J) * m + J * m * m - rate
 
-    sup = np.empty(len(plist))
+    rate = rate_function(_RATE_GRID)
+    sup = np.empty(h.size)
     brackets = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
-    for start in range(0, len(plist), _RATE_BLOCK):
+    for start in range(0, h.size, _RATE_BLOCK):
         block = slice(start, start + _RATE_BLOCK)
-        v = objective(h[block, None], J[block, None], _RATE_GRID)
+        v = objective(h[block, None], J[block, None], _RATE_GRID, rate)
         sup[block] = np.maximum(v[:, 0], v[:, -1])
         row, lo, hi = _local_maximum_brackets(v, _RATE_GRID)
         brackets.append((row + start, lo, hi))
     row, lo, hi = map(np.concatenate, zip(*brackets))
     hr, Jr = h[row], J[row]
-    np.maximum.at(sup, row, _golden_maxima(lambda m: objective(hr, Jr, m), lo, hi))
+    np.maximum.at(sup, row, _golden_maxima(lambda m: objective(hr, Jr, m, rate_function(m)),
+                                           lo, hi))
     return float(sup[0]) if single else sup

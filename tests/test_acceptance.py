@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from imd import exact, quadrature, verification
+from imd import exact, quadrature, thermo, verification
 from imd.cli import main
 
 
@@ -67,6 +67,16 @@ def test_criterion_5_builds_one_law_and_integral_per_size(monkeypatch):
     # nothing is kept from one call to the next
     assert verification.run_criterion(5).passed
     assert (len(integrals), len(laws)) == (6, 6)
+
+
+def test_criterion_10_solves_each_batch_in_one_call(monkeypatch):
+    # the 441-point grid and the five finite-N samples, each one batch of
+    # the lane route, which never runs the scalar walk
+    pressures = _counted(monkeypatch, thermo, "variational_pressure")
+    walks = _counted(monkeypatch, thermo, "_walk_roots")
+    assert verification.run_criterion(10).passed
+    assert [len(params) for params, in pressures] == [441, 5]
+    assert walks == []
 
 
 def test_criterion_2_enumerates_each_graph_once(monkeypatch):

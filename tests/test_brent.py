@@ -1,5 +1,6 @@
 """imd._brent.brentq against scipy.optimize.brentq, its oracle: the same bits
-on the library's own call sites and on random brackets, the same errors."""
+on the library's own call sites and on random brackets, the same errors; and
+its lane-wise port brentq_lanes against both, lane by lane."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from imd import phase, thermo
-from imd._brent import brentq
+from imd._brent import brentq, brentq_lanes
 from imd.thermo import ModelParams
 
 
@@ -159,3 +160,80 @@ def test_no_convergence_in_100_iterations_raises():
     with pytest.raises(RuntimeError, match="100 iterations"):
         brentq(step, 0.0, 1e300, xtol=5e-324)
     same(step, 0.0, 1e300, xtol=5e-324)
+
+
+def lanes_of(functions):
+    """One array function whose lane k is the scalar function functions[k]."""
+    return lambda x: np.array([f(float(xk)) for f, xk in zip(functions, x)])
+
+
+def lane_outcome(functions, a, b, **kw):
+    """brentq_lanes' roots as float.hex, or its error's type and message."""
+    try:
+        x = brentq_lanes(lanes_of(functions), np.array(a), np.array(b), **kw)
+        assert x.dtype == np.float64 and x.shape == (len(functions),)
+        return [float(v).hex() for v in x]
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+# (family, c, log10 s, log10 left, log10 right, whether a is the left end)
+lane = st.tuples(st.sampled_from(sorted(FAMILIES)), st.floats(min_value=-5.0, max_value=5.0),
+                 st.floats(min_value=-3.0, max_value=3.0),
+                 st.floats(min_value=-6.0, max_value=2.0),
+                 st.floats(min_value=-6.0, max_value=2.0), st.booleans())
+
+
+@settings(max_examples=80)
+@given(st.lists(lane, min_size=1, max_size=4), st.sampled_from([1e-15, 2e-12, 5e-324]))
+@example([("step", 1.234567, 0.0, 2.0, 2.0, False), ("cubic", 0.5, 0.0, -1.0, -1.0, True)],
+         5e-324)
+def test_lanes_are_scipy_per_lane(lanes, xtol):
+    # each lane's root is scipy's bits, with or without its end values
+    # handed over; a lane that scipy fails fails the call with one of the
+    # failing lanes' errors
+    functions = [FAMILIES[family](c, 10.0**log_s) for family, c, log_s, *_ in lanes]
+    a = [c - 10.0**left if forward else c + 10.0**right for _, c, _, left, right, forward in lanes]
+    b = [c + 10.0**right if forward else c - 10.0**left for _, c, _, left, right, forward in lanes]
+    expected = [outcome(scipy_brentq, f, ak, bk, xtol=xtol) for f, ak, bk in zip(functions, a, b)]
+    got = lane_outcome(functions, a, b, xtol=xtol)
+    errors = [out for out in expected if isinstance(out, tuple)]
+    if errors:
+        assert got in errors, (got, expected)
+        return
+    assert got == expected
+    fa, fb = ([f(x) for f, x in zip(functions, ends)] for ends in (a, b))
+    assert lane_outcome(functions, a, b, xtol=xtol, fa=fa, fb=fb) == got
+    # a lane's root does not depend on the other lanes
+    assert lane_outcome(functions[:1], a[:1], b[:1], xtol=xtol) == got[:1]
+
+
+def test_lanes_with_a_zero_at_an_end_return_that_end():
+    lanes = [lambda x: x, lambda x: x - 1.0, lambda x: x - 0.25]
+    x = brentq_lanes(lanes_of(lanes), np.zeros(3), np.ones(3))
+    assert x[0] == 0.0 and x[1] == 1.0
+    assert x.tolist() == [brentq(f, 0.0, 1.0) for f in lanes]
+
+
+def test_lanes_raise_the_scalar_errors():
+    def nan_above_half(x):
+        return math.nan if x > 0.5 else -1.0
+
+    def step(x):
+        return 1.0 if x > 1.234567 else -1.0
+
+    fine = (lambda x: x - 0.5, 0.0, 1.0)
+    cases = [
+        ((lambda x: x * x + 1.0, -1.0, 1.0), ValueError, "must have different signs"),
+        ((nan_above_half, 0.0, 1.0), ValueError, "NaN"),
+        ((step, 0.0, 1e300), RuntimeError, "100 iterations"),
+    ]
+    for (f, a, b), error, message in cases:
+        for lanes in ([(f, a, b)], [fine, (f, a, b)]):
+            functions, a_, b_ = zip(*lanes)
+            with pytest.raises(error, match=message):
+                brentq_lanes(lanes_of(functions), np.array(a_), np.array(b_), xtol=5e-324)
+            assert lane_outcome(functions, a_, b_, xtol=5e-324) == outcome(
+                brentq, f, a, b, xtol=5e-324)
+    with pytest.raises(ValueError, match="xtol too small"):
+        brentq_lanes(lanes_of([fine[0]]), np.zeros(1), np.ones(1), xtol=0.0)

@@ -494,7 +494,8 @@ class TestNumericFlags:
     @example(("laplace", ("N", "101"), ("h", -4.0)))  # left lobe outside the right's domain
     @example(("laplace", ("N", "100"), ("h", -6.0)))
     def test_every_value_gets_an_exit_code(self, drawn):
-        # --flag=value, so that argparse reads "-1e-05" as a value, not a flag
+        # --flag=value; test_negative_exponent_notation_is_a_value checks
+        # that a space-separated "-1e-05" reads the same
         command, *flags = drawn
         argv = [command] + [f"--{name}={value}" for name, value in flags]
         out, err = io.StringIO(), io.StringIO()
@@ -513,6 +514,25 @@ class TestNumericFlags:
                 gap = (float(log_quad) + 0.5 * math.log(int(n) / (2.0 * math.pi))
                        - log_partition_pure(int(n), h))
                 assert abs(gap) < 1e-8, (argv, row)
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--h", "-1e-05", "--J", "1"],
+        ["dist", "--N", "10", "--h", "0", "--J", "0", "--eta", "0.5", "--u", "-1E-2"],
+        ["laplace", "--N", "10,100", "--h", "-2.5e+1"],
+    ], ids=["phase", "dist", "laplace"])
+    def test_negative_exponent_notation_is_a_value(self, capsys, argv):
+        # a space-separated -1e-05 is the flag's value, and gives what
+        # --flag=-1e-05 gives
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        assert run_cli(capsys, argv[0], *joined) == (EXIT_OK, out, err)
+
+    def test_a_negative_non_number_is_still_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["phase", "--h", "-1e", "--J", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestNearCritical:

@@ -643,3 +643,79 @@ class TestRateRoute:
         lo, hi = tops - 0.0011, tops + 0.0009
         best = _golden_maxima(lambda m: -((m - tops) ** 2), lo, hi)
         assert np.all(-best < 1e-26)
+
+
+def _criterion_10_grid():
+    return [ModelParams(float(h), float(J))
+            for h in np.linspace(-1.0, 1.0, 21) for J in np.linspace(0.0, 3.0, 21)]
+
+
+def _near_critical_params():
+    """J - J_c from 1e-12 to 1e-1, fields across the spinodal window, around
+    it and within 1e-6 of its width from its edges, where the merge of
+    roots closer than 1e-9 acts (as at EDGE_MERGE), and some rows at J = 0."""
+    rng = np.random.default_rng(2018)
+    rows = [ModelParams(*EDGE_MERGE)]
+    edges = [t + d for t in (0.0, 1.0) for d in (-1e-6, -1e-7, 0.0, 1e-7, 1e-6)]
+    for dJ in 10.0 ** np.arange(-12.0, -0.5, 0.5):
+        J = thermo._J_C + dJ
+        lo, hi = phase._spinodal_window(J)
+        fields = [lo + t * (hi - lo) for t in [*np.linspace(-0.5, 1.5, 9), *edges]]
+        rows += [ModelParams(float(h), J) for h in [*fields, *(lo + rng.uniform(-0.05, 0.05, 4))]]
+    return rows + [ModelParams(float(h), 0.0) for h in (-30.0, -1.0, -0.0, 0.5, 30.0)]
+
+
+def _assert_batch_is_scalar(params):
+    """Both batch routes against the scalar walk, row by row, by float.hex."""
+    roots = consistency_roots(params)
+    sups = variational_pressure(params)
+    assert len(roots) == len(params) and sups.shape == (len(params),)
+    for p, row, sup in zip(params, roots, sups):
+        assert all(type(m) is float for m in row)
+        assert [m.hex() for m in row] == [m.hex() for m in consistency_roots(p)], p
+        assert float(sup).hex() == variational_pressure(p).hex(), p
+
+
+class TestLaneRoute:
+    @pytest.mark.parametrize("draws", [
+        _criterion_10_grid,
+        lambda: [ModelParams(h, J) for h, J in _cut_scan_draws()],
+        lambda: _seeded_params(31, 1000),
+        _near_critical_params,
+    ], ids=["criterion_10", "cut_scan", "seeded", "near_critical"])
+    def test_batch_is_the_scalar_walk(self, draws):
+        _assert_batch_is_scalar(draws())
+
+    @given(st.lists(st.tuples(finite_h, st.one_of(
+        st.floats(min_value=0.0, max_value=1e3),
+        st.floats(min_value=-12.0, max_value=-1.0).map(lambda e: thermo._J_C + 10.0**e),
+        st.just(0.0))), max_size=12))
+    def test_batch_is_the_scalar_walk_on_any_rows(self, rows):
+        _assert_batch_is_scalar([ModelParams(h, J) for h, J in rows])
+
+    def test_no_row_runs_the_scalar_walk(self, monkeypatch):
+        def scalar(*args, **kwargs):
+            raise AssertionError("the scalar walk ran")
+
+        grid = _criterion_10_grid() + _seeded_params(37, 100)
+        expected = consistency_roots(grid), variational_pressure(grid)
+        for name in ("_walk_roots", "_piece_roots", "brentq", "_g_scalar"):
+            monkeypatch.setattr(thermo, name, scalar)
+        roots, sups = consistency_roots(grid), variational_pressure(grid)
+        assert roots == expected[0] and sups.tolist() == expected[1].tolist()
+
+    def test_single_call_is_its_row_of_a_batch(self):
+        # the one-row batch is the scalar route's answer as well
+        grid = _seeded_params(41, 50)
+        roots, sups = consistency_roots(grid), variational_pressure(grid)
+        for k, params in enumerate(grid):
+            assert consistency_roots([params]) == [roots[k]] == [consistency_roots(params)]
+            assert variational_pressure([params]).tolist() == [float(sups[k])]
+        assert consistency_roots([]) == [] and variational_pressure([]).shape == (0,)
+
+    def test_prefixes_do_not_change_rows(self):
+        grid = [ModelParams(h, J) for h, J in _cut_scan_draws()[-120:]]
+        roots, sups = consistency_roots(grid), variational_pressure(grid)
+        for n in (1, 7, 60, 119):
+            assert consistency_roots(grid[:n]) == roots[:n]
+            assert variational_pressure(grid[:n]).tolist() == sups[:n].tolist()
