@@ -253,6 +253,36 @@ def stationary_count_mp(h, J, dps=30):
         return sum(pieces), pieces[0] + pieces[2]
 
 
+def height_gap_mp(h, J, x_seeds, dps=50):
+    """ptilde(m2) - ptilde(m1) at (h, J) to dps digits, where m1 < m2 are the
+    two maxima whose pure-model fields x = (2m-1)J + h lie near x_seeds.
+
+    Each field solves x = h - J + 2J g(x) (the consistency equation in x),
+    polished by findroot from its seed; p0 takes 1 - g from
+    4 e^{-2x} / (1 + sqrt(1 + 4 e^{-2x}))^2 for x > 0, so neither the
+    monomer-saturated maximum nor the sizes J of both pressures cost digits.
+    """
+    with mpmath.workdps(dps):
+        h, J = mpmath.mpf(h), mpmath.mpf(J)
+
+        def g(x):
+            e = mpmath.exp(-2 * x)
+            return 2 / (1 + mpmath.sqrt(1 + 4 * e))
+
+        def one_minus_g(x):
+            e = mpmath.exp(-2 * x)
+            return 4 * e / (1 + mpmath.sqrt(1 + 4 * e)) ** 2
+
+        def ptilde_at(x):
+            m = (x - h + J) / (2 * J)
+            q = one_minus_g(x)
+            return -J * m * m - q / 2 - mpmath.log(q) / 2
+
+        x1, x2 = (mpmath.findroot(lambda x: x - h + J - 2 * J * g(x), mpmath.mpf(x0))
+                  for x0 in x_seeds)
+        return ptilde_at(x2) - ptilde_at(x1)
+
+
 def cut_scan_consistency_roots(h, J):
     """A frozen copy of the consistency solver that scanned the whole grid:
     the 401-point grid cut at the spinodal densities, evaluated as one array,

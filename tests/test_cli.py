@@ -398,11 +398,13 @@ class TestRepresentableRange:
         (["phase", "--h", "1e308", "--J", "1e308"], "coupling J=1e+308"),
         (["phase", "--h", "1e308", "--J", "1"], "field h=1e+308"),
         (["gamma", "--jmin", "1e20", "--jmax", "1e20", "--steps", "1"], "coupling J=1e+20"),
+        (["gamma", "--jmin", "1e12", "--jmax", "1e12", "--steps", "1"],
+         "coupling J=1000000000000.0"),
         (["dist", "--N", "10", "--h", "1e308", "--J", "0"], "field h=1e+308"),
         (["dist", "--N", "10", "--h", "1e307", "--J", "0"], "N (|h| + 2J)"),
         (["dist", "--N", "10", "--h=-4e307", "--J", "0"], "N (|h| + 2J)"),
     ], ids=["J-1e20", "J-1e200", "both-5e307", "both-1e308", "h-1e308", "gamma-J-1e20",
-            "dist-h-1e308", "dist-Nh-1e308", "dist-Nh-4e308"])
+            "gamma-J-1e12", "dist-h-1e308", "dist-Nh-1e308", "dist-Nh-4e308"])
     def test_finite_inputs_beyond_the_range_name_it(self, argv, name):
         # each used to end in a traceback, a bare math error, "h must be
         # finite" or a RuntimeWarning; now one imd: line names the range
@@ -420,9 +422,10 @@ class TestRepresentableRange:
 
     @pytest.mark.parametrize("argv", [
         ["phase", "--h", "-0.5", "--J", repr(2.0**50)],
+        ["gamma", "--jmin", "1e5", "--jmax", "1e5", "--steps", "1"],
         ["phase", "--h", "4e307", "--J", "1"],
         ["dist", "--N", "10", "--h", "4.4e306", "--J", "0"],
-    ], ids=["J-2^50", "h-4e307", "dist-Nh-4.4e307"])
+    ], ids=["J-2^50", "gamma-J-1e5", "h-4e307", "dist-Nh-4.4e307"])
     def test_inputs_at_the_range_edge_answer(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \

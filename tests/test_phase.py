@@ -8,7 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import mpmath
+from hypothesis import given, settings, strategies as st
 
 from imd import phase
 from imd.cli import EXIT_DOMAIN, EXIT_OK, main
@@ -28,7 +29,7 @@ from imd.phase import (
 )
 from imd.thermo import ModelParams, g, g_derivative, tilde_p
 
-from oracles import fixed_point_density
+from oracles import fixed_point_density, height_gap_mp
 
 # criterion 9's grid and its coexistence fields, float.hex-pinned
 CRITERION_9_GRID = [1.5, 1.6, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0,
@@ -50,6 +51,52 @@ M_C = 2.0 - math.sqrt(2.0)
 J_C = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
 H_C = 0.5 * math.log(2.0 * math.sqrt(2.0) - 2.0) - 0.25
 LAMBDA_C = -(24.0 + 17.0 * math.sqrt(2.0)) / 2.0
+
+
+# scripts/phase_diagram.py's default curve: 59 couplings from J_c to 50,
+# denser near J_c
+PHASE_DIAGRAM_GRID = [J_C + (50.0 - J_C) * math.expm1(4.0 * i / 59) / math.expm1(4.0)
+                      for i in range(1, 60)]
+
+
+def traced_gamma(J_values, certify=True):
+    """trace_gamma's points as float.hex rows, and each walked probe as
+    (J, h, height gap or None).  With certify=False no probe certifies a
+    sign, so every bisection step is walked, as before the certificates."""
+    probes = []
+    height_gap = phase._height_gap
+
+    def recorded(params, hints=()):
+        found = height_gap(params, hints)
+        probes.append((params.J, params.h, None if found is None else found[0]))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phase, "_height_gap", recorded)
+        if not certify:
+            patch.setattr(phase, "_gap_margin", lambda h, J: math.inf)
+        points = trace_gamma(J_values)
+    return [[v.hex() for v in vars(p).values()] for p in points], probes
+
+
+def certified_against_walked(J_values):
+    """The number of bisection steps that the certificates decided, after
+    checking that the certified trace keeps every bit of the walked one and
+    that each skipped step's walk agrees with its certificate."""
+    rows, probes = traced_gamma(J_values)
+    walked_rows, walked_probes = traced_gamma(J_values, certify=False)
+    assert rows == walked_rows
+    skipped = {(J, h) for J, h, _ in walked_probes} - {(J, h) for J, h, _ in probes}
+    for J, h in skipped:
+        # the certificates of this J: walked probes whose gap is past the margin
+        gaps = [(f, gap) for J2, f, gap in probes if J2 == J and gap is not None]
+        neg = max((f for f, gap in gaps if gap < -phase._gap_margin(f, J)), default=-math.inf)
+        pos = min((f for f, gap in gaps if gap > phase._gap_margin(f, J)), default=math.inf)
+        assert h <= neg or h >= pos, (J, h)
+        found = phase._height_gap(ModelParams(h, J))
+        assert found is not None, (J, h)
+        assert abs(found[0]) >= 1e-15 and (found[0] < 0.0) == (h <= neg), (J, h, found[0])
+    return len(skipped)
 
 
 @pytest.fixture(scope="module")
@@ -203,9 +250,11 @@ class TestTraceGamma:
         assert hashlib.sha256(every.encode()).hexdigest() == CRITERION_9_DIGEST
 
     def test_grid_walks_each_field_once(self, monkeypatch):
-        # the probe, the bracket walk, the bisection and the returned point
-        # share their walks: no (h, J) is walked twice (632 walks; 673 when
-        # each step recomputed what the one before had found)
+        # the probe, the bracket walk, the Newton and certificate probes,
+        # the bisection and the returned point share their walks: no (h, J)
+        # is walked twice (200 walks; 632 before the certificates skipped
+        # the decided bisection steps, 673 when each step recomputed what
+        # the one before had found)
         walks = []
         maximum_roots = phase._maximum_roots
 
@@ -219,10 +268,12 @@ class TestTraceGamma:
 
     def test_grid_within_its_evaluation_count(self, monkeypatch):
         # g's scalar route evaluates r for every walk of criterion 9's grid:
-        # 11 138 times when each probe starts from the last probe's maxima,
-        # brentq is handed its cells' end residuals (19 824 without), a seed
-        # field outside the two-maxima window goes straight to the spinodal
-        # window, and g' at positive fields is taken from e^{-2h} alone
+        # 3 710 times when sign certificates skip the decided bisection
+        # steps (11 138 with every step walked), each probe starts from the
+        # last probe's maxima, brentq is handed its cells' end residuals
+        # (19 824 without), a seed field outside the two-maxima window goes
+        # straight to the spinodal window, and g' at positive fields is
+        # taken from e^{-2h} alone
         from imd import thermo
 
         fields = []
@@ -234,7 +285,7 @@ class TestTraceGamma:
 
         monkeypatch.setattr(thermo, "_g_scalar", counted)
         trace_gamma(CRITERION_9_GRID)
-        assert len(fields) <= 11138
+        assert len(fields) <= 3710
 
     def test_bisection_evaluates_only_value_and_curvature(self, monkeypatch):
         # each bisection step needs ptilde'' at the roots and ptilde at the
@@ -250,8 +301,9 @@ class TestTraceGamma:
         assert orders and set(orders) == {0, 2}
 
     def test_bisection_step_runs_two_brentq_solves(self, monkeypatch):
-        # inside the window a bisection step solves the two outer pieces
-        # only: two brentq calls, none for the middle root
+        # inside the window a walked probe solves the two outer pieces
+        # only: two brentq calls, none for the middle root; at J = 2 every
+        # walked probe lies inside it
         from imd import thermo
 
         probes = []
@@ -280,9 +332,8 @@ class TestTraceGamma:
             return brentq(*args, **kwargs)
 
         monkeypatch.setattr(thermo, "brentq", counted)
-        steps = fields[-40:]  # the tail of the bisection, about 43 steps long
-        assert len({p.h for p, _ in steps}) == len(steps)
-        for params, hints in steps:
+        assert len({p.h for p, _ in fields}) == len(fields) >= 10
+        for params, hints in fields:
             for start in ((), hints):
                 solves.clear()
                 assert phase._height_gap(params, start) is not None
@@ -371,6 +422,56 @@ class TestTraceGamma:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "J,h,m1,m2,lambda1,lambda2,rho1,rho2"
         assert len(lines) == 2
+
+    def test_coupling_range_ends_at_the_first_decade_past_1e_12(self):
+        # gamma(J) + 1/2 is below 1e-60 from J = 1e3 on, so each traced
+        # field's offset from -1/2 is its error
+        assert abs(trace_gamma([1e4])[0].h + 0.5) <= 1e-12
+        assert 1e-12 < abs(trace_gamma([1e5])[0].h + 0.5) <= 5e-12
+        above = math.nextafter(1e5, math.inf)
+        with pytest.raises(ValueError, match="outside the representable range of gamma"):
+            trace_gamma([2.0, above])
+
+
+class TestCertifiedBisection:
+    """Sign certificates skip the bisection steps whose outcome they fix;
+    each test compares with the bisection that walks every step."""
+
+    # a lone J near J_c is seeded from the spinodal window, a list by
+    # continuation; within about 1e-7 of J_c no certificate forms
+    @pytest.mark.parametrize("J_values, least", [
+        (CRITERION_9_GRID, 400),
+        (PHASE_DIAGRAM_GRID, 1500),
+        ([J_C + 10.0**-k for k in range(1, 9)], 0),
+        *(([J_C + 10.0**-k], 0) for k in range(1, 9)),
+        ([100.0, 300.0, 999.0, 1000.0, 1e4, 1e5], 30),
+    ], ids=["criterion-9", "phase-diagram", "near-critical",
+            *(f"J_c+1e-{k}" for k in range(1, 9)), "large-J"])
+    def test_keeps_every_bit(self, J_values, least):
+        assert certified_against_walked(J_values) >= least
+
+    @settings(max_examples=25)
+    @given(st.lists(st.floats(-7.0, 5.0), min_size=1, max_size=4))
+    def test_keeps_every_bit_on_sorted_lists(self, exponents):
+        J_values = sorted(min(J_C + 10.0**e, 1e5) for e in exponents)
+        certified_against_walked(J_values)
+
+    @pytest.mark.parametrize("J", [J_C + 1e-6, J_C + 1e-4, J_C + 1e-2, 2.0, 5.0, 10.0, 50.0,
+                                   100.0, 1e3, 1e4, 1e5])
+    def test_margin_is_four_times_the_gap_error(self, J):
+        # the computed height gap against a 50-digit one, at fields within
+        # 1e-9 of gamma(J); a field with one maximum has no gap to certify
+        h0 = trace_gamma([J])[0].h
+        for offset in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9):
+            h = h0 + offset
+            found = phase._height_gap(ModelParams(h, J))
+            if found is None:
+                assert offset != 0.0
+                continue
+            gap, ((m1, _), (m2, _)) = found
+            exact = height_gap_mp(h, J, [(2.0 * m - 1.0) * J + h for m in (m1, m2)])
+            error = float(abs(mpmath.mpf(gap) - exact))
+            assert error <= phase._gap_margin(h, J) / 4.0, (J, h, error)
 
 
 class TestMixtureWeights:

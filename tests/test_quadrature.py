@@ -41,7 +41,7 @@ class TestPanelSchedule:
 
     @pytest.mark.parametrize("n, levels", [(1000, [4, 8, 16]), (10000, [4, 8, 16, 32])],
                              ids=["1000", "10000"])
-    def test_smoothed_normalizer_converges_at_first_pair(self, panels, n, levels):
+    def test_smoothed_normalizer_takes_its_measured_levels(self, panels, n, levels):
         # the benchmark's rescaled densities (eta = 0.5, u = m*) integrate to
         # one in x, which checks the closed-form normalizer's eta log N too;
         # their closed-form domain is about N^eta wide, so they take the
