@@ -24,20 +24,24 @@ intervals around the valley between the phases, whose atoms lie more than
 finds each field's window on the atoms too, by one row-vectorized bisection
 for all its fields, since the J = 0 weights are log-concave in k.  Both
 reduce their windows through one windowed log-sum-exp, ``_logsumexp_rows``,
-over rows that are zero outside the window, which gives scipy's logsumexp
-over the full support bit for bit.
+which gives scipy's logsumexp over the full support bit for bit: its sums,
+like every other full-length sum of a law here, go through ``_padded_sum``,
+which walks NumPy's pairwise summation tree and reduces only the nodes that
+meet the windows, so they keep the bits of a sum over the zero-padded
+support without building it.
 
-One type, ``AtomLaw``, holds the law: its zero-padded probabilities, the
-window's intervals and a value column evaluated by atom index, the log
-weight here or the position of ``limits.scaled_law``, which reads the same
-atoms in increasing S through a reversed view.  Its one writer streams the
-atoms as CSV or JSON in chunks of _CSV_ROWS, evaluating the columns chunk
-by chunk, so writing a law takes O(_CSV_ROWS) memory beyond its
-probabilities.  The CSV cells have the bytes of %d and %.17g and come from
-a NumPy kernel, ``_cells``: every finite non-zero float, subnormals included,
-from its 17 correctly rounded digits, taken from a double-double table of
-powers of ten by Dekker's product, and zeros, infinities, NaN and the rare
-cell within the table's error bound of a rounding tie from Python's %.17g.
+One type, ``AtomLaw``, holds the law: one probability array per window
+interval, and a value column evaluated by atom index, the log weight here
+or the position of ``limits.scaled_law``, which reads the same atoms in
+increasing S through reversed views.  Its full-support ``probabilities``
+are built only on first read.  Its one writer streams the atoms as CSV or
+JSON in chunks of _CSV_ROWS, evaluating the columns chunk by chunk, so
+writing a law takes O(_CSV_ROWS) memory beyond its windows.  The CSV cells
+have the bytes of %d and %.17g and come from a NumPy kernel, ``_cells``:
+every finite non-zero float, subnormals included, from its 17 correctly
+rounded digits, taken from a double-double table of powers of ten by
+Dekker's product, and zeros, infinities, NaN and the rare cell within the
+table's error bound of a rounding tie from Python's %.17g.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 import bisect
 import copy
 import functools
+import itertools
 import json
 import math
 
@@ -75,13 +80,13 @@ def matching_count_log(N: int, k) -> float:
     kk = np.asarray(k)
     if np.any((kk < 0) | (2 * kk > N)):
         raise ValueError(f"dimer count k must satisfy 0 <= k <= N/2, got k={k}, N={N}")
-    val = (
-        gammaln(N + 1.0)
-        - gammaln(N - 2.0 * kk + 1.0)
-        - kk * math.log(2.0)
-        - gammaln(kk + 1.0)
-    )
+    val = _log_matchings(N, kk)
     return float(val) if np.ndim(k) == 0 else val
+
+
+def _log_matchings(N: int, k):
+    """matching_count_log at dimer counts k known to lie in [0, N/2]."""
+    return gammaln(N + 1.0) - gammaln(N - 2.0 * k + 1.0) - k * math.log(2.0) - gammaln(k + 1.0)
 
 
 # atoms per chunk in AtomLaw.write: at 16 384 the CSV kernel's temporaries
@@ -95,33 +100,39 @@ class AtomLaw:
 
     The atoms are read by an index i: in increasing k (k = i) for the
     monomer law, or in increasing S (k = N//2 - i) for a scaled law, one with
-    ``eta`` and ``u``.  ``probabilities`` holds every atom's probability in
-    that order, and is zero outside the ``windows``, one or two increasing
-    intervals [a, b) of indices; at coexistence the valley between two
-    intervals holds probability 0.  ``values_at(i)`` gives the value column
-    at indices i: the log weight of the monomer law, or the position
-    (S - N u)/N^eta of a scaled law.  ``values`` (``log_weights``,
-    ``positions``) evaluates it at every atom on first read.  Moments are
-    those of S for the monomer law and of the position for a scaled law, over
-    the hull of the windows.
+    ``eta`` and ``u``.  ``windows`` holds one or two increasing intervals
+    [a, b) of indices and ``parts`` the probabilities on each; every other
+    atom has probability 0, and at coexistence the valley between two
+    intervals holds probability 0.  ``probabilities``, every atom's
+    probability in that order, is built from them on first read.
+    ``values_at(i)`` gives the value column at indices i: the log weight of
+    the monomer law, or the position (S - N u)/N^eta of a scaled law.
+    ``values`` (``log_weights``, ``positions``) evaluates it at every atom on
+    first read.  Moments are those of S for the monomer law and of the
+    position for a scaled law, over the hull of the windows.
     """
 
-    def __init__(self, N: int, params: ModelParams, log_Z: float, probabilities,
-                 windows, values_at, eta: float | None = None, u: float | None = None):
+    def __init__(self, N: int, params: ModelParams, log_Z: float, parts, windows,
+                 values_at, eta: float | None = None, u: float | None = None):
         self.N = N
         self.params = params
         self.log_Z = log_Z
-        self.probabilities = probabilities
+        self.parts = parts
         self.windows = windows
         self.values_at = values_at
         self.eta = eta
         self.u = u
+        self.size = N // 2 + 1
         self._values = None
+
+    @functools.cached_property
+    def probabilities(self):
+        return _padded(self.parts, self.windows, 0, self.size)
 
     @property
     def values(self):
         if self._values is None:
-            self._values = self.values_at(np.arange(len(self.probabilities)))
+            self._values = self.values_at(np.arange(self.size))
         return self._values
 
     log_weights = positions = values
@@ -131,7 +142,7 @@ class AtomLaw:
 
     @property
     def k_values(self):
-        return self._k(np.arange(len(self.probabilities)))
+        return self._k(np.arange(self.size))
 
     @property
     def s_values(self):
@@ -143,7 +154,8 @@ class AtomLaw:
         law) or the positions (a scaled law) there."""
         lo, hi = self.windows[0][0], self.windows[-1][1]
         i = np.arange(lo, hi)
-        return self.probabilities[lo:hi], self.N - 2 * i if self.eta is None else self.values_at(i)
+        return (_padded(self.parts, self.windows, lo, hi),
+                self.N - 2 * i if self.eta is None else self.values_at(i))
 
     def mean(self) -> float:
         p, x = self._hull()
@@ -159,7 +171,7 @@ class AtomLaw:
     def write(self, fh, fmt: str = "csv") -> None:
         """Write the atoms to fh as CSV (fmt "csv") or JSON (fmt "json"), in
         chunks of _CSV_ROWS atoms, so memory stays O(_CSV_ROWS) beyond the
-        probabilities whatever the number of atoms.
+        windows' probabilities whatever the number of atoms.
 
         CSV: one atom per row, ``k,S,<value name>,probability``.  Integers
         are written in full and floats with 17 significant digits (``%.17g``,
@@ -179,16 +191,23 @@ class AtomLaw:
         weights (the monomer law) or eta, u and the positions (a scaled law),
         and the probabilities.  Keys go out sorted and each column chunk by
         chunk through json's own encoder, so floats are their ``repr`` and
-        non-finite values read ``NaN``, ``Infinity`` and ``-Infinity``.
+        non-finite values read ``NaN``, ``Infinity`` and ``-Infinity``; the
+        probability chunks are built from the windows, zero between them.
+
+        The log weights carry the error of their gammaln terms, of order
+        2e-16 N log N (ROADMAP item 11): measured against 50-digit mpmath,
+        the probabilities are off by up to 1.6e-11 relative at N = 1e4,
+        2.7e-9 at 1e6 and 2.1e-8 at 1e7, so of the 17 digits written about
+        8 or 9 hold at N = 1e6.
 
         ValueError for any other fmt, before anything is written.
         """
         if fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-        n = len(self.probabilities)
+        n = self.size
         name = "log_weight" if self.eta is None else "position"
         columns = {"k": self._k, "S": lambda i: self.N - 2 * self._k(i), name: self.values_at,
-                   "probability": self.probabilities.__getitem__}
+                   "probability": lambda i: _padded(self.parts, self.windows, i[0], i[0] + len(i))}
         if fmt == "json":
             fields = {"N": self.N, "h": self.params.h, "J": self.params.J}
             if self.eta is None:
@@ -223,7 +242,7 @@ class AtomLaw:
                 cells = [columns[key](i) for key in ("k", "S", name)]
                 # a zero run's probabilities are the constant end ",0"
                 if run % 2:
-                    fh.write(_cells.csv_rows(cells + [self.probabilities[i]]))
+                    fh.write(_cells.csv_rows(cells + [self.parts[run // 2][i - a]]))
                 else:
                     fh.write(_cells.csv_rows(cells, ",0\r\n"))
 
@@ -232,7 +251,7 @@ def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:
     """log w_k at dimer counts k; between atoms, the gammaln interpolation."""
     m = (N - 2.0 * k) / N
     return (
-        matching_count_log(N, k)
+        _log_matchings(N, k)
         - k * math.log(N)
         + N * ((params.h - params.J) * m + params.J * m * m)
     )
@@ -311,12 +330,17 @@ def _window(N: int, params: ModelParams) -> list[tuple[int, int, np.ndarray]]:
 def monomer_law(N: int, params: ModelParams) -> AtomLaw:
     """Construct the exact monomer-count law for system size N.
 
-    The log weights go into a full-support buffer, zero outside the window's
-    one or two intervals, that _logsumexp_rows reduces to log Z; the
-    probabilities are normalized over it too, so NumPy's pairwise summation
-    sees the full-support layout and every bit is as there, while only the
-    window's pages are written.  ValueError unless N (|h| + 2J), a bound on
-    the log weights N [(h - J) m + J m^2], is at most thermo._H_MAX.
+    The law holds one array per window interval, O(window) memory and time
+    whatever N.  log Z and the normalization are reduced by
+    _logsumexp_rows and _padded_sum over the windows alone, with the bits of
+    NumPy's pairwise sums over the full support, zero outside the windows.
+
+    Each log weight is off by the rounding of its gammaln terms, of order
+    2e-16 N log N (ROADMAP item 11): against 50-digit mpmath, up to 1.6e-11
+    at N = 1e4, 2.7e-9 at 1e6 and 2.1e-8 at 1e7.  The probabilities carry
+    the same relative error, and log Z is off by 1.1e-9 at N = 1e6.
+    ValueError unless N (|h| + 2J), a bound on the log weights
+    N [(h - J) m + J m^2], is at most thermo._H_MAX.
     """
     if N < 1:
         raise ValueError(f"system size must be positive, got N={N}")
@@ -325,18 +349,14 @@ def monomer_law(N: int, params: ModelParams) -> AtomLaw:
                          f"the representable range <= {_H_MAX:.6g}: the log weights overflow")
     kept = _window(N, params)
     windows = [(c, d) for c, d, _ in kept]
-    log_ws = [lw for _, _, lw in kept]
-    probs = np.zeros(N // 2 + 1)
-    parts = [probs[c:d] for c, d in windows]
-    for part, lw in zip(parts, log_ws):
-        part[:] = lw
-    log_Z = float(_logsumexp_rows(probs[None], windows)[0])
-    for part, lw in zip(parts, log_ws):
+    parts = [lw.copy() for _, _, lw in kept]
+    log_Z = float(_logsumexp_rows([p[None] for p in parts], windows, N // 2 + 1)[0])
+    for part, (_, _, lw) in zip(parts, kept):
         np.exp(lw - log_Z, out=part)
-    total = probs.sum()
+    total = _padded_sum(parts, windows, N // 2 + 1)
     for part in parts:
         part /= total
-    return AtomLaw(N, params, log_Z, probs, windows, functools.partial(_log_weights, N, params))
+    return AtomLaw(N, params, log_Z, parts, windows, functools.partial(_log_weights, N, params))
 
 
 def log_partition(N: int, params: ModelParams) -> float:
@@ -366,12 +386,15 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     are not handed back to the allocator block by block; each field's result
     is bitwise the same as from a single fields x atoms broadcast.
 
-    Beyond _FULL_ROWS atoms, a block writes its log weights, and takes their
-    maximum, multiplicity and exp, only on the union of its fields' windows
-    (_pure_windows) and holds 0 elsewhere, which is what exp gives there; the
-    row sums still run over the whole row, so NumPy's pairwise summation sees
-    the full-support layout, as in monomer_law.  A block with a field whose
-    peak log weight is not finite takes the full rows."""
+    Beyond _FULL_ROWS atoms, a block works only on the union of its fields'
+    windows (_pure_windows): it writes their log weights there and reduces
+    them by _logsumexp_rows, whose sums have the bits of the full rows with
+    0 outside the window, what exp gives there.  A block with a field whose
+    peak log weight is not finite takes the full rows.
+
+    The log weights are monomer_law's at J = 0 and carry the same gammaln
+    error (ROADMAP item 11): log Z_N is off by about 1.6e-11 relative at
+    N = 1e4, well within the 1e-8 gates of its callers."""
     hs = np.atleast_1d(np.asarray(fields, dtype=np.float64))
     base, s = _pure_atoms(N)
     n = len(s)
@@ -382,17 +405,14 @@ def log_partition_pure(N: int, fields) -> np.ndarray | float:
     if windowed:
         lo, hi, peak = _pure_windows(base, s, hs)
     for i in range(0, len(hs), rows):
-        a = block[:min(rows, len(hs) - i)]
         if windowed and np.isfinite(peak[i:i + rows]).all():
             a0, b0 = lo[i:i + rows].min(), hi[i:i + rows].max()
-            a[:, :a0] = 0.0
-            a[:, b0:] = 0.0
         else:
             a0, b0 = 0, n
-        w = a[:, a0:b0]
+        w = block[:min(rows, len(hs) - i), :b0 - a0]
         np.multiply(hs[i:i + rows, None], s[a0:b0], out=w)
         w += base[a0:b0]
-        out[i:i + rows] = _logsumexp_rows(a, [(a0, b0)])
+        out[i:i + rows] = _logsumexp_rows([w], [(a0, b0)], n)
     return float(out[0]) if np.ndim(fields) == 0 else out
 
 
@@ -400,7 +420,7 @@ def _pure_atoms(N: int):
     """base = log C(N, k) - k log N and s = N - 2k at every atom k: the J = 0
     log weight at field h is base + h s."""
     k = np.arange(N // 2 + 1)
-    return matching_count_log(N, k) - k * math.log(N), N - 2.0 * k
+    return _log_matchings(N, k) - k * math.log(N), N - 2.0 * k
 
 
 def _pure_windows(base, s, hs):
@@ -443,23 +463,25 @@ def _first_reached(a, b, reached):
         a = np.where(active & ~hit, mid + 1, a)
 
 
-def _logsumexp_rows(a: np.ndarray, windows) -> np.ndarray:
-    """scipy's logsumexp(a, axis=1), bit for bit, computed in a's storage.
+def _logsumexp_rows(parts, windows, n: int) -> np.ndarray:
+    """scipy's logsumexp(a, axis=1), bit for bit, for rows a of n columns,
+    computed in the parts' storage.
 
-    Only the columns of the windows, one or two intervals [lo, hi), hold
-    values; the others hold 0, the exp of values that underflow against
-    their row's maximum (a window is passed only for rows with a finite
+    parts[j] holds the row blocks' columns of windows[j], one or two
+    increasing intervals [lo, hi); the other columns hold values whose exp
+    underflows against their row's maximum, so they are never read (a
+    window narrower than the row is passed only for rows with a finite
     maximum).  The maximum, its multiplicity m and exp(a - max) are taken
-    window by window, and the row sum s over every column gives scipy's
-    log1p(s / m) + log m + max, in scipy's order.  scipy's second, direct
-    pass only replaces results that are not finite, which needs a non-finite
-    row maximum: such a block, always passed whole, goes to scipy."""
-    parts = [a[:, lo:hi] for lo, hi in windows]
+    window by window, and the row sum s, by _padded_sum, has the bits of a
+    sum over every column; then scipy's log1p(s / m) + log m + max, in
+    scipy's order.  scipy's second, direct pass only replaces results that
+    are not finite, which needs a non-finite row maximum: such rows, always
+    passed whole as one window, go to scipy."""
     a_max = parts[0].max(axis=1, keepdims=True)
     for w in parts[1:]:
         np.maximum(a_max, w.max(axis=1, keepdims=True), out=a_max)
     if not np.isfinite(a_max).all():
-        return logsumexp(a, axis=1)
+        return logsumexp(parts[0], axis=1)
     m = 0.0
     for w in parts:
         at_max = w == a_max
@@ -467,8 +489,53 @@ def _logsumexp_rows(a: np.ndarray, windows) -> np.ndarray:
         w -= a_max
         np.exp(w, out=w)
         w[at_max] = 0.0
-    s = a.sum(axis=1, keepdims=True)
+    s = _padded_sum(parts, windows, n)[:, None]
     return (np.log1p(np.where(s == 0.0, s, s / m)) + np.log(m) + a_max)[:, 0]
+
+
+def _padded(parts, windows, a: int, b: int) -> np.ndarray:
+    """Columns [a, b) of the layout that holds parts[j] on windows[j] = [lo, hi)
+    along its last axis and 0.0 elsewhere; the windows may reach past [a, b)."""
+    out = np.zeros(parts[0].shape[:-1] + (b - a,))
+    for (lo, hi), p in zip(windows, parts):
+        c, d = max(lo, a), min(hi, b)
+        if c < d:
+            out[..., c - a:d - a] = p[..., c - lo:d - lo]
+    return out
+
+
+# nodes of NumPy's pairwise summation tree of up to this many atoms are summed
+# zero-padded, in one call
+_LEAF = 1 << 13
+
+
+def _padded_sum(parts, windows, b: int, a: int = 0):
+    """np.sum(_padded(parts, windows, a, b), axis=-1) bit for bit, one sum
+    for 1-D parts and one per row for 2-D ones, in O(window + log(b - a))
+    time and O(_LEAF) memory per row beyond the parts.  The values must not
+    be -0.0 (here they are exps and probabilities); the windows may reach
+    past [a, b).
+
+    NumPy sums a contiguous or strided axis of doubles as 0.0 plus the
+    pairwise sum of its n values (``pairwise_sum`` in NumPy's loops: in
+    order below 8, in 8 accumulators up to 128, and above that the two
+    halves split at n/2 rounded down to a multiple of 8).  A node of that
+    tree that meets no window sums to +0.0; one inside a window, or of at
+    most _LEAF atoms, goes to np.add.reduce(..., initial=0.0), which walks
+    the same sub-tree, so only the nodes on the windows' edges are split
+    here.  The hypothesis test in test_exact holds this against the pinned
+    NumPy."""
+    hit = [(lo, hi, p) for (lo, hi), p in zip(windows, parts) if lo < b and a < hi]
+    if not hit:
+        return 0.0
+    lo, hi, p = hit[0]
+    if lo <= a and b <= hi:
+        return np.add.reduce(p[..., a - lo:b - lo], axis=-1, initial=0.0)
+    if b - a <= _LEAF:
+        return np.add.reduce(_padded(parts, windows, a, b), axis=-1, initial=0.0)
+    half = (b - a) // 2
+    half -= half % 8
+    return _padded_sum(parts, windows, a + half, a) + _padded_sum(parts, windows, b, a + half)
 
 
 def _n_log_shape(N: int, params: ModelParams, y):
@@ -518,33 +585,87 @@ class SmoothedDensity:
             raise ValueError(f"scaling exponent eta must be >= 0, got {eta}")
         self.eta = float(eta)
         self.u = float(u)
-        self.component_means = (self.law.s_values - self.N * self.u) / self.N ** (1.0 - eta)
         self.component_var = self.N ** (2.0 * eta - 1.0) / (2.0 * self.params.J)
+        # a sibling copied by rescaled evaluates its own means on first read
+        self.__dict__.pop("component_means", None)
+
+    def _means(self, k):
+        """The means (S_k - N u)/N^(1-eta) of the components at atoms k."""
+        return (self.N - 2 * k - self.N * self.u) / self.N ** (1.0 - self.eta)
+
+    @functools.cached_property
+    def component_means(self):
+        return self._means(self.law.k_values)
 
     # -- mixture route -----------------------------------------------------
     def log_mixture(self, x):
-        """log of the mixture density at x, in blocks of
-        max(1, _CELLS // len(component_means)) points built in one reused
-        buffer and reduced by _logsumexp_rows: scipy's logsumexp reduces each
-        point's row on its own, so the blocks give the bits of one points x
-        components broadcast in O(_CELLS) memory."""
+        """log of the mixture density at x.
+
+        Beyond _FULL_ROWS components, most points need only the window's: a
+        component left out lies more than _WINDOW_DROP - 4.87 below the
+        largest in log weight (_window), so its term
+        -(x - mean)^2 / (2 var) + log p lies more than 745.2 below the row's
+        maximum, where exp underflows to 0, once its Gaussian term exceeds by
+        at least 1 (plus a 1e-12 relative allowance for rounding) the gap
+        between the largest log weight and the term of one of the windows'
+        peak components, each a lower bound on the row's maximum.  The means
+        fall in k, so on each run of left-out atoms the mean nearest x bounds
+        the run's Gaussian terms.  Those points are reduced over the windows,
+        with the sums of the full rows (_logsumexp_rows); every other point
+        takes its full row of N//2 + 1 components."""
         xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        log_p = self.law.log_weights - self.law.log_Z
-        n = len(self.component_means)
-        rows = max(1, _CELLS // n)
+        law, n = self.law, self.law.size
         out = np.empty(len(xx))
-        block = np.empty((min(rows, len(xx)), n))
-        for i in range(0, len(xx), rows):
+        full = slice(None)  # the points that take full rows
+        if n > _FULL_ROWS:
+            k = np.concatenate([np.arange(lo, hi) for lo, hi in law.windows])
+            means, log_p = self._means(k), law.values_at(k) - law.log_Z
+
+            def gauss(d):  # |Gaussian term| at distance d, rounded as in _log_rows
+                return d * d / (2.0 * self.component_var)
+
+            cuts = list(itertools.accumulate([hi - lo for lo, hi in law.windows], initial=0))
+            peaks = [c + int(np.argmax(log_p[c:d])) for c, d in zip(cuts, cuts[1:])]
+            gap = np.min([log_p.max() - log_p[i] + gauss(xx - means[i]) for i in peaks], axis=0)
+            q_near = np.full(len(xx), np.inf)
+            edges = [0] + [e for window in law.windows for e in window] + [n]
+            for c, d in zip(edges[::2], edges[1::2]):
+                if c < d:
+                    top, bottom = self._means(np.array([c, d - 1]))
+                    q_near = np.minimum(q_near, gauss(np.maximum(np.maximum(bottom - xx, xx - top),
+                                                                 0.0)))
+            with np.errstate(invalid="ignore"):  # inf - inf at infinite x: a full row
+                windowed = q_near - gap > 1.0 + 1e-12 * gap
+            out[windowed] = self._log_rows(xx[windowed], means, log_p, law.windows)
+            full = ~windowed
+        rest = xx[full]
+        if len(rest):
+            out[full] = self._log_rows(rest, self.component_means,
+                                       law.log_weights - law.log_Z, [(0, n)])
+        out -= 0.5 * math.log(2.0 * math.pi * self.component_var)
+        return out[0] if np.ndim(x) == 0 else out
+
+    def _log_rows(self, xs, means, log_p, windows):
+        """logsumexp over the components of windows (means and log_p run over
+        them in turn) of -(x - mean)^2 / (2 var) + log p at every x of xs, in
+        blocks of max(1, _CELLS // len(means)) points built in one reused
+        buffer: each point's row is reduced on its own, so the blocks give the
+        bits of one points x components broadcast in O(_CELLS) memory."""
+        cuts = list(itertools.accumulate([hi - lo for lo, hi in windows], initial=0))
+        rows = max(1, _CELLS // len(means))
+        out = np.empty(len(xs))
+        block = np.empty((min(rows, len(xs)), len(means)))
+        for i in range(0, len(xs), rows):
             # -(x - mean)^2 / (2 var) + log p, the operations in that order
-            a = block[:min(rows, len(xx) - i)]
-            np.subtract(xx[i:i + rows, None], self.component_means, out=a)
+            a = block[:min(rows, len(xs) - i)]
+            np.subtract(xs[i:i + rows, None], means, out=a)
             np.multiply(a, a, out=a)
             np.negative(a, out=a)
             a /= 2.0 * self.component_var
             a += log_p
-            out[i:i + rows] = _logsumexp_rows(a, [(0, n)])
-        out -= 0.5 * math.log(2.0 * math.pi * self.component_var)
-        return out[0] if np.ndim(x) == 0 else out
+            out[i:i + rows] = _logsumexp_rows([a[:, c:d] for c, d in zip(cuts, cuts[1:])],
+                                              windows, self.law.size)
+        return out
 
     def mixture(self, x):
         return np.exp(self.log_mixture(x))

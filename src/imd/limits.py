@@ -26,8 +26,10 @@ slack for ulp-level non-monotonicity, are dropped unread; at the critical
 point, N = 1e6, the quartic CDF is evaluated at 7 797 of 163 518 atoms.  The
 mass below a limit law's atom, and ``coexistence_masses``' cut, end at an
 atom index found by ``exact._first_atom``, a bisection on plain ints, and
-are summed over the full-support prefix or suffix.  The limit laws reject
-parameters that would make their CDF NaN or leave [0, 1].
+are summed by ``exact._padded_sum`` over the windows' share of the prefix
+or suffix, with the bits of a sum over the full-support prefix or suffix.
+The limit laws reject parameters that would make their CDF NaN or leave
+[0, 1].
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ __all__ = [
 def scaled_law(N: int, params: ModelParams, eta: float, u: float) -> exact.AtomLaw:
     """The exact law's atoms read in increasing S, at positions
     (S - N u)/N^eta, evaluated on read; the probabilities are the monomer
-    law's, reversed as a view."""
+    law's windows, reversed as views."""
     if eta < 0:
         raise ValueError(f"scaling exponent eta must be >= 0, got {eta}")
     law = exact.monomer_law(N, params)
@@ -73,12 +75,12 @@ def scaled_law(N: int, params: ModelParams, eta: float, u: float) -> exact.AtomL
     shift = N * u
     if not math.isfinite(shift):
         raise ValueError(f"u={u!r} makes N*u = {N}*{u!r} non-finite in double precision")
-    size = len(law.probabilities)
+    size = law.size
 
     def positions(i):
         return (N % 2 + 2 * i - shift) / scale
 
-    return exact.AtomLaw(N, params, law.log_Z, law.probabilities[::-1],
+    return exact.AtomLaw(N, params, law.log_Z, [p[::-1] for p in reversed(law.parts)],
                          [(size - b, size - a) for a, b in reversed(law.windows)],
                          positions, eta=eta, u=u)
 
@@ -180,12 +182,12 @@ _SLACK = 1e-12  # ks_distance keeps a block whose bound is within this of the be
 
 def _mass_below(scaled: exact.AtomLaw, x: float, side: str) -> float:
     """P(position < x) (side "left") or P(position <= x) (side "right"),
-    summed over the full-support prefix so that the pairwise summation sees
-    the same layout as a mask over every atom.  The positions increase, so
-    the prefix ends where a bisection on the atom index finds them reach x."""
+    with the bits of a sum over the full-support prefix, the layout of a mask
+    over every atom.  The positions increase, so the prefix ends where a
+    bisection on the atom index finds them reach x."""
     beyond = operator.ge if side == "left" else operator.gt
-    j = exact._first_atom(0, len(scaled.probabilities), lambda i: beyond(scaled.values_at(i), x))
-    return float(np.sum(scaled.probabilities[:j]))
+    j = exact._first_atom(0, scaled.size, lambda i: beyond(scaled.values_at(i), x))
+    return float(exact._padded_sum(scaled.parts, scaled.windows, j))
 
 
 def ks_distance(scaled: exact.AtomLaw, law) -> float:
@@ -213,45 +215,58 @@ def ks_distance(scaled: exact.AtomLaw, law) -> float:
     _SLACK, which covers ulp-level non-monotonicity of left = right - p and
     of erf and gammainc; the others are split at their midpoints until none
     has an interior atom.  The distance is the largest of the same gaps at a
-superset of the atoms where it can be reached, so it keeps every bit."""
-    windows, probabilities = scaled.windows, scaled.probabilities
+    superset of the atoms where it can be reached, so it keeps every bit.
+    Each block carries F and G at its ends, and left is written over the
+    probabilities, so beyond the law only the indices, right and left of
+    these atoms take O(n) memory."""
     # the intervals, and the end atoms of the zero-probability runs [c, d)
     # below, between and above them, in increasing index
-    edges = [0] + [e for window in windows for e in window] + [len(probabilities)]
+    edges = [0] + [e for window in scaled.windows for e in window] + [scaled.size]
+    runs = [(j, c, d) for j, (c, d) in enumerate(zip(edges, edges[1:])) if c < d]
     atoms = np.concatenate([np.arange(c, d) if j % 2 else np.array(sorted({c, d - 1}))
-                            for j, (c, d) in enumerate(zip(edges, edges[1:])) if c < d])
-    p = probabilities[atoms]
+                            for j, c, d in runs])
+    p = np.concatenate([scaled.parts[j // 2] if j % 2 else np.zeros(len({c, d - 1}))
+                        for j, c, d in runs])
     right = np.cumsum(p)
     right[-1] = 1.0
-    left = right - p
+    left = np.subtract(right, p, out=p)
     law_atoms = np.asarray(getattr(law, "atoms", ()), dtype=np.float64)
     d = 0.0
     for a in law_atoms:
         d = max(d, abs(_mass_below(scaled, a, "left")
                        - float(law.cdf(a - np.spacing(abs(a) + 1.0)))),
                 abs(_mass_below(scaled, a, "right") - float(law.cdf(a))))
-    n = len(atoms)
-    F, G = np.empty(n), np.empty(n)
+
+    def evaluate(k):
+        """F and G at the atoms k, after taking their gaps into d."""
+        nonlocal d
+        pos = scaled.values_at(atoms[k])
+        F = law.cdf(pos)
+        # the left limit of a discrete CDF just below its own atoms
+        G = law.cdf(pos - np.spacing(np.abs(pos) + 1.0)) if law_atoms.size else F
+        d = max(d, float(np.max(np.abs(right[k] - F))), float(np.max(np.abs(left[k] - G))))
+        return F, G
+
+    n = len(p)
     stride = -(-n // _GRID)
     k = np.minimum(np.arange(0, n - 1 + stride, stride), n - 1)
-    lo, hi = k[:-1], k[1:]
+    F, G = evaluate(k)
+    # the blocks [lo, hi) with F and G at both ends
+    ends = k[:-1], k[1:], F[:-1], F[1:], G[:-1], G[1:]
     while True:
-        pos = scaled.values_at(atoms[k])
-        F[k] = law.cdf(pos)
-        # the left limit of a discrete CDF just below its own atoms
-        G[k] = law.cdf(pos - np.spacing(np.abs(pos) + 1.0)) if law_atoms.size else F[k]
-        d = max(d, float(np.max(np.abs(right[k] - F[k]))),
-                float(np.max(np.abs(left[k] - G[k]))))
-        inner = hi - lo > 1
-        lo, hi = lo[inner], hi[inner]
-        bound = np.maximum(np.maximum(right[hi - 1] - F[lo], F[hi] - right[lo + 1]),
-                           np.maximum(left[hi - 1] - G[lo], G[hi] - left[lo + 1]))
+        inner = ends[1] - ends[0] > 1
+        lo, hi, F_lo, F_hi, G_lo, G_hi = (e[inner] for e in ends)
+        bound = np.maximum(np.maximum(right[hi - 1] - F_lo, F_hi - right[lo + 1]),
+                           np.maximum(left[hi - 1] - G_lo, G_hi - left[lo + 1]))
         kept = bound >= d - _SLACK
         if not kept.any():
             return min(d, 1.0)
-        lo, hi = lo[kept], hi[kept]
+        lo, hi, F_lo, F_hi, G_lo, G_hi = (e[kept] for e in (lo, hi, F_lo, F_hi, G_lo, G_hi))
         k = (lo + hi) // 2
-        lo, hi = np.concatenate([lo, k]), np.concatenate([k, hi])
+        F, G = evaluate(k)
+        ends = (np.concatenate([lo, k]), np.concatenate([k, hi]),
+                np.concatenate([F_lo, F]), np.concatenate([F, F_hi]),
+                np.concatenate([G_lo, G]), np.concatenate([G, G_hi]))
 
 
 @dataclass(frozen=True)
@@ -309,9 +324,10 @@ def coexistence_masses(N: int, point: phase.GammaPoint) -> tuple[float, float]:
         )
     cut = wells[0].m
     law = exact.monomer_law(N, params)
-    # the atoms below the cut are the k >= j; summed over the full-support
-    # suffix, as a mask over every atom would be.  The density falls in k, so
-    # a bisection finds j with the mask's comparison
-    j = exact._first_atom(0, len(law.probabilities), lambda k: (N - 2 * k) / N < cut)
-    mass1 = float(np.sum(law.probabilities[j:]))
+    # the atoms below the cut are the k >= j; summed with the bits of a sum
+    # over the full-support suffix, as a mask over every atom would be.  The
+    # density falls in k, so a bisection finds j with the mask's comparison
+    j = exact._first_atom(0, law.size, lambda k: (N - 2 * k) / N < cut)
+    mass1 = float(exact._padded_sum(law.parts, [(lo - j, hi - j) for lo, hi in law.windows],
+                                    law.size - j))
     return mass1, 1.0 - mass1

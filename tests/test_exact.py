@@ -433,14 +433,14 @@ class TestAtomCsv:
     @example((2 * len(EDGE_FLOATS) - 1, np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])))
     def test_monomer_law_matches_csv_writer(self, columns):
         n, log_w, probs = columns
-        law = exact.AtomLaw(n, ModelParams(0.0, 0.0), 0.0, probs, [(0, len(probs))],
+        law = exact.AtomLaw(n, ModelParams(0.0, 0.0), 0.0, [probs], [(0, len(probs))],
                             log_w.__getitem__)
         assert written_csv(law) == csv_writer_monomer_law(law)
 
     @given(atom_columns(float_cells))  # k and S come from the atom index
     def test_scaled_law_matches_csv_writer(self, columns):
         n, positions, probs = columns
-        law = exact.AtomLaw(n, ModelParams(0.0, 0.0), 0.0, probs, [(0, len(probs))],
+        law = exact.AtomLaw(n, ModelParams(0.0, 0.0), 0.0, [probs], [(0, len(probs))],
                             positions.__getitem__, eta=0.0, u=0.0)
         assert written_csv(law) == csv_writer_scaled_law(law)
 
@@ -473,7 +473,7 @@ class TestAtomCsv:
         probs = np.zeros(size)
         probs[lo:hi] = rng.uniform(0.0, 1.0, hi - lo)
         n, params = 2 * (size - 1), ModelParams(0.2, 1.5)
-        law = exact.AtomLaw(n, params, 0.0, probs, [(lo, hi)],
+        law = exact.AtomLaw(n, params, 0.0, [probs[lo:hi]], [(lo, hi)],
                             functools.partial(exact._log_weights, n, params))
         assert written_csv(law) == csv_writer_monomer_law(law)
         n, eta, u = n + 1, 0.5, 0.3
@@ -481,7 +481,8 @@ class TestAtomCsv:
         def positions(i):
             return (n % 2 + 2 * i - n * u) / n**eta
 
-        scaled = exact.AtomLaw(n, params, 0.0, probs, [(lo, hi)], positions, eta=eta, u=u)
+        scaled = exact.AtomLaw(n, params, 0.0, [probs[lo:hi]], [(lo, hi)], positions,
+                               eta=eta, u=u)
         assert written_csv(scaled) == csv_writer_scaled_law(scaled)
 
     @pytest.mark.parametrize("fmt", ["xml", "CSV", "JSON", ""])
@@ -734,9 +735,10 @@ class TestSharedReductions:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_two_interval_rows_equal_scipy_bitwise(self, seed):
-        # values on two intervals, zero elsewhere: the exp of values that lie
-        # far enough below the row's maximum to underflow, as at coexistence.
-        # Coarse values give ties at the maximum, within and across intervals
+        # values on two intervals, handed over alone; elsewhere values that
+        # lie far enough below the row's maximum for their exp to underflow,
+        # as at coexistence.  Coarse values give ties at the maximum, within
+        # and across intervals
         rng = np.random.default_rng(seed)
         rows, n = int(rng.integers(1, 6)), int(rng.integers(4, 300))
         c1, d1, c2, d2 = np.sort(rng.choice(np.arange(n + 1), 4, replace=False)).tolist()
@@ -745,9 +747,89 @@ class TestSharedReductions:
         inside = np.zeros(n, dtype=bool)
         inside[c1:d1] = inside[c2:d2] = True
         full[:, ~inside] = full[:, inside].max(axis=1, keepdims=True) - 800.0
-        a = np.where(inside, full, 0.0)
-        got = exact._logsumexp_rows(a, windows)
+        got = exact._logsumexp_rows([full[:, c:d].copy() for c, d in windows], windows, n)
         assert got.tobytes() == logsumexp(full, axis=1).tobytes()
+
+
+@st.composite
+def padded_layouts(draw, max_n):
+    """(values, windows): a zero-padded layout of 1 to max_n atoms, its
+    length drawn to fall below 8, up to 128 or beyond (where NumPy's pairwise
+    sum splits), holding values spread over 1e-300 .. 1e300, or over a factor
+    of 2 where every addition rounds, on one or two windows, and 0 elsewhere;
+    some window atoms are 0 too, as underflowed probabilities are."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 300), st.integers(1, 20000),
+                       st.integers(1, max_n)))
+    ends = 4 if n >= 3 and draw(st.booleans()) else 2
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=ends, max_size=ends, unique=True)))
+    windows = list(zip(cuts[::2], cuts[1::2]))
+    spread = draw(st.sampled_from([0.0, 3.0, 300.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(n)
+    for lo, hi in windows:
+        part = rng.uniform(0.5, 1.0, hi - lo) * 10.0 ** rng.uniform(-spread, spread, hi - lo)
+        part[rng.random(hi - lo) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        values[lo:hi] = part
+    return values, windows
+
+
+def same_bits(got, ref):
+    return np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+class TestPaddedSum:
+    """exact._padded_sum against np.sum over the zero-padded layout, bit for
+    bit.  NumPy's pairwise summation order is an implementation detail, so
+    this holds the tree walk against the NumPy that CI pins
+    (.github/workflows/tier1.yml)."""
+
+    @settings(max_examples=300)
+    @given(padded_layouts(10**6), st.integers(0, 10**6))
+    @example((np.array([1.0, 0.0, 2.0**-53, 2.0**-53]), [(0, 1), (2, 4)]), 0)
+    def test_one_dimensional(self, layout, cut):
+        values, windows = layout
+        parts = [values[lo:hi].copy() for lo, hi in windows]
+        assert same_bits(exact._padded_sum(parts, windows, len(values)), np.sum(values))
+        # a suffix, as coexistence_masses sums it
+        j = cut % (len(values) + 1)
+        shifted = [(lo - j, hi - j) for lo, hi in windows]
+        assert same_bits(exact._padded_sum(parts, shifted, len(values) - j), np.sum(values[j:]))
+
+    @settings(max_examples=200)
+    @given(padded_layouts(30000), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    # rows of 20 009 atoms, split above _LEAF on both sides, with two windows
+    @example((np.where(np.isin(np.arange(20009) // 3000, [0, 1, 3, 4]), 1.0, 0.0),
+              [(0, 6000), (9000, 15000)]), 3, 0)
+    def test_rows(self, layout, rows, seed):
+        # rows of a block on the same windows, each the layout's values times
+        # its own factors in [0.5, 1]: the parts as views into a full-width
+        # block (log_partition_pure) and as contiguous arrays (log_mixture,
+        # monomer_law)
+        values, windows = layout
+        n = len(values)
+        block = values * np.random.default_rng(seed).uniform(0.5, 1.0, (rows, n))
+        ref = block.sum(axis=1)
+        views = [block[:, lo:hi] for lo, hi in windows]
+        assert exact._padded_sum(views, windows, n).tobytes() == ref.tobytes()
+        copies = [v.copy() for v in views]
+        assert exact._padded_sum(copies, windows, n).tobytes() == ref.tobytes()
+
+    @settings(max_examples=200)
+    @given(padded_layouts(10**6), st.integers(0, 10**6))
+    def test_prefixes_and_suffixes_of_reversed_views(self, layout, cut):
+        # a scaled law reads the monomer law's windows through reversed
+        # views, and _mass_below sums a prefix of them
+        values, windows = layout
+        n = len(values)
+        parts = [values[lo:hi].copy() for lo, hi in windows]
+        reversed_parts = [p[::-1] for p in reversed(parts)]
+        reversed_windows = [(n - hi, n - lo) for lo, hi in reversed(windows)]
+        view = values[::-1]
+        j = cut % (n + 1)
+        assert same_bits(exact._padded_sum(reversed_parts, reversed_windows, j),
+                         np.sum(view[:j]))
+        shifted = [(lo - j, hi - j) for lo, hi in reversed_windows]
+        assert same_bits(exact._padded_sum(reversed_parts, shifted, n - j), np.sum(view[j:]))
 
 
 class TestLogPartition:
@@ -1072,6 +1154,48 @@ class TestSmoothedDensity:
         got = sd.log_mixture(xs)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("N, eta, coexistence", [
+        (10**3, 0.0, False), (10**3, 0.5, False), (10**4, 0.0, False), (10**4, 0.5, False),
+        (10**4, 0.0, True), (2 * 10**4, 0.0, True),
+    ])
+    def test_window_rows_keep_the_full_row_bits(self, monkeypatch, N, eta, coexistence):
+        # the benchmark's four smoothed laws on their bulk, and gamma(2) over
+        # both phases and the valley: log_mixture against scipy's logsumexp
+        # over every component's row, bit for bit.  Beyond exact._FULL_ROWS
+        # components the bulk reads the window's components alone; at
+        # coexistence the points over the valley, and those far from both
+        # peaks, take full rows
+        if coexistence:
+            point = phase.trace_gamma([2.0])[0]
+            sd = SmoothedDensity(N, ModelParams(point.h, 2.0), eta=eta, u=0.0)
+            xs = np.linspace(point.m1 - 0.05, point.m2 + 0.05, 301)
+        else:
+            params = ModelParams(0.0, 1.0)
+            sd = SmoothedDensity(N, params, eta=eta, u=classify(params).maximizers[0])
+            xs = np.linspace(*_bulk(sd), 201)
+        widths = []
+        log_rows = SmoothedDensity._log_rows
+
+        def counted(self, points, means, log_p, windows):
+            widths.append((len(points), len(means)))
+            return log_rows(self, points, means, log_p, windows)
+
+        monkeypatch.setattr(SmoothedDensity, "_log_rows", counted)
+        got = sd.log_mixture(xs)
+        z = xs[:, None] - sd.component_means[None, :]
+        expo = -(z * z) / (2.0 * sd.component_var)
+        log_p = sd.law.log_weights - sd.law.log_Z
+        ref = (logsumexp(log_p[None, :] + expo, axis=1)
+               - 0.5 * math.log(2.0 * math.pi * sd.component_var))
+        assert got.tobytes() == ref.tobytes()
+        n, inside = N // 2 + 1, sum(b - a for a, b in sd.law.windows)
+        if n <= exact._FULL_ROWS:
+            assert widths == [(len(xs), n)]
+        elif coexistence:
+            assert [w for _, w in widths] == [inside, n] and 0 < widths[1][0] < len(xs)
+        else:
+            assert widths == [(len(xs), inside)] and inside < n
 
     @pytest.mark.parametrize("N, J", [(10**3, 1e3), (10**4, 300.0), (10**5, 10.0)])
     def test_normalizer_at_large_n_j(self, N, J):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -42,7 +43,7 @@ def gamma_at_2():
 
 
 def point_law(x0=0.0):
-    return AtomLaw(1, ModelParams(0.0, 0.0), 0.0, np.array([1.0]), [(0, 1)],
+    return AtomLaw(1, ModelParams(0.0, 0.0), 0.0, [np.array([1.0])], [(0, 1)],
                    np.array([x0]).__getitem__, eta=0.0, u=0.0)
 
 
@@ -81,6 +82,22 @@ class TestScaledLaw:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "k,S,position,probability"
         assert len(lines) == 5
+
+    def test_lln_at_1e8_in_bounded_traced_memory(self):
+        # 226 376 of the 50 000 001 atoms carry probability at N = 1e8: the
+        # law and its KS distance hold O(window) arrays, where a
+        # full-support buffer alone would take 400 MB
+        ks_distance(scaled_law(100, ModelParams(0.0, 0.0), 1.0, 0.0), PointMass(g(0.0)))
+        tracemalloc.start()
+        try:
+            scaled = scaled_law(10**8, ModelParams(0.0, 0.0), 1.0, 0.0)
+            d = ks_distance(scaled, PointMass(g(0.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(b - a for a, b in scaled.windows) < 250000
+        assert abs(d - 0.5) < 1e-3
+        assert peak < 10 * 2**20
 
 
 class TestLimitLaws:
@@ -175,7 +192,7 @@ class TestKsDistance:
         assert ks_distance(point_law(0.0), PointMass(1.0)) == 1.0
 
     def test_mixture_against_itself_as_discrete_law(self):
-        two = AtomLaw(2, ModelParams(0.0, 0.0), 0.0, np.array([0.3, 0.7]), [(0, 2)],
+        two = AtomLaw(2, ModelParams(0.0, 0.0), 0.0, [np.array([0.3, 0.7])], [(0, 2)],
                       np.array([0.2, 0.8]).__getitem__, eta=0.0, u=0.0)
         assert ks_distance(two, TwoPointMixture(0.3, 0.2, 0.7, 0.8)) < 1e-15
         assert abs(ks_distance(two, TwoPointMixture(0.5, 0.2, 0.5, 0.8)) - 0.2) < 1e-15
@@ -405,11 +422,17 @@ class TestWindowedKs:
     @example(5.0, 0.0, 1.0, False, 0.75, 0.5, ("quartic", ANY_PLACE, ANY_PLACE, 0.0, -50.0, 0.0))
     def test_bracketing_keeps_the_full_support_bits(self, log_n, h, log_j, coexist, eta, u,
                                                     spec):
-        # N log-uniform in [2, 1e5], |h| <= 30, J <= 1e3 (on the coexistence
-        # curve when coexist, so that from N ~ 1e4 the window is two
-        # intervals around a valley), and limit laws placed inside the
+        # N log-uniform in [2, 1e5], |h| <= 30, J <= 1e3 in the draws (on the
+        # coexistence curve when coexist, so that from N ~ 1e4 the window is
+        # two intervals around a valley), and limit laws placed inside the
         # window, in the valley, on the zero-probability runs beside it or
         # far outside the support; a constant CDF is decided at the ends.
+        # The example at log_j = 5 lies outside the draws: it traces
+        # J = 1e5, phase._GAMMA_J_MAX, the largest J that trace_gamma
+        # accepts (the bound is 1e5 and not 1e4 for this example).  There
+        # the phases sit at m = 0 and m = 1, so at N = 1e4 the window is
+        # the two end atoms, with a valley of 4999 atoms between them that
+        # holds the point mass: the extreme two-window law.
         # A first grid of 4 atoms makes every window of 5 atoms or more
         # bracketed, not only those above 1024
         n = int(round(10.0**log_n))
@@ -455,8 +478,9 @@ class TestWindowedKs:
         hi = min(max(a, b, lo + 1), n)
         p = np.array([x if lo <= i < hi else 0.0 for i, x in enumerate(probs)])
         pos = np.arange(n) / 2.0
-        scaled = AtomLaw(n, ModelParams(0.0, 0.0), 0.0, p, [(lo, hi)], pos.__getitem__,
-                         eta=1.0, u=0.0)
+        # N = 2 (n - 1): a law of n atoms
+        scaled = AtomLaw(2 * (n - 1), ModelParams(0.0, 0.0), 0.0, [p[lo:hi]], [(lo, hi)],
+                         pos.__getitem__, eta=1.0, u=0.0)
         law = StepCdf(steps, atoms)
         with mock.patch.object(limits, "_GRID", grid):
             assert ks_distance(scaled, law) == full_support_ks(pos, p, law)

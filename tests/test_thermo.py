@@ -1,5 +1,6 @@
 """Tests for the closed-form thermodynamic functions."""
 
+import bisect
 import math
 import warnings
 from functools import partial
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from imd import phase, thermo
+from imd._brent import brentq
 from imd.phase import trace_gamma
 from imd.thermo import (
     ModelParams,
@@ -719,3 +721,26 @@ class TestLaneRoute:
         for n in (1, 7, 60, 119):
             assert consistency_roots(grid[:n]) == roots[:n]
             assert variational_pressure(grid[:n]).tolist() == sups[:n].tolist()
+
+
+class TestPieceRoots:
+    def test_left_end_within_noise_is_walked_in(self):
+        # a synthetic residual, linear between its values: within noise of 0
+        # at a, of opposite sign at the first grid node after a and again at
+        # the second, and clear of noise from the third on, down to b.  The
+        # walk-in solves each of the three cells as a scan of every node
+        # would; a bisection from a, which sees one sign change between a
+        # and b, keeps one root
+        a, b, noise = 0.101, 0.2, 1e-9
+        i = bisect.bisect_right(thermo._ROOT_GRID, a)
+        g1, g2, g3 = thermo._ROOT_GRID[i:i + 3]
+        xs, ys = [a, g1, g2, g3, b], [1e-12, -1e-12, 1e-12, -0.5, -1.0]
+
+        def residual(x):
+            return float(np.interp(x, xs, ys))
+
+        roots = thermo._piece_roots(residual, a, b, residual(a), residual(b), noise)
+        cells = [(a, g1), (g1, g2), (g2, g3)]
+        assert roots == [float(brentq(residual, c, d, xtol=1e-15, fa=residual(c),
+                                      fb=residual(d))) for c, d in cells]
+        assert all(c < r < d for r, (c, d) in zip(roots, cells))
