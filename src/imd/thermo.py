@@ -31,10 +31,12 @@ The same limit is reproduced by the large-deviation route
 
     p(h, J) = sup_m [ (h - J) m + J m^2 - rate_function(m) ],
 
-with the entropy-like rate of the weighted configuration counts, for a whole
-batch of (h, J) in one blocked array pass and a vectorized golden-section
-polish that share no code with the consistency route.  Everything here is a
-pure function of (h, J, m); no state, safe to call from anywhere.
+with the entropy-like rate I of the weighted configuration counts, for a
+whole batch of (h, J) at once: the closed forms of I' and I'' cut [0, 1]
+into pieces that hold at most one maximum each, and a bracketed Newton
+solves every piece lane-wise, sharing no code with the consistency route.
+Everything here is a pure function of (h, J, m); no state, safe to call
+from anywhere.
 
 Each function has two routes.  A real scalar (``float``, which includes
 ``np.float64``) takes the scalar route: plain comparisons check that it is
@@ -306,44 +308,70 @@ def rate_function(z):
     return _scalar_like(z, val)
 
 
-# rate route: the objective is sampled on a fixed grid, scanned in row
-# blocks and polished by golden-section search; a bracket spans at most two
-# grid cells, and _GOLDEN_STEPS shrink that below _GOLDEN_XATOL
-_RATE_GRID = np.linspace(0.0, 1.0, 1001)
-_RATE_BLOCK = 32
-_GOLDEN_XATOL = 1e-13
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = math.ceil(math.log(_GOLDEN_XATOL / (2.0 * _RATE_GRID[1])) / math.log(_INV_PHI))
+# rate route: Newton on phi = f' - I' stops once its step is below
+# _RATE_XTOL (in log m or -log(1 - m)); _RATE_STEPS caps it
+_M_C = 2.0 - math.sqrt(2.0)  # phi'' = 1/m^2 - 1/(2(1-m)^2) vanishes only here
+_RATE_XTOL = 1e-10
+_RATE_STEPS = 40
 
 
-def _local_maximum_brackets(v, grid):
-    """(row, lo, hi) around every sample of the 2-D array v that is no lower
-    than its neighbours in its row: interior samples first, row by row, then
-    the left and the right end cells of the rows where they qualify."""
-    rows, inner = np.nonzero((v[:, 1:-1] >= v[:, :-2]) & (v[:, 1:-1] >= v[:, 2:]))
-    left = np.flatnonzero(v[:, 0] >= v[:, 1])
-    right = np.flatnonzero(v[:, -1] >= v[:, -2])
-    row = np.concatenate([rows, left, right])
-    lo = np.concatenate([grid[inner], np.full(left.size, grid[0]), np.full(right.size, grid[-2])])
-    hi = np.concatenate([grid[inner + 2], np.full(left.size, grid[1]),
-                         np.full(right.size, grid[-1])])
-    return row, lo, hi
+def _rate_phi(t, right, h, J):
+    """phi = (h - J) + 2Jm - log m + log(1 - m)/2 and dphi/dt = p (2J - I''(m))
+    in t = log m, p = m on the left pieces and in t = -log(1 - m), p = 1 - m
+    on the right ones (right True); phi falls in t on both."""
+    x = np.where(right, -t, t)  # log p
+    p = np.exp(x)
+    q = -np.expm1(x)  # 1 - p, at least 1 - _M_C on every piece
+    log_q = np.log(q)
+    phi = ((h - J) + 2.0 * J * np.where(right, q, p) - np.where(right, log_q, t)
+           + 0.5 * np.where(right, -t, log_q))
+    return phi, 2.0 * J * p - p / np.where(right, q, 2.0 * q) - np.where(right, 0.5, 1.0)
 
 
-def _golden_maxima(f, lo, hi):
-    """Golden-section search on every bracket [lo, hi] at once, for a
-    function f evaluated elementwise; the best value found in each."""
-    a, b = lo, hi
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        left = fc >= fd  # the maximum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        fx = f(x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
-    return np.maximum(fc, fd)
+def _rate_candidates(h, J):
+    """(row, m, steps): the candidates m = 0, 1, c-, c+ of every row of the
+    float64 arrays h and J, then the maximum of each piece that holds one,
+    and how many phi evaluations each piece's Newton took (_RATE_STEPS where
+    the cap stopped it); see variational_pressure_via_rate."""
+    n = h.size
+    turning = 4.0 * J - 3.0 > 2.0 * math.sqrt(2.0)  # J > J_c
+    Jt = np.where(turning, J, 1.0)  # keeps the unused lanes finite
+    b = 4.0 * Jt - 3.0
+    c_hi = np.where(turning, (b + 4.0 + np.sqrt(np.maximum(b * b - 8.0, 0.0))) / (8.0 * Jt), _M_C)
+    c_lo = np.where(turning, 1.0 / (2.0 * Jt * c_hi), _M_C)  # the roots' product is 1/(2J)
+    right = np.repeat([False, True], n)
+    h2, J2 = np.tile(h, 2), np.tile(J, 2)
+    t_cut = np.concatenate([np.log(c_lo), -np.log1p(-c_hi)])
+    phi, _ = _rate_phi(t_cut, right, h2, J2)
+    k = np.flatnonzero(np.where(right, phi > 0.0, phi < 0.0))
+    right, h2, J2, t_cut = right[k], h2[k], J2[k], t_cut[k]
+    # phi > 0 below u = h - J - 1, where 2Jm >= 0 and log(1 - m)/2 > -0.45;
+    # phi < 0 above s = 2(h + J) + 2, where 2Jm <= 2J and -log m < 0.54
+    lo = np.where(right, t_cut, h2 - J2 - 1.0)
+    hi = np.where(right, 2.0 * (h2 + J2) + 2.0, t_cut)
+    t = np.where(np.tile(turning, 2)[k], np.where(right, hi, lo), t_cut)
+    tol = 2.0**-53 * (1.0 + np.abs(h2) + J2)  # the objective's rounding
+    steps = np.zeros(k.size, dtype=np.intp)
+    i = np.arange(k.size)
+    for _ in range(_RATE_STEPS):
+        if not i.size:
+            break
+        f, slope = _rate_phi(t[i], right[i], h2[i], J2[i])
+        steps[i] += 1
+        lo[i] = np.where(f > 0.0, t[i], lo[i])
+        hi[i] = np.where(f < 0.0, t[i], hi[i])
+        # the objective can gain at most p |phi| (hi - lo) <= |phi| (hi - lo)
+        flat = np.abs(f) * (hi[i] - lo[i]) <= tol[i]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = np.where(flat, t[i], t[i] - f / slope)
+        done = flat | (np.abs(new - t[i]) <= _RATE_XTOL)
+        t[i] = np.where(done | ((lo[i] < new) & (new < hi[i])), new, 0.5 * (lo[i] + hi[i]))
+        i = i[~done]
+    x = np.where(right, -t, t)
+    every = np.tile(np.arange(n), 4)
+    return (np.concatenate([every, k % n]),
+            np.concatenate([np.zeros(n), np.ones(n), c_lo, c_hi,
+                            np.where(right, -np.expm1(x), np.exp(x))]), steps)
 
 
 # consistency walk: the grid whose cells bracket the roots, and Newton's
@@ -674,8 +702,9 @@ def variational_pressure(params):
     """Limiting pressure sup_m ptilde(m): the largest value of ptilde over the
     endpoints of [0, 1] and the consistency roots, where ptilde' vanishes.
     (The companion routine variational_pressure_via_rate maximizes a
-    different functional with a derivative-free method, so the two suprema
-    are independently computed.)
+    different functional, f - I, by Newton on the closed form of I' with
+    no g and no consistency roots, so the two suprema are independently
+    computed.)
 
     Takes one ModelParams (a float comes back) or a sequence of them (an
     array of their sups).  A sequence takes consistency_roots' lane route
@@ -705,29 +734,25 @@ def variational_pressure_via_rate(params):
     f(m) = (h - J) m + J m^2; an independent cross-check of the sup.
 
     Takes one ModelParams (a float comes back) or a sequence of them (an
-    array of their sups).  I is sampled once on a fixed 1001-point grid, the
-    objectives are scanned for local maxima in blocks of at most 32 rows, and
-    every bracket of the call is polished by one golden-section search to
-    1e-13 in m; the endpoints m = 0, 1 are candidates too.  Each row's sup is
-    computed elementwise, so it does not depend on the other rows.
+    array of their sups).  It uses I, I'(m) = log m - log(1 - m)/2 and I''
+    only: no g, no consistency roots, no brentq, no _spinodal.  phi = f' - I'
+    has phi'' = 1/m^2 - 1/(2(1-m)^2), so phi' = 2J - I'' peaks only at
+    2 - sqrt 2, and its zeros c- < c+ solve 4J m^2 - (4J+1) m + 2 = 0 for
+    J > J_c (else both are 2 - sqrt 2).  phi falls on [0, c-] from +inf and
+    on [c+, 1] to -inf: they hold a maximum iff phi(c-) < 0 and iff
+    phi(c+) > 0, each solved lane-wise by Newton in u = log m or in
+    s = -log(1 - m) (which keep m = e^-1000 and 1 - m = e^-2000 off the
+    ends), bisecting where a step leaves the bracket.  Above J_c phi is
+    convex in u on the left and concave in s on the right, so Newton from
+    the far end converges monotonically (Fourier's condition).  Each row
+    stops on its own test and is frozen, so its sup does not depend on the
+    other rows.  The sup is the largest objective over m = 0, 1, c-, c+ and
+    the maxima: each is a lower bound, and the turns cover a maximum that
+    merges with one where rounding decides the sign of phi there.
     """
     single = isinstance(params, ModelParams)
     h, J = _lanes([params] if single else params)
-
-    def objective(h, J, m, rate):
-        return (h - J) * m + J * m * m - rate
-
-    rate = rate_function(_RATE_GRID)
-    sup = np.empty(h.size)
-    brackets = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
-    for start in range(0, h.size, _RATE_BLOCK):
-        block = slice(start, start + _RATE_BLOCK)
-        v = objective(h[block, None], J[block, None], _RATE_GRID, rate)
-        sup[block] = np.maximum(v[:, 0], v[:, -1])
-        row, lo, hi = _local_maximum_brackets(v, _RATE_GRID)
-        brackets.append((row + start, lo, hi))
-    row, lo, hi = map(np.concatenate, zip(*brackets))
-    hr, Jr = h[row], J[row]
-    np.maximum.at(sup, row, _golden_maxima(lambda m: objective(hr, Jr, m, rate_function(m)),
-                                           lo, hi))
+    row, m, _ = _rate_candidates(h, J)
+    sup = np.full(h.size, -np.inf)
+    np.maximum.at(sup, row, (h[row] - J[row]) * m + J[row] * m * m - rate_function(m))
     return float(sup[0]) if single else sup

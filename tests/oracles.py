@@ -235,9 +235,13 @@ def stationary_count_mp(h, J, dps=30):
     with mpmath.workdps(dps):
         h, J = mpmath.mpf(h), mpmath.mpf(J)
 
-        def residual(m):
-            e = mpmath.exp((2 * m - 1) * J + h)
-            return m - e * (mpmath.sqrt(e * e + 4) - e) / 2
+        def residual(m):  # with 1 - g = 4t / (1 + sqrt(1 + 4t))^2, t = e^-2x, for x > 0
+            x = (2 * m - 1) * J + h
+            if x < 0:
+                e = mpmath.exp(x)
+                return m - e * (mpmath.sqrt(e * e + 4) - e) / 2
+            t = mpmath.exp(-2 * x)
+            return m - 1 + 4 * t / (1 + mpmath.sqrt(1 + 4 * t)) ** 2
 
         if J <= (3 + 2 * mpmath.sqrt(2)) / 4:
             return 1, 1  # below J_c the residual increases on all of [0, 1]
@@ -251,6 +255,79 @@ def stationary_count_mp(h, J, dps=30):
         signs = [mpmath.sign(residual(m)) for m in (mpmath.mpf(0), *cuts, mpmath.mpf(1))]
         pieces = [a != b for a, b in zip(signs, signs[1:])]
         return sum(pieces), pieces[0] + pieces[2]
+
+
+def _falling_root(f_and_slope, lo, hi, tol):
+    """The root of a decreasing f with f(lo) > 0 > f(hi): Newton steps that
+    stay inside the bracket and at least halve the step before last, else
+    bisection (Numerical Recipes' rtsafe), until a step is below tol."""
+    step = last = hi - lo
+    x = (lo + hi) / 2
+    f, slope = f_and_slope(x)
+    while True:
+        if not lo < x - f / slope < hi or abs(2 * f) > abs(last * slope):
+            last, step = step, (hi - lo) / 2
+            x = lo + step
+        else:
+            last, step = step, f / slope
+            x -= step
+        if abs(step) < tol:
+            return x
+        f, slope = f_and_slope(x)
+        if f > 0:
+            lo = x
+        elif f < 0:
+            hi = x
+        else:
+            return x
+
+
+def rate_sup_mp(h, J, dps=50):
+    """(sup, (phi(c-), phi(c+))): sup over [0, 1] of (h - J) m + J m^2 - I(m)
+    at dps digits, and the objective's slope phi at its turns c- and c+.
+
+    phi = (h - J) + 2Jm - log m + log(1 - m)/2 is the objective's slope.
+    It falls except between the roots c- < c+ of 4J m^2 - (4J+1) m + 2 = 0
+    (J > J_c), so [0, c-] holds a maximum iff phi(c-) < 0 and [c+, 1] iff
+    phi(c+) > 0; below J_c both cuts are 2 - sqrt 2.  Each maximum is solved
+    to 1e-25 in u = log m or s = -log(1 - m), which keep m = e^-1000 and
+    1 - m = e^-2000 apart from 0 and 1; the objective is flat there, so its
+    value is good to far more digits.  The sup is taken over m = 0, 1, c-,
+    c+ and the maxima.
+    """
+    with mpmath.workdps(dps):
+        h, J = mpmath.mpf(h), mpmath.mpf(J)
+
+        def objective(m):
+            w = 1 - m
+            rate = (m * mpmath.log(m) if m else 0) + (w * mpmath.log(w) / 2 if w else 0) + w / 2
+            return (h - J) * m + J * m * m - rate
+
+        def phi(m):
+            return (h - J) + 2 * J * m - mpmath.log(m) + mpmath.log(1 - m) / 2
+
+        def left(u):  # phi and dphi/du
+            m = mpmath.exp(u)
+            return (h - J) + 2 * J * m - u + mpmath.log1p(-m) / 2, 2 * J * m - 1 - m / (2 * (1 - m))
+
+        def right(s):  # phi and dphi/ds, with w = 1 - m
+            w = mpmath.exp(-s)
+            return (h - J) + 2 * J * (1 - w) - mpmath.log1p(-w) - s / 2, 2 * J * w - w / (1 - w) - 0.5
+
+        if J > (3 + 2 * mpmath.sqrt(2)) / 4:
+            root = mpmath.sqrt((4 * J + 1) ** 2 - 32 * J)
+            cuts = [(4 * J + 1 - root) / (8 * J), (4 * J + 1 + root) / (8 * J)]
+        else:
+            cuts = [2 - mpmath.sqrt(2)] * 2
+        candidates = [mpmath.mpf(0), mpmath.mpf(1), *cuts]
+        tol = mpmath.mpf(10) ** -25
+        at_turns = phi(cuts[0]), phi(cuts[1])
+        if at_turns[0] < 0:  # phi > 0 below u = h - J - 1
+            candidates.append(mpmath.exp(_falling_root(left, h - J - 1, mpmath.log(cuts[0]), tol)))
+        if at_turns[1] > 0:  # phi < 0 above s = 2(h + J) + 2
+            s = _falling_root(right, -mpmath.log(1 - cuts[1]), 2 * (h + J) + 2, tol)
+            candidates.append(-mpmath.expm1(-s))
+        return max(objective(m) for m in candidates), at_turns
 
 
 def height_gap_mp(h, J, x_seeds, dps=50):

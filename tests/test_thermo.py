@@ -14,8 +14,6 @@ from imd._brent import brentq
 from imd.phase import trace_gamma
 from imd.thermo import (
     ModelParams,
-    _golden_maxima,
-    _local_maximum_brackets,
     consistency_roots,
     g,
     g_derivative,
@@ -539,62 +537,6 @@ class TestConsistencyRoots:
         assert thermo._spinodal(1.457) == ()
 
 
-def _loop_brackets(v, grid):
-    """Reference for the bracket scan: the per-sample loop it replaced."""
-    n = len(grid)
-    brackets = [
-        (grid[i - 1], grid[i + 1])
-        for i in range(1, n - 1)
-        if v[i] >= v[i - 1] and v[i] >= v[i + 1]
-    ]
-    if v[0] >= v[1]:
-        brackets.append((grid[0], grid[1]))
-    if v[-1] >= v[-2]:
-        brackets.append((grid[-2], grid[-1]))
-    return brackets
-
-
-def _row_brackets(v, grid):
-    """The row-wise bracket scan of a 2-D array, as one (lo, hi) list per row."""
-    row, lo, hi = _local_maximum_brackets(v, grid)
-    return [[(a, b) for r, a, b in zip(row, lo, hi) if r == k] for k in range(len(v))]
-
-
-class TestLocalMaximumBrackets:
-    @pytest.mark.parametrize("values", [
-        [0.0, 1.0, 1.0, 1.0, 0.0],            # plateau: every equal sample brackets
-        [2.0, 2.0, 2.0, 2.0],                 # flat: all samples and both ends
-        [3.0, 1.0, 2.0, 1.0, 3.0],            # maxima at both edges and inside
-        [5.0, 4.0, 3.0, 2.0],                 # decreasing: left edge only
-        [1.0, 2.0, 3.0, 3.0],                 # increasing into an end plateau
-        [1.0, 1.0],                           # two samples, no interior
-    ], ids=["plateau", "flat", "edges", "decreasing", "end-plateau", "two"])
-    def test_matches_loop_reference(self, values):
-        v = np.array([values])
-        grid = np.linspace(0.0, 1.0, v.shape[1])
-        assert _row_brackets(v, grid) == [_loop_brackets(v[0], grid)]
-
-    def test_ties_on_integer_samples(self):
-        # twenty rows scanned at once, each against its own loop
-        rng = np.random.default_rng(3)
-        grid = np.linspace(0.0, 1.0, 200)
-        v = rng.integers(0, 3, (20, grid.size)).astype(float)
-        assert _row_brackets(v, grid) == [_loop_brackets(row, grid) for row in v]
-
-    def test_criterion_10_objectives(self):
-        # the 441 objectives variational_pressure_via_rate scans in
-        # criterion 10, in the row blocks it scans them in
-        grid = np.linspace(0.0, 1.0, 1001)
-        rate = np.asarray(rate_function(grid))
-        hJ = np.array([(h, J) for h in np.linspace(-1.0, 1.0, 21)
-                       for J in np.linspace(0.0, 3.0, 21)])
-        block = thermo._RATE_BLOCK
-        for start in range(0, len(hJ), block):
-            h, J = hJ[start:start + block, :1], hJ[start:start + block, 1:]
-            v = (h - J) * grid + J * grid * grid - rate
-            assert _row_brackets(v, grid) == [_loop_brackets(row, grid) for row in v]
-
-
 def _seeded_params(seed, n):
     """(h, J) with |h| <= 30 and J log-uniform up to 1e3, plus the corners."""
     rng = np.random.default_rng(seed)
@@ -630,21 +572,83 @@ class TestRateRoute:
             assert type(single) is float
             assert single.hex() == float(sup).hex()
 
-    def test_block_boundaries_do_not_matter(self):
-        # 70 rows span three blocks; any prefix gives the same sups
-        grid = _seeded_params(29, 64)
+    def test_prefixes_do_not_change_rows(self):
+        # each row stops on its own test, so any prefix of a batch gives
+        # the same sups, whichever rows still iterate after it
+        grid = _seeded_params(29, 64) + _near_critical_params()[:30]
         full = variational_pressure_via_rate(grid)
-        for n in (1, 31, 32, 33, 65):
+        for n in (1, 31, 32, 33, 65, 80):
             part = variational_pressure_via_rate(grid[:n])
             assert [float(x).hex() for x in part] == [float(x).hex() for x in full[:n]]
 
-    def test_golden_search_meets_xatol(self):
-        # a parabola with its top off-centre in brackets two grid cells wide:
-        # the search ends within 1e-13 of each top
-        tops = np.array([0.0013, 0.5, 0.9985])
-        lo, hi = tops - 0.0011, tops + 0.0009
-        best = _golden_maxima(lambda m: -((m - tops) ** 2), lo, hi)
-        assert np.all(-best < 1e-26)
+    def test_no_piece_reaches_the_step_cap(self):
+        h, J = thermo._lanes(_criterion_10_grid())
+        row, m, steps = thermo._rate_candidates(h, J)
+        # the candidates 0, 1, c- and c+ of every row, then one per piece
+        assert row[:4 * h.size].tolist() == list(range(h.size)) * 4
+        row = row[4 * h.size:]
+        assert steps.shape == row.shape and steps.max() < thermo._RATE_STEPS
+        # every row has a maximum; below J_c it is on one piece only
+        assert set(row.tolist()) == set(range(h.size))
+        assert np.all(np.bincount(row)[J < thermo._J_C] == 1)
+
+    def test_uses_no_consistency_machinery(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the rate route left its own formulas")
+
+        grid = _criterion_10_grid() + _seeded_params(47, 50) + _near_critical_params()
+        expected = variational_pressure_via_rate(grid)
+        for name in ("g", "_g_scalar", "_g_array", "g_derivative", "log_one_minus_g", "p0",
+                     "tilde_p", "consistency_roots", "_walk_roots", "_lane_roots",
+                     "_spinodal", "brentq", "brentq_lanes"):
+            monkeypatch.setattr(thermo, name, forbidden)
+        assert variational_pressure_via_rate(grid).tolist() == expected.tolist()
+
+
+def _rate_oracle_params():
+    """120 seeded rows (|h| <= 30, J up to 1e3 and the corners), 50 with
+    J - J_c from 1e-12 to 1e-2 and h across the spinodal window and beyond
+    it, and 50 within 1e-12 to 1e-6 of gamma(J) for J from J_c + 1e-3 to
+    1e3, where the two maxima have nearly equal heights."""
+    rng = np.random.default_rng(2031)
+    rows = _seeded_params(43, 114)
+    for dJ, t in zip(10.0 ** rng.uniform(-12.0, -2.0, 50), rng.uniform(-0.5, 1.5, 50)):
+        J = thermo._J_C + dJ
+        lo, hi = phase._spinodal_window(J)
+        rows.append(ModelParams(float(lo + t * (hi - lo)), float(J)))
+    Js = np.sort(10.0 ** rng.uniform(math.log10(thermo._J_C + 1e-3), 3.0, 50))
+    offsets = 10.0 ** rng.uniform(-12.0, -6.0, 50) * rng.choice([-1.0, 1.0], 50)
+    for point, d in zip(trace_gamma([float(J) for J in Js]), offsets):
+        rows.append(ModelParams(float(point.h + d), float(point.J)))
+    return rows
+
+
+class TestRateRouteOracle:
+    def test_sup_agrees_with_50_digit_mpmath(self):
+        from oracles import rate_sup_mp, stationary_count_mp
+
+        params = _rate_oracle_params()
+        sups = variational_pressure_via_rate(params)
+        h, J = thermo._lanes(params)
+        row, _, steps = thermo._rate_candidates(h, J)
+        assert steps.max() < thermo._RATE_STEPS
+        found = np.bincount(row[4 * h.size:], minlength=len(params))
+        two = 0
+        for p, sup, pieces in zip(params, sups, found):
+            ref, (phi_lo, phi_hi) = rate_sup_mp(p.h, p.J)
+            # the rounding scale of the objective's terms (h - J) m and J m^2
+            assert abs(float(sup) - float(ref)) <= 1e-14 * (1.0 + abs(p.h) + p.J), p
+            # no maximum missed: the consistency residual counts the same
+            # maxima, and the route solves each of them wherever phi at both
+            # turns is clear of its rounding.  Within that, rounding decides
+            # whether a maximum next to a turn is solved; the turns are
+            # candidates of the sup for that
+            maxima = int(phi_lo < 0) + int(phi_hi > 0)
+            assert stationary_count_mp(p.h, p.J)[1] == maxima, p
+            if min(abs(phi_lo), abs(phi_hi)) > 2.0**-50 * (1.0 + abs(p.h) + 3.0 * p.J):
+                assert pieces == maxima, p
+                two += maxima == 2
+        assert two >= 50
 
 
 def _criterion_10_grid():
@@ -722,6 +726,25 @@ class TestLaneRoute:
             assert consistency_roots(grid[:n]) == roots[:n]
             assert variational_pressure(grid[:n]).tolist() == sups[:n].tolist()
 
+    def test_newton_steps_are_clipped_to_the_unit_interval(self, monkeypatch):
+        # roots at 0.001 and 0.999 of a synthetic residual r = -0.01 sign(m - 1/2)
+        # with r' = 1 - 2J g' = 1/4: each Newton step moves 0.04 outwards,
+        # past 0 and past 1, and the clip holds the roots at the ends
+        h, J = np.zeros(2), np.ones(2)
+        empty = np.empty(0)
+        monkeypatch.setattr(thermo, "_lane_cells", lambda h, J: (
+            (np.arange(2), np.array([0.001, 0.999])),
+            (np.empty(0, dtype=np.intp), empty, empty, empty, empty)))
+
+        def g_array(x):
+            m = (x + 1.0) / 2.0  # x = (2m - 1) J + h
+            return m + np.where(m < 0.5, -0.01, 0.01)
+
+        monkeypatch.setattr(thermo, "_g_array", g_array)
+        monkeypatch.setattr(thermo, "g_derivative", lambda x, k=1: np.full(np.shape(x), 0.375))
+        row, m = thermo._lane_roots(h, J)
+        assert row.tolist() == [0, 1] and m.tolist() == [0.0, 1.0]
+
 
 class TestPieceRoots:
     def test_left_end_within_noise_is_walked_in(self):
@@ -744,3 +767,29 @@ class TestPieceRoots:
         assert roots == [float(brentq(residual, c, d, xtol=1e-15, fa=residual(c),
                                       fb=residual(d))) for c, d in cells]
         assert all(c < r < d for r, (c, d) in zip(roots, cells))
+
+    # the lane form of the walk-in: at J = 1 < J_c the one piece is [0, 1],
+    # and noise = 2 _rounding_bound(0, 1) is about 1.8e-15
+    @staticmethod
+    def _lane_cells_of(monkeypatch, xs, ys):
+        """_lane_cells' (a, b) cells for one row whose residual is linear
+        between the values ys at the points xs."""
+        monkeypatch.setattr(thermo, "_lane_residual", lambda m, h, J: np.interp(m, xs, ys))
+        (row, m), (crow, a, b, fa, fb) = thermo._lane_cells(np.array([0.0]), np.array([1.0]))
+        assert row.size == 0 and set(crow.tolist()) <= {0}
+        return sorted(zip(a.tolist(), b.tolist()))
+
+    def test_lane_left_end_within_noise_is_walked_in(self, monkeypatch):
+        # within noise of 0 at m = 0, of opposite sign at the first node and
+        # again at the second, clear of noise from the third on: three
+        # cells, where a bisection from m = 0 sees one sign change
+        g1, g2, g3 = thermo._ROOT_GRID[1:4]
+        cells = self._lane_cells_of(monkeypatch, [0.0, g1, g2, g3, 1.0],
+                                    [1e-16, -1e-16, 1e-16, -0.5, -1.0])
+        assert cells == [(0.0, g1), (g1, g2), (g2, g3)]
+
+    def test_lane_right_end_within_noise_is_walked_in(self, monkeypatch):
+        g3, g2, g1 = thermo._ROOT_GRID[-4:-1]
+        cells = self._lane_cells_of(monkeypatch, [0.0, g3, g2, g1, 1.0],
+                                    [-1.0, -0.5, 1e-16, -1e-16, 1e-16])
+        assert cells == [(g3, g2), (g2, g1), (g1, 1.0)]
