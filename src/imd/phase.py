@@ -194,9 +194,10 @@ def classify(params: ModelParams) -> PhaseReport:
             raise ValueError(
                 f"flat maximizer with nonnegative fourth derivative at {params}"
             )
-        # the consistency residual has a triple zero here, which limits the
-        # generic polish to ~1e-5; the third derivative has a simple zero at
-        # the same point and pins it to machine precision
+        # the consistency residual has a triple zero here, so the walk's
+        # brentq root is only good to ~1e-5 (the cube root of the residual's
+        # rounding); the third derivative has a simple zero at the same point
+        # and pins it to machine precision
         m_ref = top.m
         lo, hi = max(0.0, m_ref - 1e-3), min(1.0, m_ref + 1e-3)
         d3lo, d3hi = tilde_p(lo, params, 3), tilde_p(hi, params, 3)

@@ -374,11 +374,9 @@ def _rate_candidates(h, J):
                             np.where(right, -np.expm1(x), np.exp(x))]), steps)
 
 
-# consistency walk: the grid whose cells bracket the roots, and Newton's
-# stopping residual
+# consistency walk: the grid whose cells bracket the roots
 _ROOT_NODES = np.linspace(0.0, 1.0, 401)
 _ROOT_GRID = _ROOT_NODES.tolist()
-_ROOT_TOL = 1e-13
 # the roots (3 +- 2 sqrt 2)/4 of the spinodal discriminant 16J^2 - 24J + 1
 _J_C = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
 _J_C_LOW = 1.0 / (16.0 * _J_C)
@@ -492,21 +490,11 @@ def _walk_roots(params: ModelParams, maxima_only: bool, hints=()) -> list[float]
     roots = [m for m, r in zip(ends, r_ends) if r == 0.0]
     for k in pieces:
         roots += _piece_roots(residual, *ends[k:k + 2], *r_ends[k:k + 2], noise, hints)
-    polished = []
-    for m in roots:
-        for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
-            r = residual(m)
-            if abs(r) < _ROOT_TOL:
-                break
-            d = 1.0 - 2.0 * J * float(g_derivative(params.effective_field(m), 1))
-            if d == 0.0:
-                break
-            m = min(max(m - r / d, 0.0), 1.0)
-        polished.append(m)
-    # an odd-multiplicity root always exists; dedupe near-coincident polish results
-    polished.sort()
+    # an odd-multiplicity root always exists; roots within rounding noise
+    # of one near-double root (walk-in cells, a zero at a node) count once
+    roots.sort()
     out = []
-    for m in polished:
+    for m in roots:
         if not out or m - out[-1] > 1e-9:
             out.append(m)
     return out
@@ -594,32 +582,16 @@ def _lane_roots(h, J):
     float64 arrays h and J at once, as (row, m) arrays sorted by row and
     then by m.  Every step of the scalar walk is taken by all lanes in step
     on the same double operations: the piece ends, the walk-in, the node
-    bisection, brentq (brentq_lanes), Newton and the merge."""
+    bisection, brentq (brentq_lanes) and the merge."""
     coupled = np.flatnonzero(J != 0.0)
     hc, Jc = h[coupled], J[coupled]
     (row, m), (crow, a, b, fa, fb) = _lane_cells(hc, Jc)
     ch, cJ = hc[crow], Jc[crow]
     solved = brentq_lanes(lambda x: _lane_residual(x, ch, cJ), a, b, xtol=1e-15, fa=fa, fb=fb)
-    row, m = np.concatenate([row, crow]), np.concatenate([m, solved])
-    i = np.arange(m.size)
-    for _ in range(6):  # Newton: residual' = 1 - 2J g'(x)
-        if not i.size:
-            break
-        x = (2.0 * m[i] - 1.0) * Jc[row[i]] + hc[row[i]]
-        r = m[i] - _g_array(x)
-        moving = ~(np.abs(r) < _ROOT_TOL)
-        i, x, r = i[moving], x[moving], r[moving]
-        d = 1.0 - 2.0 * Jc[row[i]] * g_derivative(x, 1)
-        moving = d != 0.0
-        i, r, d = i[moving], r[moving], d[moving]
-        with np.errstate(over="ignore"):
-            step = m[i] - r / d
-        step = np.where(0.0 > step, 0.0, step)  # min(max(step, 0.0), 1.0)
-        m[i] = np.where(1.0 < step, 1.0, step)
     # at J = 0 the equation reads m = g(h)
     uncoupled = np.flatnonzero(J == 0.0)
-    row = np.concatenate([uncoupled, coupled[row]])
-    m = np.concatenate([_g_array(h[uncoupled]), m])
+    row = np.concatenate([uncoupled, coupled[row], coupled[crow]])
+    m = np.concatenate([_g_array(h[uncoupled]), m, solved])
     order = np.lexsort((m, row))
     row, m = row[order], m[order]
     # merge each row's roots closer than 1e-9 to the last one kept
@@ -648,8 +620,8 @@ def consistency_roots(params):
     when r has opposite signs at its ends.  The signs are compared, never
     multiplied, so a subnormal r(0) still counts.  On such a piece a
     bisection over the nodes of the 401-point grid inside it finds the cell
-    where r changes sign; brentq (imd._brent, a bit-exact port of scipy's)
-    solves it to xtol 1e-15 and Newton polishes it to residual < 1e-13.  A
+    where r changes sign, and brentq (imd._brent, a bit-exact port of
+    scipy's) solves it to xtol 1e-15; its root is the one returned.  A
     zero of r at a piece end or at a node is a root, and roots closer than
     1e-9 are merged.  An end whose residual is within rounding noise of 0 is
     walked in node by node (_piece_roots), so the roots are those of a sign
@@ -657,15 +629,15 @@ def consistency_roots(params):
     ModelParams r is evaluated by g's scalar route only: the piece ends, at
     most 9 nodes per bisection (2 if a hint, the gamma bisection's last
     maxima, hits the cell; 2 more per hint if not) and brentq's inner
-    points, as it is handed the cell's end residuals.  At J = 0 the
-    equation reads m = g(h).
+    points, as it is handed the cell's end residuals; g' is never
+    evaluated.  At J = 0 the equation reads m = g(h).
 
     A sequence of ModelParams takes the lane route and returns one list of
     roots per row.  The cuts come from the scalar _spinodal (math.log, which
     np.log does not match bit for bit), once per distinct J.  Every later
     step runs on all rows in step with the scalar walk's double operations:
     the residual at the piece ends, the walk-in, the node bisection,
-    brentq_lanes, Newton and the merge.  So each row's roots are those of
+    brentq_lanes and the merge.  So each row's roots are those of
     the one-row call, to the bit.
     """
     if isinstance(params, ModelParams):

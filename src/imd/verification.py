@@ -25,7 +25,6 @@ __all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_suite", "brute_force_lo
 @dataclass
 class CriterionResult:
     number: int
-    suite: str
     title: str
     checks: list[tuple[str, bool]] = field(default_factory=list)
     elapsed: float = 0.0
@@ -91,7 +90,7 @@ def brute_force_log_partitions(N: int, params_seq) -> list[float]:
 
 
 def criterion_1() -> CriterionResult:
-    res = CriterionResult(1, "thermo", "closed-form identities of g and p0")
+    res = CriterionResult(1, "closed-form identities of g and p0")
     hs = np.linspace(-30.0, 30.0, 601)
     gv = np.asarray(thermo.g(hs))
     # 1 - g is evaluated through the stable complement: beyond h ~ 18.7 the
@@ -109,7 +108,7 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    res = CriterionResult(2, "exact", "partition function vs exhaustive matching enumeration")
+    res = CriterionResult(2, "partition function vs exhaustive matching enumeration")
     worst = 0.0
     cases = [ModelParams(h, J) for h, J in itertools.product((-1.0, 0.0, 1.0), (0.0, 1.0, 2.0))]
     for N in range(2, 9):
@@ -120,7 +119,7 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    res = CriterionResult(3, "laplace", "Gaussian-moment representation of the pure partition function")
+    res = CriterionResult(3, "Gaussian-moment representation of the pure partition function")
     worst = 0.0
     rep = {}
     for N in (2, 4, 10, 50, 100, 101):
@@ -134,7 +133,7 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    res = CriterionResult(4, "laplace", "Laplace asymptote of the pure pressure")
+    res = CriterionResult(4, "Laplace asymptote of the pure pressure")
     for u in (-1.0, 0.0, 1.0):
         devs = [abs(laplace.pure_asymptote_ratio(N, u) - 1.0) for N in (100, 1000, 10000)]
         res.check(
@@ -146,7 +145,7 @@ def criterion_4() -> CriterionResult:
 
 
 def criterion_5() -> CriterionResult:
-    res = CriterionResult(5, "exact", "Gaussian-smoothed law: analytic form vs finite mixture")
+    res = CriterionResult(5, "Gaussian-smoothed law: analytic form vs finite mixture")
     params = ModelParams(0.0, 1.0)
     m_star = phase.classify(params).maximizers[0]
     worst = mass = 0.0
@@ -168,7 +167,7 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    res = CriterionResult(6, "limits", "pure model: central limit theorem and law of large numbers")
+    res = CriterionResult(6, "pure model: central limit theorem and law of large numbers")
     g0 = thermo.g(0.0)
     gp0 = thermo.g_derivative(0.0, 1)
     params = ModelParams(0.0, 0.0)
@@ -183,7 +182,7 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    res = CriterionResult(7, "limits", "central limit theorem in the uniqueness region")
+    res = CriterionResult(7, "central limit theorem in the uniqueness region")
     params = ModelParams(0.2, 0.5)
     v_curv = phase.clt_variance(params)
     v_red = phase.clt_variance_reduced(params)
@@ -202,7 +201,7 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    res = CriterionResult(8, "limits", "critical point: quartic limit law and CLT breakdown")
+    res = CriterionResult(8, "critical point: quartic limit law and CLT breakdown")
     cp = phase.find_critical_point()
     params = ModelParams(cp.h_c, cp.J_c)
     law = limits.Quartic(cp.lambda_c)
@@ -221,7 +220,7 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    res = CriterionResult(9, "limits", "coexistence curve: two-phase mixture weights")
+    res = CriterionResult(9, "coexistence curve: two-phase mixture weights")
     point = phase.trace_gamma([2.0])[0]
     errs = [abs(limits.coexistence_masses(N, point)[0] - point.rho1)
             for N in (1000, 10000, 100000)]
@@ -243,7 +242,7 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    res = CriterionResult(10, "thermo", "variational pressure: two routes and finite-N convergence")
+    res = CriterionResult(10, "variational pressure: two routes and finite-N convergence")
     grid = [ModelParams(float(h), float(J))
             for h in np.linspace(-1.0, 1.0, 21) for J in np.linspace(0.0, 3.0, 21)]
     via_rate = thermo.variational_pressure_via_rate(grid)

@@ -191,8 +191,7 @@ def _reference_g(h):
 def reference_consistency_roots(h, J):
     """A frozen copy of the consistency solver before the scan was cut at
     the spinodal densities: the 401-point scan, brentq on every sign change,
-    then Newton to residual < 1e-13 with g' evaluated on every step, and
-    polish results closer than 1e-9 merged.  The pin for the roots' bits."""
+    and roots closer than 1e-9 merged.  The pin for the roots' bits."""
     if J == 0.0:
         return [float(_reference_g(h))]
 
@@ -205,19 +204,9 @@ def reference_consistency_roots(h, J):
     for i in np.flatnonzero(res[:-1] * res[1:] < 0.0):
         roots.append(float(brentq(lambda m: float(residual(m)), grid[i], grid[i + 1],
                                   xtol=1e-15)))
-    polished = []
-    for m in roots:
-        for _ in range(6):
-            r = float(residual(m))
-            gg = float(_reference_g((2.0 * m - 1.0) * J + h))
-            d = 1.0 - 2.0 * J * (2.0 * gg * (1.0 - gg) / (2.0 - gg))
-            if d == 0.0 or abs(r) < 1e-13:
-                break
-            m = min(max(m - r / d, 0.0), 1.0)
-        polished.append(m)
-    polished.sort()
+    roots.sort()
     out = []
-    for m in polished:
+    for m in roots:
         if not out or m - out[-1] > 1e-9:
             out.append(m)
     return out
@@ -260,12 +249,15 @@ def stationary_count_mp(h, J, dps=30):
 def _falling_root(f_and_slope, lo, hi, tol):
     """The root of a decreasing f with f(lo) > 0 > f(hi): Newton steps that
     stay inside the bracket and at least halve the step before last, else
-    bisection (Numerical Recipes' rtsafe), until a step is below tol."""
+    bisection (Numerical Recipes' rtsafe), until a step is below tol.  A
+    step that rounds onto an end of the bracket is taken: at a root that
+    the working precision resolves, the step is 0 to rounding, and the end
+    is the iterate itself."""
     step = last = hi - lo
     x = (lo + hi) / 2
     f, slope = f_and_slope(x)
     while True:
-        if not lo < x - f / slope < hi or abs(2 * f) > abs(last * slope):
+        if not lo <= x - f / slope <= hi or abs(2 * f) > abs(last * slope):
             last, step = step, (hi - lo) / 2
             x = lo + step
         else:
@@ -282,18 +274,44 @@ def _falling_root(f_and_slope, lo, hi, tol):
             return x
 
 
+def _phi_pieces_mp(h, J):
+    """(cuts, middle, left, right) for mpf h and J at the working precision:
+    the turns c- <= c+ of phi = (h - J) + 2Jm - log m + log(1 - m)/2, the
+    roots of 4J m^2 - (4J+1) m + 2 = 0 for J > J_c and both 2 - sqrt 2
+    below, and phi with its slope in m (middle), in u = log m (left) and in
+    s = -log(1 - m) (right).  phi falls on [0, c-] and on [c+, 1] and rises
+    between; u and s keep m = e^-1000 and 1 - m = e^-2000 apart from 0 and
+    1."""
+
+    def middle(m):
+        return ((h - J) + 2 * J * m - mpmath.log(m) + mpmath.log(1 - m) / 2,
+                2 * J - 1 / m - 1 / (2 * (1 - m)))
+
+    def left(u):
+        m = mpmath.exp(u)
+        return (h - J) + 2 * J * m - u + mpmath.log1p(-m) / 2, 2 * J * m - 1 - m / (2 * (1 - m))
+
+    def right(s):  # with w = 1 - m
+        w = mpmath.exp(-s)
+        return (h - J) + 2 * J * (1 - w) - mpmath.log1p(-w) - s / 2, 2 * J * w - w / (1 - w) - 0.5
+
+    if J > (3 + 2 * mpmath.sqrt(2)) / 4:
+        root = mpmath.sqrt((4 * J + 1) ** 2 - 32 * J)
+        cuts = [(4 * J + 1 - root) / (8 * J), (4 * J + 1 + root) / (8 * J)]
+    else:
+        cuts = [2 - mpmath.sqrt(2)] * 2
+    return cuts, middle, left, right
+
+
 def rate_sup_mp(h, J, dps=50):
     """(sup, (phi(c-), phi(c+))): sup over [0, 1] of (h - J) m + J m^2 - I(m)
     at dps digits, and the objective's slope phi at its turns c- and c+.
 
     phi = (h - J) + 2Jm - log m + log(1 - m)/2 is the objective's slope.
-    It falls except between the roots c- < c+ of 4J m^2 - (4J+1) m + 2 = 0
-    (J > J_c), so [0, c-] holds a maximum iff phi(c-) < 0 and [c+, 1] iff
-    phi(c+) > 0; below J_c both cuts are 2 - sqrt 2.  Each maximum is solved
-    to 1e-25 in u = log m or s = -log(1 - m), which keep m = e^-1000 and
-    1 - m = e^-2000 apart from 0 and 1; the objective is flat there, so its
-    value is good to far more digits.  The sup is taken over m = 0, 1, c-,
-    c+ and the maxima.
+    By _phi_pieces_mp, [0, c-] holds a maximum iff phi(c-) < 0 and [c+, 1]
+    iff phi(c+) > 0.  Each maximum is solved to 1e-25 in u = log m or
+    s = -log(1 - m); the objective is flat there, so its value is good to
+    far more digits.  The sup is taken over m = 0, 1, c-, c+ and the maxima.
     """
     with mpmath.workdps(dps):
         h, J = mpmath.mpf(h), mpmath.mpf(J)
@@ -303,31 +321,46 @@ def rate_sup_mp(h, J, dps=50):
             rate = (m * mpmath.log(m) if m else 0) + (w * mpmath.log(w) / 2 if w else 0) + w / 2
             return (h - J) * m + J * m * m - rate
 
-        def phi(m):
-            return (h - J) + 2 * J * m - mpmath.log(m) + mpmath.log(1 - m) / 2
-
-        def left(u):  # phi and dphi/du
-            m = mpmath.exp(u)
-            return (h - J) + 2 * J * m - u + mpmath.log1p(-m) / 2, 2 * J * m - 1 - m / (2 * (1 - m))
-
-        def right(s):  # phi and dphi/ds, with w = 1 - m
-            w = mpmath.exp(-s)
-            return (h - J) + 2 * J * (1 - w) - mpmath.log1p(-w) - s / 2, 2 * J * w - w / (1 - w) - 0.5
-
-        if J > (3 + 2 * mpmath.sqrt(2)) / 4:
-            root = mpmath.sqrt((4 * J + 1) ** 2 - 32 * J)
-            cuts = [(4 * J + 1 - root) / (8 * J), (4 * J + 1 + root) / (8 * J)]
-        else:
-            cuts = [2 - mpmath.sqrt(2)] * 2
+        cuts, middle, left, right = _phi_pieces_mp(h, J)
         candidates = [mpmath.mpf(0), mpmath.mpf(1), *cuts]
         tol = mpmath.mpf(10) ** -25
-        at_turns = phi(cuts[0]), phi(cuts[1])
+        at_turns = middle(cuts[0])[0], middle(cuts[1])[0]
         if at_turns[0] < 0:  # phi > 0 below u = h - J - 1
             candidates.append(mpmath.exp(_falling_root(left, h - J - 1, mpmath.log(cuts[0]), tol)))
         if at_turns[1] > 0:  # phi < 0 above s = 2(h + J) + 2
             s = _falling_root(right, -mpmath.log(1 - cuts[1]), 2 * (h + J) + 2, tol)
             candidates.append(-mpmath.expm1(-s))
         return max(objective(m) for m in candidates), at_turns
+
+
+def consistency_roots_mp(h, J, dps=50):
+    """[(m, r')]: the solutions of m = g((2m-1)J + h) in [0, 1] at dps
+    digits, in increasing order, with the slope r' = 1 - 2J g'(x) of the
+    residual m - g(x), x = (2m-1)J + h, at each.
+
+    g inverts I'(m) = log m - log(1 - m)/2, so the solutions are the zeros
+    of phi = x - I'(m), and at each g'(x) = 1/I''(m) turns r' into
+    1 - 4J m(1-m)/(2-m).  Each piece of _phi_pieces_mp whose ends' phi
+    differ in sign holds one zero, solved to 10^(10 - dps) in u = log m, in
+    m and in s = -log(1 - m) (the bounds of rate_sup_mp close the outer
+    pieces).  No g is evaluated.
+    """
+    with mpmath.workdps(dps):
+        h, J = mpmath.mpf(h), mpmath.mpf(J)
+        cuts, middle, left, right = _phi_pieces_mp(h, J)
+        tol = mpmath.mpf(10) ** (10 - dps)
+        at_turns = middle(cuts[0])[0], middle(cuts[1])[0]
+        found = []  # (m, 1 - m)
+        if at_turns[0] < 0:
+            u = _falling_root(left, h - J - 1, mpmath.log(cuts[0]), tol)
+            found.append((mpmath.exp(u), -mpmath.expm1(u)))
+        if at_turns[0] < 0 < at_turns[1]:
+            m = _falling_root(lambda m: tuple(-v for v in middle(m)), cuts[0], cuts[1], tol)
+            found.append((m, 1 - m))
+        if at_turns[1] > 0:
+            s = _falling_root(right, -mpmath.log(1 - cuts[1]), 2 * (h + J) + 2, tol)
+            found.append((-mpmath.expm1(-s), mpmath.exp(-s)))
+        return [(m, 1 - 4 * J * m * w / (1 + w)) for m, w in found]
 
 
 def height_gap_mp(h, J, x_seeds, dps=50):
@@ -363,10 +396,9 @@ def height_gap_mp(h, J, x_seeds, dps=50):
 def cut_scan_consistency_roots(h, J):
     """A frozen copy of the consistency solver that scanned the whole grid:
     the 401-point grid cut at the spinodal densities, evaluated as one array,
-    brentq on every cell whose ends have residuals of opposite signs, then
-    Newton to residual < 1e-13 (g' only where the residual is above it) and
-    polish results closer than 1e-9 merged.  Its one change from that solver
-    is the sign test, which compares signs where the solver multiplied the
+    brentq on every cell whose ends have residuals of opposite signs, and
+    roots closer than 1e-9 merged.  Its one change from that solver is the
+    sign test, which compares signs where the solver multiplied the
     residuals (the product underflowed to -0.0 for a subnormal r(0)).  The
     pin for the bits of the piecewise walk."""
     if J == 0.0:
@@ -374,10 +406,6 @@ def cut_scan_consistency_roots(h, J):
 
     def residual(m):
         return m - _reference_g((2.0 * m - 1.0) * J + h)
-
-    def g_prime(x):
-        gg = float(_reference_g(x))
-        return 2.0 * gg * (1.0 - gg) / (2.0 - gg)
 
     cuts = []
     if J >= (3.0 + 2.0 * math.sqrt(2.0)) / 4.0:
@@ -392,20 +420,9 @@ def cut_scan_consistency_roots(h, J):
     for i in np.flatnonzero(change):
         roots.append(float(brentq(lambda m: float(residual(m)), grid[i], grid[i + 1],
                                   xtol=1e-15)))
-    polished = []
-    for m in roots:
-        for _ in range(6):
-            r = float(residual(m))
-            if abs(r) < 1e-13:
-                break
-            d = 1.0 - 2.0 * J * g_prime((2.0 * m - 1.0) * J + h)
-            if d == 0.0:
-                break
-            m = min(max(m - r / d, 0.0), 1.0)
-        polished.append(m)
-    polished.sort()
+    roots.sort()
     out = []
-    for m in polished:
+    for m in roots:
         if not out or m - out[-1] > 1e-9:
             out.append(m)
     return out

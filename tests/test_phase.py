@@ -268,12 +268,11 @@ class TestTraceGamma:
 
     def test_grid_within_its_evaluation_count(self, monkeypatch):
         # g's scalar route evaluates r for every walk of criterion 9's grid:
-        # 3 710 times when sign certificates skip the decided bisection
-        # steps (11 138 with every step walked), each probe starts from the
-        # last probe's maxima, brentq is handed its cells' end residuals
-        # (19 824 without), a seed field outside the two-maxima window goes
-        # straight to the spinodal window, and g' at positive fields is
-        # taken from e^{-2h} alone
+        # 3 311 times, as each walk ends at brentq, with sign certificates
+        # that skip the decided bisection steps, each probe starting from the
+        # last probe's maxima, brentq handed its cells' end residuals, a
+        # seed field outside the two-maxima window going straight to the
+        # spinodal window, and g' at positive fields taken from e^{-2h} alone
         from imd import thermo
 
         fields = []
@@ -285,7 +284,7 @@ class TestTraceGamma:
 
         monkeypatch.setattr(thermo, "_g_scalar", counted)
         trace_gamma(CRITERION_9_GRID)
-        assert len(fields) <= 3710
+        assert len(fields) <= 3311
 
     def test_bisection_evaluates_only_value_and_curvature(self, monkeypatch):
         # each bisection step needs ptilde'' at the roots and ptilde at the

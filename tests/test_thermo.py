@@ -379,9 +379,8 @@ class TestConsistencyRoots:
             ref = reference_consistency_roots(float(h), float(J))
             assert [m.hex() for m in roots] == [m.hex() for m in ref], (h, J)
 
-    def test_settled_roots_take_no_newton_step(self, monkeypatch):
-        # brentq leaves every root at (-0.41, 2) below the Newton tolerance,
-        # so g' is never evaluated
+    def test_walk_never_evaluates_g_prime(self, monkeypatch):
+        # the walk ends at brentq, which evaluates the residual alone
         calls = []
 
         def counted(*args, **kwargs):
@@ -651,6 +650,47 @@ class TestRateRouteOracle:
         assert two >= 50
 
 
+def _root_accuracy_params():
+    """306 seeded rows (|h| <= 30, J log-uniform up to 1e3 and the corners),
+    100 with J from 300 to 1e3, where all three roots are there, and 100
+    with J - J_c from 1e-12 to 1e-2 and h across the spinodal window and
+    beyond it."""
+    rng = np.random.default_rng(2032)
+    rows = _seeded_params(47, 300)
+    rows += [ModelParams(float(h), float(J))
+             for h, J in zip(rng.uniform(-30.0, 30.0, 100), rng.uniform(300.0, 1e3, 100))]
+    for dJ, t in zip(10.0 ** rng.uniform(-12.0, -2.0, 100), rng.uniform(-0.5, 1.5, 100)):
+        J = thermo._J_C + dJ
+        lo, hi = phase._spinodal_window(J)
+        rows.append(ModelParams(float(lo + t * (hi - lo)), float(J)))
+    return rows
+
+
+class TestRootAccuracy:
+    @pytest.fixture(scope="class")
+    def oracle_rows(self):
+        from oracles import consistency_roots_mp
+
+        params = _root_accuracy_params()
+        return params, [consistency_roots_mp(p.h, p.J) for p in params]
+
+    @pytest.mark.parametrize("route", ["scalar", "lanes"])
+    def test_roots_agree_with_50_digit_mpmath(self, oracle_rows, route):
+        # brentq stops within delta = (1e-15 + 4 eps |m|)/2 of a sign change
+        # of the computed residual, and rounding_bound / |r'| bounds how far
+        # that lies from the root m*; each term is allowed twice
+        params, exact = oracle_rows
+        found = (consistency_roots(params) if route == "lanes"
+                 else [consistency_roots(p) for p in params])
+        for p, roots, ref in zip(params, found, exact):
+            for m in roots:
+                m_star, slope = min(ref, key=lambda root: abs(root[0] - m))
+                delta = (1e-15 + 4.0 * 2.0**-52 * abs(m)) / 2.0
+                bound = 2.0 * delta + 2.0 * thermo._rounding_bound(p.h, p.J) / abs(float(slope))
+                assert abs(m - m_star) <= bound, (p, m)
+        assert sum(len(roots) == 3 for roots in found) >= 100
+
+
 def _criterion_10_grid():
     return [ModelParams(float(h), float(J))
             for h in np.linspace(-1.0, 1.0, 21) for J in np.linspace(0.0, 3.0, 21)]
@@ -725,25 +765,6 @@ class TestLaneRoute:
         for n in (1, 7, 60, 119):
             assert consistency_roots(grid[:n]) == roots[:n]
             assert variational_pressure(grid[:n]).tolist() == sups[:n].tolist()
-
-    def test_newton_steps_are_clipped_to_the_unit_interval(self, monkeypatch):
-        # roots at 0.001 and 0.999 of a synthetic residual r = -0.01 sign(m - 1/2)
-        # with r' = 1 - 2J g' = 1/4: each Newton step moves 0.04 outwards,
-        # past 0 and past 1, and the clip holds the roots at the ends
-        h, J = np.zeros(2), np.ones(2)
-        empty = np.empty(0)
-        monkeypatch.setattr(thermo, "_lane_cells", lambda h, J: (
-            (np.arange(2), np.array([0.001, 0.999])),
-            (np.empty(0, dtype=np.intp), empty, empty, empty, empty)))
-
-        def g_array(x):
-            m = (x + 1.0) / 2.0  # x = (2m - 1) J + h
-            return m + np.where(m < 0.5, -0.01, 0.01)
-
-        monkeypatch.setattr(thermo, "_g_array", g_array)
-        monkeypatch.setattr(thermo, "g_derivative", lambda x, k=1: np.full(np.shape(x), 0.375))
-        row, m = thermo._lane_roots(h, J)
-        assert row.tolist() == [0, 1] and m.tolist() == [0.0, 1.0]
 
 
 class TestPieceRoots:
