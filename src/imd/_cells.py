@@ -4,14 +4,17 @@ built by NumPy.
 A chunk of rows is one matrix of 8-byte words.  Each cell is a run of words
 that holds its text, with NUL wherever the text has no character; deleting
 the NULs leaves the rows.  The words are composed from tables by integer
-operations on whole columns, so no Python code runs per cell.
+operations on whole columns, so no Python code runs per cell; where every
+cell of a chunk has the same index (decade, which most chunks of a law
+share, sign or dot), the table entry is read once and broadcast.
 
 Integers (non-negative) are 4-digit ASCII groups from a table, right-aligned
 in their words with the separator in the last byte.  A finite non-zero float
 x takes its 17 correctly rounded digits (Steele & White 1990; Gay 1990) from
 a table of powers of ten in double-double form.  With d the decimal exponent
 of |x| = m 2^e (``np.frexp``) and 10^(16 - d) = (A + B) 2^F, Dekker's exact
-product (Dekker 1971) of m and A, plus m B, scaled by 2^(e + F), gives
+product (Dekker 1971) of m and A, plus m B, times 2^(e + F) (a double built
+from its exponent bits, exact as both terms stay normal), gives
 |x| 10^(16 - d), which lies in [1e16, 1e17), as hi + lo within 2^-103
 relative; the integer it rounds to, half to even as %.17g rounds, is
 hi + rint(lo).  For 0 <= 16 - d <= 22, 10^(16 - d) is a double (B = 0) and
@@ -53,10 +56,11 @@ del _G, _PLACES, _DIGITS
 
 
 def _split(a):
-    """Veltkamp's split of a into 26-bit halves, a = high + low exactly."""
-    c = a * 134217729.0  # 2^27 + 1
-    high = c - (c - a)
-    return high, a - high
+    """Veltkamp's split of the array a into 26-bit halves, a = high + low."""
+    high = a * 134217729.0  # 2^27 + 1
+    low = high - a
+    high -= low
+    return high, np.subtract(a, high, out=low)
 
 
 # Decimal exponents d = -324 ... 308 of the finite non-zero doubles, indexed
@@ -170,7 +174,7 @@ def percent_cells(x) -> np.ndarray:
 def float_cells(x, out) -> None:
     """Write '%.17g' % x for the float64 values x into the rows of the
     uint64 words out, three to a cell, with NUL where the text has no
-    character."""
+    character.  A chunk in one decade reads its table entries once."""
     ax = np.abs(x)
     kernel = ax <= _MAX
     kernel &= ax > 0.0
@@ -182,12 +186,11 @@ def float_cells(x, out) -> None:
     e = np.subtract(e, _E_MIN, dtype=np.intp)
     i = _DECADE[e]
     i += ax >= _NEXT[e]
+    if i.size and i.min() == i.max():
+        i = i[0]
     # m (A + B) = h + l within 2^-105 of m 10^(16 - d) / 2^F: Dekker's
     # product h + l' = m A, with m and A split into 26-bit halves, plus m B
-    m_high = m * 134217729.0  # 2^27 + 1
-    m_low = m_high - m
-    m_high -= m_low
-    np.subtract(m, m_high, out=m_low)
+    m_high, m_low = _split(m)
     a_high, a_low = _A_HIGH[i], _A_LOW[i]
     h = a_high + a_low
     h *= m
@@ -201,16 +204,19 @@ def float_cells(x, out) -> None:
     np.subtract(part, l, out=l)
     np.multiply(m, _B[i], out=part)
     l += part
-    e += _F[i]
-    np.ldexp(h, e, out=h)
-    np.ldexp(l, e, out=l)
+    # times 2^(e + F), the double with exponent bits e + F + 1023
+    e += _F[i] + 1023
+    e <<= 52
+    h *= e.view(np.float64)
+    l *= e.view(np.float64)
     # h is an even integer, so h + rint(l) rounds h + l half to even; for an
     # inexact power an l near a half-integer leaves the kernel
     r = np.rint(l)
-    l -= r
-    near = np.abs(l, out=l) > 0.5 - _TIE
-    if near.any():
-        kernel &= ~near | _EXACT[i]
+    if i.ndim or not _EXACT[i]:
+        l -= r
+        near = np.abs(l, out=l) > 0.5 - _TIE
+        if near.any():
+            kernel &= ~near | _EXACT[i]
     D = h.astype(np.int64)
     D += r.astype(np.int64)
     # h + l rounds up to 10^17: the next decade's 10^16
@@ -252,18 +258,20 @@ def float_cells(x, out) -> None:
     shift = _SHIFT[i]
     right = 64 - shift
     head = [_HEAD[j][i] for j in range(3)]
-    for w, h in zip(g, head):
-        h &= w
-        w ^= h
+    for j, h in enumerate(head):
+        if h.ndim or h:  # a chunk-wide mask of no byte splits nothing
+            head[j] = h = h & g[j]
+            g[j] ^= h
+    # the sign and a dot after the head, chunk-wide where every cell agrees
     i <<= 2
-    i += np.signbit(x)
-    i += 2 * ((g[0] | g[1] | g[2]) != 0)
+    for k, f in (1, np.signbit(x)), (2, (g[0] | g[1] | g[2]) != 0):
+        i += k * (f if f.any() != f.all() else f[0])
     carry = None
     for j, tail in enumerate(g):
         word = tail << shift
-        word |= head[j]
-        if carry is not None:
-            word |= carry
+        for h in head[j], carry:
+            if np.ndim(h):  # not a chunk-wide empty head, nor word 0's carry
+                word |= h
         np.bitwise_or(word, _CONST[j][i], out=out[:, j])
         carry = np.right_shift(tail, right, out=tail)
     if not kernel.all():
@@ -297,8 +305,8 @@ def int_cells(v, out, sep) -> None:
         if j:
             b += 10000 * (ahead | (a > 0))
             a += 10000 * ahead
-        else:
-            b += 10000 * (a > 0)
+        else:  # chunk-wide where no cell has fewer than five digits
+            b += 10000 if a.all() else 10000 * (a > 0)
         upper = _INT_HIGH[a]
         np.bitwise_or(upper >> 8 | low[b], byte7, out=out[:, j])
         byte7 = upper << 56

@@ -532,12 +532,76 @@ class TestAtomCsv:
             rows = "".join(_cells.csv_rows([floats[c:c + 2**16]])
                            for c in range(0, len(floats), 2**16))
             int_rows = _cells.csv_rows([ints])
+            # one word a cell: below 1e7, a chunk with groups full and stripped
+            short = ints[ints < 10**7]
+            short_rows = _cells.csv_rows([short])
         for got, cells in ((rows, ["%.17g" % x for x in floats.tolist()]),
-                           (int_rows, ["%d" % k for k in ints.tolist()])):
+                           (int_rows, ["%d" % k for k in ints.tolist()]),
+                           (short_rows, ["%d" % k for k in short.tolist()])):
             if got != "\r\n".join(cells) + "\r\n":
                 got = got.split("\r\n")
                 assert got.pop() == "" and len(got) == len(cells)
                 assert [(a, b) for a, b in zip(got, cells) if a != b][:5] == []
+
+    def test_one_decade_sweep_matches_percent_format(self, monkeypatch):
+        # one call per decade d = -324 ... 308, each read with one decade for
+        # the whole chunk: both signs of the least double >= 10^d and of the
+        # largest below 10^(d + 1), which %.17g rounds up a decade for 14 d
+        # (1e-14 and 1e+98 among them), and for d = -6 ... 15 exact ties at
+        # the 17th digit (odd j / 2^(17 - d))
+        reads = one_decade_reads(monkeypatch)
+        rng = np.random.default_rng(33)
+        for d in range(-324, 309):
+            x = [decade_edge(d), math.nextafter(decade_edge(d + 1), 0.0)]
+            if -6 <= d <= 15:
+                j = rng.integers(math.ceil(10.0**d * 2**(17 - d)) // 2,
+                                 int(min(10.0**(d + 1) * 2**(17 - d), 2.0**53)) // 2, 50) * 2 + 1
+                x += (j / 2.0**(17 - d)).tolist()
+            x += [-v for v in x]
+            assert {Decimal(v).adjusted() for v in x} == {d}
+            assert float_texts(x) == ["%.17g" % v for v in x]
+        assert len(reads) == 633 and all(reads)
+
+    def test_near_ties_by_decade_go_to_percent_format(self, monkeypatch):
+        # a one-decade chunk of an inexact power still sends the cells within
+        # its error bound of a tie to Python's %.17g
+        reads = one_decade_reads(monkeypatch)
+        seen = []
+        fallback = _cells.percent_cells
+        monkeypatch.setattr(_cells, "percent_cells", lambda x: seen.append(x) or fallback(x))
+        decades = {}
+        for x in inexact_near_ties():
+            decades.setdefault(Decimal(x).adjusted(), []).extend([x, -x])
+        for x in decades.values():
+            assert float_texts(x) == ["%.17g" % v for v in x]
+        assert len(reads) == len(decades) == 10 and all(reads)
+        assert sorted(np.concatenate(seen).tolist()) == sorted(sum(decades.values(), []))
+
+    def test_zero_infinity_and_nan_in_a_chunk(self, monkeypatch):
+        # they are computed as 1.0 and rewritten: in decade 0 the chunk keeps
+        # one decade, elsewhere it holds two
+        reads = one_decade_reads(monkeypatch)
+        rng = np.random.default_rng(34)
+        for d in (0, 0, -3, 5, 200):
+            x = np.concatenate([rng.uniform(1.5, 9.5, 40) * 10.0**d * rng.choice([-1.0, 1.0], 40),
+                                [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]])
+            rng.shuffle(x)
+            assert float_texts(x) == ["%.17g" % v for v in x.tolist()]
+        assert reads == [True, True, False, False, False]
+        assert float_texts([]) == [] and _cells.csv_rows([np.empty(0)]) == ""
+
+    def test_chunks_straddling_a_decade_boundary(self, monkeypatch):
+        # the least double >= 10^d and the double below it, each with both
+        # signs, then runs of doubles across 10^d
+        reads = one_decade_reads(monkeypatch)
+        rng = np.random.default_rng(35)
+        for d in range(-323, 309):
+            edge = decade_edge(d)
+            x = [math.nextafter(edge, 0.0), edge, -math.nextafter(edge, 0.0), -edge]
+            if d % 20 == 0:
+                x += (edge * rng.uniform(0.5, 2.0, 100)).tolist()
+            assert float_texts(x) == ["%.17g" % v for v in x]
+        assert len(reads) == 632 and not any(reads)
 
     def test_near_ties_of_inexact_powers_go_to_percent_format(self, monkeypatch):
         # where 10^(16 - d) is not a double, the kernel cannot tell on which
@@ -587,6 +651,38 @@ class TestAtomCsv:
         assert not (np.isfinite(cells) & (cells != 0.0)).any()
 
 
+def decade_edge(d):
+    """The least double >= 10^d (the largest double for d = 309)."""
+    if d > 308:
+        return sys.float_info.max
+    x = float(f"1e{d}")
+    return math.nextafter(x, math.inf) if Fraction(x) < Fraction(10) ** d else x
+
+
+def float_texts(x):
+    """float_cells' text of each of the doubles x, from words that start
+    as '*' in every byte, with RuntimeWarning as an error."""
+    out = np.full((len(x), 3), 0x2A2A2A2A2A2A2A2A, np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _cells.float_cells(np.array(x, np.float64), out)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in out]
+
+
+def one_decade_reads(monkeypatch):
+    """A list that float_cells' calls append to, once each: True where the
+    call reads its power-of-ten table once for the whole chunk."""
+    reads = []
+
+    class Table(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(np.ndim(key) == 0)
+            return np.asarray(self)[key]
+
+    monkeypatch.setattr(_cells, "_A_HIGH", _cells._A_HIGH.view(Table))
+    return reads
+
+
 def inexact_near_ties():
     """Doubles x > 0 whose |x| 10^(16 - d) lies within 2^-44 of a
     half-integer, though 10^(16 - d) is not a double (d the decimal exponent
@@ -606,7 +702,7 @@ def inexact_near_ties():
     # x = M 2^(j + q): x 10^-q = M 2^j / 5^q, and M 2^j = (5^q -+ 1) / 2 modulo
     # 5^q puts it 1 / (2 5^q) < 2^-44 from a half-integer
     for q in range(19, 23):
-        for j in range(0, 12):
+        for j in range(44, 56):
             for r in ((5**q - 1) // 2, (5**q + 1) // 2):
                 m = r * pow(2**j, -1, 5**q) % 5**q
                 ties += [math.ldexp(m + t * 5**q, j + q) for t in range(2**53 // 5**q)
