@@ -165,7 +165,7 @@ class AtomLaw:
 
     def central_moment(self, order: int) -> float:
         p, x = self._hull()
-        return float(np.dot(p, (x - self.mean()) ** order))
+        return float(np.dot(p, (x - float(np.dot(p, x))) ** order))
 
     def variance(self) -> float:
         return self.central_moment(2)
@@ -250,7 +250,7 @@ class AtomLaw:
 
 
 def _log_weights(N: int, params: ModelParams, k) -> np.ndarray:
-    """log w_k at dimer counts k; between atoms, the gammaln interpolation."""
+    """log w_k at the integer dimer counts k, an array of atoms."""
     m = (N - 2.0 * k) / N
     return (
         _log_matchings(N, k)

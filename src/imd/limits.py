@@ -328,6 +328,5 @@ def coexistence_masses(N: int, point: phase.GammaPoint) -> tuple[float, float]:
     # over the full-support suffix, as a mask over every atom would be.  The
     # density falls in k, so a bisection finds j with the mask's comparison
     j = exact._first_atom(0, law.size, lambda k: (N - 2 * k) / N < cut)
-    mass1 = float(exact._padded_sum(law.parts, [(lo - j, hi - j) for lo, hi in law.windows],
-                                    law.size - j))
+    mass1 = float(exact._padded_sum(law.parts, law.windows, law.size, j))
     return mass1, 1.0 - mass1

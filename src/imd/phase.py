@@ -25,7 +25,7 @@ import math
 from dataclasses import astuple, dataclass, fields
 
 from ._brent import brentq
-from .thermo import (ModelParams, _maximum_roots, _spinodal, consistency_roots, g, g_derivative,
+from .thermo import (ModelParams, _spinodal, _walk_roots, consistency_roots, g, g_derivative,
                      tilde_p)
 
 __all__ = [
@@ -229,22 +229,17 @@ def find_critical_point() -> CriticalPoint:
     return CriticalPoint(h_c=h_c, J_c=J_c, m_c=m_c, lambda_c=lambda_c)
 
 
-def _two_maxima(params: ModelParams, hints=()):
-    """The two outer local maxima as (m, ptilde''(m)) in increasing m, or
-    None when ptilde is single-welled.  Only the curvature is evaluated, and
-    the middle root only where it could change the answer."""
-    maxima = [(m, d2) for m in _maximum_roots(params, hints)
-              if (d2 := tilde_p(m, params, 2)) < 0.0]
-    return maxima if len(maxima) == 2 else None
-
-
 def _height_gap(params: ModelParams, hints=()):
-    """(ptilde(m2) - ptilde(m1), the _two_maxima pair), or None."""
-    pair = _two_maxima(params, hints)
-    if pair is None:
+    """(ptilde(m2) - ptilde(m1), [(m1, ptilde''(m1)), (m2, ptilde''(m2))]) for
+    the local maxima m1 < m2 of ptilde, or None unless there are exactly two.
+    Only the curvature is evaluated at the roots, and the middle root only
+    where it could change the answer (thermo._middle_bound)."""
+    maxima = [(m, d2) for m in _walk_roots(params, maxima_only=True, hints=hints)
+              if (d2 := tilde_p(m, params, 2)) < 0.0]
+    if len(maxima) != 2:
         return None
-    (m1, _), (m2, _) = pair
-    return tilde_p(m2, params) - tilde_p(m1, params), pair
+    (m1, _), (m2, _) = maxima
+    return tilde_p(m2, params) - tilde_p(m1, params), maxima
 
 
 def _spinodal_window(J: float) -> tuple[float, float]:
@@ -266,7 +261,7 @@ def _gap_margin(h: float, J: float) -> float:
 
 def _equal_height_field(J: float, h_center: float, width: float):
     """Bisect in h until the two maxima of ptilde have equal height; the
-    field and its _two_maxima pair.
+    field and its _height_gap pair.
 
     The gap G(h) = ptilde(m2) - ptilde(m1) increases strictly in h (its
     h-derivative is m2 - m1 > 0 by the envelope theorem), so a sign-bracketing
@@ -367,7 +362,11 @@ def _equal_height_field(J: float, h_center: float, width: float):
     for field in (h - spread, h + spread):
         if max(lo, neg) < field < min(hi, pos):
             gap_at(field)
-    for _ in range(80):
+    # each pass returns or halves [lo, hi], and a walked one returns once
+    # hi - lo < 1e-15.  Both ends lie in the spinodal window, 0.0096 wide at
+    # J = 1.5 and 2.0e5 at _GAMMA_J_MAX, so at most 45 and 69 passes; over
+    # 114 J from J_c + 1e-8 to 1e5 the most taken was 49
+    while True:
         mid = 0.5 * (lo + hi)
         if hi - lo >= 1e-15 and not neg < mid < pos:
             if mid <= neg:  # a certificate decides this step
@@ -388,8 +387,6 @@ def _equal_height_field(J: float, h_center: float, width: float):
             hi = mid
         else:
             lo = mid
-    mid = 0.5 * (lo + hi)
-    return mid, _two_maxima(ModelParams(mid, J), hints)
 
 
 def phase_weight(lam: float, m: float) -> float:

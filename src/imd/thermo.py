@@ -463,7 +463,21 @@ def _piece_roots(residual, a: float, b: float, ra: float, rb: float,
 
 def _middle_bound(h: float, J: float) -> float:
     """How far from zero both cut residuals must be for the middle piece to
-    leave the maxima alone; see _maximum_roots."""
+    leave the maxima alone: beyond it the roots with ptilde'' < 0 are those
+    of the two outer pieces, where r rises (ptilde' = -2J r).
+
+    Why: let rho be the smaller cut residual, eps the rounding bound of r
+    and m0 the middle root.  On the outer pieces 0 < r' <= 1, so each outer
+    root lies at least rho - eps from its cut, with r' >= rho - eps there.
+    On the middle piece |r'| rises from 0 at each cut towards the inflection
+    of g, so |r'(m0)| >= rho - eps.  A computed root is off by about
+    eps / |r'|, which moves r' by at most |r''| eps / |r'|, and
+    |r''| = 4J^2 |g''| <= J^2.  So rho >= eps + 2 (1 + J) sqrt(eps) + 2e-9
+    keeps r'(m0) < 0, that is ptilde''(m0) > 0, by far more than its
+    rounding, and keeps m0 more than 1e-9 from both outer roots, which the
+    merge then leaves as they are.  Below the bound, or with fewer than two
+    cuts in (0, 1), all three pieces are solved.
+    """
     eps = _rounding_bound(h, J)
     return eps + 2.0 * (1.0 + J) * math.sqrt(eps) + 2e-9
 
@@ -471,7 +485,7 @@ def _middle_bound(h: float, J: float) -> float:
 def _walk_roots(params: ModelParams, maxima_only: bool, hints=()) -> list[float]:
     """Roots of the consistency equation from the residual's monotone
     pieces: all of them, or with maxima_only the two outer pieces' alone
-    where _maximum_roots shows that the middle piece cannot matter."""
+    where _middle_bound shows that the middle piece cannot matter."""
     if params.J == 0.0:
         return [float(g(params.h))]
     h, J = params.h, params.J
@@ -646,28 +660,6 @@ def consistency_roots(params):
     row, m = _lane_roots(h, J)
     bounds = np.searchsorted(row, np.arange(h.size + 1)).tolist()
     return [m[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
-
-
-def _maximum_roots(params: ModelParams, hints=()) -> list[float]:
-    """The consistency roots among which ptilde's local maxima lie: those of
-    the two outer pieces, where r rises (ptilde' = -2J r), or all roots
-    where the middle piece could change which roots pass as maxima.  The
-    roots with ptilde'' < 0 are the same as among consistency_roots.
-
-    Why the middle root m0 can be left out once both cut residuals exceed
-    _middle_bound: let rho be the smaller of the two and eps the rounding
-    bound of r.  On the outer pieces 0 < r' <= 1, so each outer root lies at
-    least rho - eps from its cut, with r' >= rho - eps there.  On the middle
-    piece |r'| rises from 0 at each cut towards the inflection of g, so
-    |r'(m0)| >= rho - eps.  A computed root is off by about eps / |r'|, which
-    moves r' by at most |r''| eps / |r'|, and |r''| = 4J^2 |g''| <= J^2.  So
-    rho >= eps + 2 (1 + J) sqrt(eps) + 2e-9 keeps r'(m0) < 0, that is
-    ptilde''(m0) > 0, by far more than its rounding, and keeps m0 more than
-    1e-9 from both outer roots, which the merge then leaves as they are.
-    Below the bound, or with fewer than two cuts in (0, 1), all three pieces
-    are solved.
-    """
-    return _walk_roots(params, maxima_only=True, hints=hints)
 
 
 def variational_pressure(params):

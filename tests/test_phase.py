@@ -256,13 +256,14 @@ class TestTraceGamma:
         # the decided bisection steps, 673 when each step recomputed what
         # the one before had found)
         walks = []
-        maximum_roots = phase._maximum_roots
+        walk_roots = phase._walk_roots
 
-        def recorded(params, hints=()):
+        def recorded(params, maxima_only, hints=()):
+            assert maxima_only
             walks.append((params.h, params.J))
-            return maximum_roots(params, hints)
+            return walk_roots(params, maxima_only, hints)
 
-        monkeypatch.setattr(phase, "_maximum_roots", recorded)
+        monkeypatch.setattr(phase, "_walk_roots", recorded)
         trace_gamma(CRITERION_9_GRID)
         assert walks and len(walks) == len(set(walks))
 

@@ -63,10 +63,42 @@ ZERO_AT_UPPER_CUT = (-0.35615896377410955, 1.5)
 ZERO_AT_NODE_H = -0.34657359027997264
 EDGE_CASES = [CUT_ON_GRID, ZERO_AT_CUT, ZERO_AT_UPPER_CUT, (ZERO_AT_NODE_H, 1.0),
               (ZERO_AT_NODE_H, 2.0), (ZERO_AT_NODE_H, 0.5), (-5.0, 735.0), (0.0, 740.0)]
-# J - J_c = 5.6e-7 at the lower edge of the two-maxima window: the middle
-# root merges with the tangent right one and keeps ptilde'' > 0, so there is
-# one maximum, though the right piece alone would show a second
-EDGE_MERGE = (-0.34411329917267997, 1.4571073390613543)
+# J - J_c = 5.6e-7: just above the lower edge of the two-maxima window the
+# middle root merges with the tangent right one and keeps ptilde'' > 0, so
+# there is one maximum, though the right piece alone would show a second.
+# Which fields do so follows the exp kernel's bits (from 0 to about 4.3e-7
+# of the window's width above the edge with AVX-512, but none below about
+# 6e-8 with AVX2), so _edge_merge finds one at test time
+EDGE_MERGE_J = 1.4571073390613543
+
+
+def _guard_branch(params):
+    """Which branch of _walk_roots' middle-piece guard params takes."""
+    h, J = params.h, params.J
+    cuts = [c for c in ((x - h) / (2.0 * J) + 0.5 for x, _ in thermo._spinodal(J))
+            if 0.0 < c < 1.0]
+    if len(cuts) < 2:
+        return "fewer cuts"
+    rho = min(abs(c - g((2.0 * c - 1.0) * J + h)) for c in cuts)
+    return "outer" if rho > thermo._middle_bound(h, J) else "guarded"
+
+
+def _edge_merge():
+    """The first field above the lower window edge at EDGE_MERGE_J, at
+    log-spaced offsets from 1e-16 to 1e-3 of the window's width, where the
+    guard decides, the all-roots path finds one maximum and, with the guard
+    disabled, the outer pieces alone find two."""
+    lo, hi = phase._spinodal_window(EDGE_MERGE_J)
+    for rel in 10.0 ** np.linspace(-16.0, -3.0, 131):
+        params = ModelParams(float(lo + rel * (hi - lo)), EDGE_MERGE_J)
+        maxima = [m for m in consistency_roots(params) if tilde_p(m, params, 2) < 0.0]
+        if _guard_branch(params) != "guarded" or len(maxima) != 1:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermo, "_middle_bound", lambda h, J: -1.0)
+            if phase._height_gap(params) is not None:
+                return params
+    raise AssertionError(f"no merged edge field above {lo!r} at J = {EDGE_MERGE_J!r}")
 
 
 def _cut_scan_draws():
@@ -414,7 +446,7 @@ class TestConsistencyRoots:
             params = ModelParams(h, J)
             roots = consistency_roots(params)
             assert hex_of(roots) == hex_of(cut_scan_consistency_roots(h, J)), (h, J)
-            maxima = thermo._maximum_roots(params)
+            maxima = thermo._walk_roots(params, True)
             cuts = [(x - h) / (2.0 * J) + 0.5 for x, _ in thermo._spinodal(J)]
             misleading = [
                 roots,
@@ -428,7 +460,7 @@ class TestConsistencyRoots:
             for hints in misleading:
                 assert hex_of(thermo._walk_roots(params, False, hints)) == hex_of(roots), (
                     h, J, hints)
-                assert hex_of(thermo._maximum_roots(params, hints)) == hex_of(maxima), (
+                assert hex_of(thermo._walk_roots(params, True, hints)) == hex_of(maxima), (
                     h, J, hints)
 
     def test_edge_cases_are_what_they_claim(self):
@@ -497,35 +529,30 @@ class TestConsistencyRoots:
                       if (d2 := tilde_p(m, params, 2)) < 0.0]
             return maxima if len(maxima) == 2 else None
 
-        def branch(params):
-            h, J = params.h, params.J
-            cuts = [c for c in ((x - h) / (2.0 * J) + 0.5 for x, _ in thermo._spinodal(J))
-                    if 0.0 < c < 1.0]
-            if len(cuts) < 2:
-                return "fewer cuts"
-            rho = min(abs(c - g((2.0 * c - 1.0) * J + h)) for c in cuts)
-            return "outer" if rho > thermo._middle_bound(h, J) else "guarded"
+        def maxima_pair(params):
+            found = phase._height_gap(params)
+            return None if found is None else found[1]
 
+        edge = _edge_merge()
         rng = np.random.default_rng(2017)
-        draws = [ModelParams(*EDGE_MERGE), ModelParams(-0.41, 2.0), ModelParams(0.3, 1.0),
+        draws = [edge, ModelParams(-0.41, 2.0), ModelParams(0.3, 1.0),
                  ModelParams(0.0, 1e3), ModelParams(5.0, 3.0)]
         for dJ in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 50.0):
             J = thermo._J_C + dJ
             lo, hi = phase._spinodal_window(J)
-            for edge in (lo, hi):
+            for edge_field in (lo, hi):
                 for rel in (0.0, *10.0 ** rng.uniform(-12.0, -1.0, 8)):
                     for sign in (-1.0, 1.0):
-                        draws.append(ModelParams(float(edge + sign * rel * (hi - lo)), J))
+                        draws.append(ModelParams(float(edge_field + sign * rel * (hi - lo)), J))
         seen = set()
         for params in draws:
-            assert phase._two_maxima(params) == all_roots_pair(params), params
-            seen.add(branch(params))
+            assert maxima_pair(params) == all_roots_pair(params), params
+            seen.add(_guard_branch(params))
         assert seen == {"outer", "guarded", "fewer cuts"}
-        # without the guard the outer pieces alone give a pair at EDGE_MERGE
-        edge = ModelParams(*EDGE_MERGE)
-        assert branch(edge) == "guarded" and phase._two_maxima(edge) is None
+        # without the guard the outer pieces alone give a pair at the edge
+        assert _guard_branch(edge) == "guarded" and maxima_pair(edge) is None
         monkeypatch.setattr(thermo, "_middle_bound", lambda h, J: -1.0)
-        assert phase._two_maxima(edge) is not None
+        assert maxima_pair(edge) is not None
 
     def test_spinodal_densities_solve_the_quadratic(self):
         # 2J g'(x) = 1 at both spinodal fields, and g(x) is the density given
@@ -699,9 +726,9 @@ def _criterion_10_grid():
 def _near_critical_params():
     """J - J_c from 1e-12 to 1e-1, fields across the spinodal window, around
     it and within 1e-6 of its width from its edges, where the merge of
-    roots closer than 1e-9 acts (as at EDGE_MERGE), and some rows at J = 0."""
+    roots closer than 1e-9 acts (as at _edge_merge), and some rows at J = 0."""
     rng = np.random.default_rng(2018)
-    rows = [ModelParams(*EDGE_MERGE)]
+    rows = [_edge_merge()]
     edges = [t + d for t in (0.0, 1.0) for d in (-1e-6, -1e-7, 0.0, 1e-7, 1e-6)]
     for dJ in 10.0 ** np.arange(-12.0, -0.5, 0.5):
         J = thermo._J_C + dJ
